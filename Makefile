@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test shorttest racetest vet lint bench bench-throughput benchbaseline benchcmp docscheck metricscheck fuzzsmoke crashtest
+.PHONY: build test shorttest racetest vet lint bench bench-throughput benchbaseline benchcmp benchtest docscheck metricscheck fuzzsmoke crashtest
 
 # The hot-path benchmarks benchcmp tracks, and where their runs live.
 # The metrics pair guards the observability overhead: per-sample updates
@@ -17,6 +17,13 @@ test:
 
 shorttest:
 	$(GO) test -short ./...
+
+# The end-to-end benchmark (bench/mflushperf) is its own Go module, so
+# the root `go test ./...` never builds it; vet and test it in place so
+# a change to the sim/campaign/cluster/server API it drives is caught
+# (mirrors the CI benchtest job).
+benchtest:
+	cd bench/mflushperf && $(GO) vet ./... && $(GO) test ./...
 
 # Race-checks the campaign scheduler, the daemon's submit/cancel/SSE
 # churn and the cluster coordinator/worker concurrency (mirrors the CI

@@ -63,7 +63,7 @@ func main() {
 	cores := flag.Int("cores", 0, "core count override (0: derive from workload)")
 	verbose := flag.Bool("v", false, "print all event counters")
 	asJSON := flag.Bool("json", false, "emit the result as JSON")
-	traces := flag.String("traces", "", "comma-separated trace files (from tracegen) to replay instead of -workload")
+	traces := flag.String("traces", "", "comma-separated MFTRACE1 trace files (from mflushtrace -format mftrace) to replay instead of -workload")
 	name := flag.String("name", "", "workload name to report (replayed traces otherwise report replay-N)")
 	interval := flag.Uint64("interval", 0, "emit a time-series sample every N measured cycles (0: off)")
 	out := flag.String("out", "", "time-series destination file (default: stdout, replacing the summary)")

@@ -10,9 +10,11 @@
 //	mflushtrace -mode burst -bench art -lat-hi 4000 -alpha 1.3 -o burst.trace
 //	mflushtrace -mode phase -bench gzip,art -segments 6 -o phases.trace
 //	mflushtrace -mode mix -bench mcf,gzip -o pair.trace
+//	mflushtrace -bench mcf -format mftrace -base 17179869184 -o mcf.trace
 //	mflushtrace -list
 //
-// cmd/tracegen is an alias for the bench mode with legacy defaults.
+// The mftrace line writes a legacy single-thread MFTRACE1 file of the
+// raw generator stream at the historical address base.
 package main
 
 import (

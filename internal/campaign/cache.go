@@ -196,7 +196,13 @@ func (c *Cache) compute(ctx context.Context, j Job, key string) (Record, error) 
 		rec = r
 		rec.Key = key // the store must index by this job's key, whatever the runner set
 	} else {
-		res, err := runJob(c.runner, j)
+		// SimOptions loads and digest-verifies a trace job's scenario, so
+		// a load failure surfaces as the job's error like a sim failure.
+		o, err := j.SimOptions()
+		if err != nil {
+			return Record{}, err
+		}
+		res, err := c.runner(o)
 		if err != nil {
 			return Record{}, err
 		}

@@ -104,10 +104,11 @@ func TestSchedulerGangBitIdentity(t *testing.T) {
 	}
 }
 
-// TestSchedulerGangRunnerBatches proves the scheduler actually batches:
-// an injected GangRunner sees groups of compatible jobs (not width-1
-// trickle), singleton leftovers go to the solo Runner, and progress
-// still reports once per job.
+// TestSchedulerGangRunnerBatches pins the scheduler's single dispatch
+// path across widths: below 2 every job goes to Runner and GangRunner is
+// never called; at width 2 an injected GangRunner sees groups of
+// compatible jobs (not width-1 trickle) and the singleton leftover goes
+// to Runner. Progress reports once per job at every width.
 func TestSchedulerGangRunnerBatches(t *testing.T) {
 	spec := gangSpec
 	spec.Workloads = []string{"2W1"}
@@ -116,36 +117,45 @@ func TestSchedulerGangRunnerBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var batchSizes []int
-	var soloCalls int
-	sched := &Scheduler{
-		Workers:   1,
-		GangWidth: 2,
-		Runner: func(o sim.Options) (*sim.Result, error) {
-			mu.Lock()
-			soloCalls++
-			mu.Unlock()
-			return sim.Run(o)
-		},
-		GangRunner: func(opts []sim.Options) ([]*sim.Result, error) {
-			mu.Lock()
-			batchSizes = append(batchSizes, len(opts))
-			mu.Unlock()
-			return sim.RunGang(opts)
-		},
-	}
-	var reports int
-	sched.OnProgress = func(Progress) { reports++ }
-	if _, err := sched.Run(context.Background(), jobs, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batchSizes, []int{2}) || soloCalls != 1 {
-		t.Errorf("width 2 over 3 compatible jobs: gang batches %v + %d solo, want [2] + 1",
-			batchSizes, soloCalls)
-	}
-	if reports != len(jobs) {
-		t.Errorf("got %d progress reports, want one per job (%d)", reports, len(jobs))
+	for _, tc := range []struct {
+		width   int
+		batches []int
+		solo    int
+	}{
+		{width: 0, solo: 3},
+		{width: 1, solo: 3},
+		{width: 2, batches: []int{2}, solo: 1},
+	} {
+		var mu sync.Mutex
+		var batchSizes []int
+		var soloCalls, reports int
+		sched := &Scheduler{
+			Workers:   1,
+			GangWidth: tc.width,
+			Runner: func(o sim.Options) (*sim.Result, error) {
+				mu.Lock()
+				soloCalls++
+				mu.Unlock()
+				return sim.Run(o)
+			},
+			GangRunner: func(opts []sim.Options) ([]*sim.Result, error) {
+				mu.Lock()
+				batchSizes = append(batchSizes, len(opts))
+				mu.Unlock()
+				return sim.RunGang(opts)
+			},
+			OnProgress: func(Progress) { reports++ },
+		}
+		if _, err := sched.Run(context.Background(), jobs, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(batchSizes, tc.batches) || soloCalls != tc.solo {
+			t.Errorf("width %d over 3 compatible jobs: gang batches %v + %d solo, want %v + %d",
+				tc.width, batchSizes, soloCalls, tc.batches, tc.solo)
+		}
+		if reports != len(jobs) {
+			t.Errorf("width %d: got %d progress reports, want one per job (%d)", tc.width, reports, len(jobs))
+		}
 	}
 }
 

@@ -36,13 +36,13 @@ type Scheduler struct {
 	// Runner executes one simulation; nil means sim.Run. Tests inject
 	// counting or failing runners here.
 	Runner func(sim.Options) (*sim.Result, error)
-	// GangWidth, when at least 2, batches gang-compatible pending jobs
-	// (equal Job.GangKey: one workload, window and machine point) into
-	// lockstep gangs of up to that many members, each executed by one
-	// GangRunner call. Ganging changes execution only: records, job keys
-	// and store contents are byte-identical to solo runs (test-enforced).
-	// Jobs with no compatible sibling still run, as width-1 groups
-	// through Runner.
+	// GangWidth only sets the width of the execution groups Run
+	// dispatches (GangGroups): up to that many gang-compatible pending
+	// jobs (equal Job.GangKey: one workload, window and machine point)
+	// share one GangRunner call. Below 2 every group is a single job, and
+	// a width-1 group — also any job with no compatible sibling — runs
+	// through Runner. Records, job keys and store contents are
+	// byte-identical at every width (test-enforced).
 	GangWidth int
 	// GangRunner executes one lockstep batch; nil means sim.RunGang.
 	GangRunner func([]sim.Options) ([]*sim.Result, error)
@@ -85,6 +85,10 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job, store *Store) ([]Record
 	if runner == nil {
 		runner = sim.Run
 	}
+	gangRun := s.GangRunner
+	if gangRun == nil {
+		gangRun = sim.RunGang
+	}
 
 	records := make([]Record, len(jobs))
 	report := newReporter(len(jobs), func(p Progress) {
@@ -125,48 +129,11 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job, store *Store) ([]Record
 		return nil
 	}
 
-	if s.GangWidth >= 2 {
-		return records, s.runGanged(ctx, jobs, pending, workers, runner, complete, report)
-	}
-
-	errs := runPool(ctx, workers, s.slots, len(jobs), pending, func(i int) error {
-		j := jobs[i]
-		res, err := runJob(runner, j)
-		if err != nil {
-			report(Progress{Job: j, Err: err})
-			return err
-		}
-		return complete(i, res)
-	})
-	return records, firstError(jobs, errs)
-}
-
-// runJob resolves the job's executable options — which loads and
-// digest-verifies the scenario file for trace jobs — and runs it.
-// Every solo execution path goes through here so a trace job's load
-// failure surfaces as that job's error, exactly like a sim failure.
-func runJob(runner func(sim.Options) (*sim.Result, error), j Job) (*sim.Result, error) {
-	o, err := j.SimOptions()
-	if err != nil {
-		return nil, err
-	}
-	return runner(o)
-}
-
-// runGanged executes the pending jobs as lockstep gang batches: the
-// GangWidth >= 2 arm of Run. The pool's unit of work becomes one gang
-// group instead of one job; group results are booked member by member
-// through the same completion path as solo runs, so records and stores
-// cannot differ between the modes. Width-1 groups (jobs with no
-// compatible sibling in this campaign) run through the solo Runner.
-func (s *Scheduler) runGanged(ctx context.Context, jobs []Job, pending []int,
-	workers int, runner func(sim.Options) (*sim.Result, error),
-	complete func(int, *sim.Result) error, report func(Progress)) error {
-
-	gangRun := s.GangRunner
-	if gangRun == nil {
-		gangRun = sim.RunGang
-	}
+	// The pool's unit of work is one gang group: singletons below
+	// GangWidth 2, else up to GangWidth compatible jobs. A width-1 group
+	// runs through Runner and a wider one through GangRunner; either way
+	// its results are booked member by member through complete, so
+	// records and stores cannot depend on the width.
 	pendingJobs := make([]Job, len(pending))
 	for k, i := range pending {
 		pendingJobs[k] = jobs[i]
@@ -182,44 +149,37 @@ func (s *Scheduler) runGanged(ctx context.Context, jobs []Job, pending []int,
 	jobErrs := make([]error, len(jobs))
 	gerrs := runPool(ctx, workers, s.slots, len(groups), groupIdx, func(g int) error {
 		members := groups[g]
-		if len(members) == 1 {
-			i := pending[members[0]]
-			j := jobs[i]
-			res, err := runJob(runner, j)
-			if err != nil {
-				jobErrs[i] = err
-				report(Progress{Job: j, Err: err})
-				return err
-			}
-			jobErrs[i] = complete(i, res)
-			return jobErrs[i]
-		}
-		opts := make([]sim.Options, len(members))
-		for k, pi := range members {
-			o, err := jobs[pending[pi]].SimOptions()
-			if err != nil {
-				// Members share one GangKey, hence one trace file: a
-				// load failure fails the batch together, like a
-				// lockstep failure below.
-				for _, pj := range members {
-					i := pending[pj]
-					jobErrs[i] = err
-					report(Progress{Job: jobs[i], Err: err})
-				}
-				return err
-			}
-			opts[k] = o
-		}
-		results, err := gangRun(opts)
-		if err != nil {
-			// The lockstep failed before producing any member's result:
-			// the whole batch fails together.
+		// failAll fails the group together. Members share one GangKey,
+		// hence one trace file, so an options failure (a trace that will
+		// not load or verify) hits them all, and a lockstep failure comes
+		// before any member's result exists.
+		failAll := func(err error) error {
 			for _, pi := range members {
 				i := pending[pi]
 				jobErrs[i] = err
 				report(Progress{Job: jobs[i], Err: err})
 			}
 			return err
+		}
+		opts := make([]sim.Options, len(members))
+		for k, pi := range members {
+			o, err := jobs[pending[pi]].SimOptions()
+			if err != nil {
+				return failAll(err)
+			}
+			opts[k] = o
+		}
+		var results []*sim.Result
+		var err error
+		if len(opts) == 1 {
+			var res *sim.Result
+			res, err = runner(opts[0])
+			results = []*sim.Result{res}
+		} else {
+			results, err = gangRun(opts)
+		}
+		if err != nil {
+			return failAll(err)
 		}
 		var firstErr error
 		for k, pi := range members {
@@ -243,7 +203,7 @@ func (s *Scheduler) runGanged(ctx context.Context, jobs []Job, pending []int,
 			}
 		}
 	}
-	return firstError(jobs, jobErrs)
+	return records, firstError(jobs, jobErrs)
 }
 
 // RunCached executes jobs through cache, returning one record per job in

@@ -32,12 +32,13 @@ type Worker struct {
 	// Runner executes one simulation; nil means sim.Run. Tests inject
 	// counting or blocking runners.
 	Runner func(sim.Options) (*sim.Result, error)
-	// GangWidth, when at least 2, batches gang-compatible jobs from one
-	// lease (equal campaign GangKey: one workload, window and machine
-	// point) into lockstep gangs of up to that many members, executed by
-	// one GangRunner call on one goroutine. Records posted back are
-	// byte-identical to solo execution (test-enforced); ganging only
-	// changes how the leased work is scheduled locally.
+	// GangWidth only sets the width of the execution groups each lease
+	// is split into (campaign.GangGroups): up to that many gang-compatible
+	// jobs (equal campaign GangKey: one workload, window and machine
+	// point) share one GangRunner call on one goroutine. Below 2 every
+	// group is a single job, and a width-1 group runs through Runner.
+	// Records posted back are byte-identical at every width
+	// (test-enforced).
 	GangWidth int
 	// GangRunner executes one lockstep batch; nil means sim.RunGang.
 	GangRunner func([]sim.Options) ([]*sim.Result, error)
@@ -236,116 +237,8 @@ func (w *Worker) Run(ctx context.Context) error {
 	if gangRunner == nil {
 		gangRunner = sim.RunGang
 	}
-	start := func(wire campaign.WireJob) {
-		inflight++
-		w.m.inflight.Set(float64(inflight))
-		go func() {
-			j, err := wire.Job()
-			if err == nil && j.Key() != wire.Key {
-				err = fmt.Errorf("cluster: job key mismatch (worker and coordinator builds differ?): computed %s, leased %s", j.Key(), wire.Key)
-			}
-			if err != nil {
-				results <- outcome{fail: &JobFailure{Key: wire.Key, Error: err.Error()}, key: wire.Key}
-				return
-			}
-			o, err := j.SimOptions()
-			if err != nil {
-				// A trace job whose file is missing or drifted on this
-				// worker's filesystem fails here, before simulating.
-				results <- outcome{fail: &JobFailure{Key: wire.Key, Error: err.Error()}, key: wire.Key}
-				return
-			}
-			began := time.Now()
-			res, err := runner(o)
-			if err != nil {
-				results <- outcome{fail: &JobFailure{Key: wire.Key, Error: err.Error()}, key: wire.Key}
-				return
-			}
-			results <- outcome{
-				rec:    campaign.NewRecord(j, res),
-				key:    wire.Key,
-				cycles: float64(j.Cycles + j.Warmup),
-				secs:   time.Since(began).Seconds(),
-			}
-		}()
-	}
-	// startGang launches one lockstep batch of pre-decoded jobs on one
-	// goroutine: one gang simulation, one posted outcome per member. The
-	// gang's wall-clock is shared by all members, so it is attributed
-	// evenly to keep the per-job rate metrics meaningful.
-	startGang := func(batch []campaign.WireJob, gjobs []campaign.Job) {
-		inflight += len(batch)
-		w.m.inflight.Set(float64(inflight))
-		go func() {
-			opts := make([]sim.Options, len(gjobs))
-			for k, j := range gjobs {
-				o, err := j.SimOptions()
-				if err != nil {
-					// Members share one GangKey, hence one trace file:
-					// a load failure fails the batch together.
-					for _, wire := range batch {
-						results <- outcome{fail: &JobFailure{Key: wire.Key, Error: err.Error()}, key: wire.Key}
-					}
-					return
-				}
-				opts[k] = o
-			}
-			began := time.Now()
-			res, err := gangRunner(opts)
-			if err != nil {
-				// The lockstep failed before producing any member's
-				// result: the batch fails together.
-				for _, wire := range batch {
-					results <- outcome{fail: &JobFailure{Key: wire.Key, Error: err.Error()}, key: wire.Key}
-				}
-				return
-			}
-			secs := time.Since(began).Seconds() / float64(len(batch))
-			for k, j := range gjobs {
-				results <- outcome{
-					rec:    campaign.NewRecord(j, res[k]),
-					key:    batch[k].Key,
-					cycles: float64(j.Cycles + j.Warmup),
-					secs:   secs,
-				}
-			}
-		}()
-	}
-	// startBatch dispatches one lease's worth of jobs, gang-batching
-	// compatible ones when GangWidth allows. Wires that do not decode
-	// (or whose key does not round-trip) never join a gang: they go
-	// through the solo path, which produces the detailed failure.
-	startBatch := func(wires []campaign.WireJob) {
-		if w.GangWidth < 2 || len(wires) < 2 {
-			for _, wire := range wires {
-				start(wire)
-			}
-			return
-		}
-		var good []campaign.WireJob
-		var goodJobs []campaign.Job
-		for _, wire := range wires {
-			j, err := wire.Job()
-			if err != nil || j.Key() != wire.Key {
-				start(wire)
-				continue
-			}
-			good = append(good, wire)
-			goodJobs = append(goodJobs, j)
-		}
-		for _, group := range campaign.GangGroups(goodJobs, w.GangWidth) {
-			if len(group) == 1 {
-				start(good[group[0]])
-				continue
-			}
-			batch := make([]campaign.WireJob, len(group))
-			gjobs := make([]campaign.Job, len(group))
-			for k, gi := range group {
-				batch[k], gjobs[k] = good[gi], goodJobs[gi]
-			}
-			w.logf("gang of %d (%s ...)", len(batch), batch[0].Key)
-			startGang(batch, gjobs)
-		}
+	failed := func(key string, err error) outcome {
+		return outcome{fail: &JobFailure{Key: key, Error: err.Error()}, key: key}
 	}
 	// finish books one completed outcome — liveness for the next
 	// heartbeat, the worker's own metrics — then ships it.
@@ -365,6 +258,87 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 		}
 		post(o)
+	}
+	// start dispatches one lease's worth of wires. Each wire is decoded
+	// and key-checked once; one that fails is posted as a JobFailure
+	// straight away. The rest run in gang groups (singletons below
+	// GangWidth 2), one goroutine per group posting one outcome per
+	// member: a lone job through runner, a wider group as one lockstep
+	// gang through gangRunner. A gang's wall-clock is shared by its
+	// members, so it is attributed evenly to keep the per-job rate
+	// metrics meaningful.
+	start := func(wires []campaign.WireJob) {
+		var good []campaign.WireJob
+		var jobs []campaign.Job
+		for _, wire := range wires {
+			j, err := wire.Job()
+			if err == nil && j.Key() != wire.Key {
+				err = fmt.Errorf("cluster: job key mismatch (worker and coordinator builds differ?): computed %s, leased %s", j.Key(), wire.Key)
+			}
+			if err != nil {
+				inflight++ // finish books it like any other outcome
+				finish(failed(wire.Key, err))
+				continue
+			}
+			good = append(good, wire)
+			jobs = append(jobs, j)
+		}
+		for _, group := range campaign.GangGroups(jobs, w.GangWidth) {
+			gwires := make([]campaign.WireJob, len(group))
+			gjobs := make([]campaign.Job, len(group))
+			for k, i := range group {
+				gwires[k], gjobs[k] = good[i], jobs[i]
+			}
+			if len(group) > 1 {
+				w.logf("gang of %d (%s ...)", len(group), gwires[0].Key)
+			}
+			inflight += len(group)
+			w.m.inflight.Set(float64(inflight))
+			go func() {
+				// failAll fails the group together: members share one
+				// GangKey, hence one trace file, so a trace missing or
+				// drifted on this worker's filesystem fails them all before
+				// simulating, and a lockstep failure comes before any
+				// member's result.
+				failAll := func(err error) {
+					for _, wire := range gwires {
+						results <- failed(wire.Key, err)
+					}
+				}
+				opts := make([]sim.Options, len(gjobs))
+				for k, j := range gjobs {
+					o, err := j.SimOptions()
+					if err != nil {
+						failAll(err)
+						return
+					}
+					opts[k] = o
+				}
+				began := time.Now()
+				var res []*sim.Result
+				var err error
+				if len(opts) == 1 {
+					var r *sim.Result
+					r, err = runner(opts[0])
+					res = []*sim.Result{r}
+				} else {
+					res, err = gangRunner(opts)
+				}
+				if err != nil {
+					failAll(err)
+					return
+				}
+				secs := time.Since(began).Seconds() / float64(len(gjobs))
+				for k, j := range gjobs {
+					results <- outcome{
+						rec:    campaign.NewRecord(j, res[k]),
+						key:    gwires[k].Key,
+						cycles: float64(j.Cycles + j.Warmup),
+						secs:   secs,
+					}
+				}
+			}()
+		}
 	}
 
 	for ctx.Err() == nil {
@@ -407,7 +381,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			for _, wire := range jobs {
 				w.logf("leased %s", wire.Key)
 			}
-			startBatch(jobs)
+			start(jobs)
 			continue
 		}
 		// Full: wait for a completion, heartbeating so long simulations

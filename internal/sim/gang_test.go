@@ -80,6 +80,34 @@ func TestRunGangSharedStreamsBitIdentity(t *testing.T) {
 	}
 }
 
+// TestGangWidthOneBuildsNoMemo pins what makes Run (a width-1 RunGang)
+// cost what a solo build costs: a lone member reads its own generators,
+// with no shared-stream memo behind it, and still reproduces Run.
+func TestGangWidthOneBuildsNoMemo(t *testing.T) {
+	opts := gangOptions(t, "2W3", 3, 2000, 6000)[3:]
+	g, err := OpenGang(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.streams) != 0 {
+		t.Fatalf("width-1 gang built %d shared streams, want none", len(g.streams))
+	}
+	g.Step(opts[0].Warmup)
+	g.ResetMeasurement()
+	g.Step(opts[0].Cycles)
+	results, err := g.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := Run(opts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fingerprint(results[0]), fingerprint(solo); got != want {
+		t.Errorf("width-1 gang diverged from Run\n gang: %s\n  run: %s", got, want)
+	}
+}
+
 // TestGangFinishMemberMidRun finishes one member halfway through the
 // measured window while the rest keep stepping, and proves that (a) the
 // early member's Result equals a solo session finished at the same

@@ -14,7 +14,8 @@ import (
 // Gang sharing: a GangSession's members are independent machines, but
 // most of what they consume is immutable and, across the policy/seed
 // variants a gang batches, often identical. gangShared memoises those
-// immutable inputs during OpenGang so one fetch/decode (synthesis) pass,
+// immutable inputs during OpenGang (width ≥ 2 only; a lone member has
+// nothing to share) so one fetch/decode (synthesis) pass,
 // one profile expansion and one prewarm-plan computation amortise over
 // every member that would have recomputed the same bytes:
 //

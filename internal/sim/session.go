@@ -17,9 +17,11 @@ import (
 //
 // Lifecycle: Open -> (Step | Snapshot | Observe | ResetMeasurement)* ->
 // Finish. A session is not safe for concurrent use; drive it from one
-// goroutine. Run itself is Open -> Step(Warmup) -> ResetMeasurement ->
-// Step(Cycles) -> Finish, so stepping a session in any chunking
-// reproduces Run bit-for-bit (test-enforced).
+// goroutine. Run (a width-1 RunGang) drives its lone member Session
+// Open -> Step(Warmup) -> ResetMeasurement -> Step(Cycles) -> Finish, so
+// stepping a session in any chunking reproduces Run bit-for-bit
+// (test-enforced). Session.Step is the simulator's only stepping code:
+// every gang member is a Session too.
 type Session struct {
 	opt  Options
 	chip *cmp.Chip
@@ -52,7 +54,13 @@ func Open(opt Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{opt: opt, chip: chip, mflush: mflushPolicies(chip)}, nil
+	return newSession(opt, chip), nil
+}
+
+// newSession wraps a built chip in a session at cycle zero — how Open
+// and every gang member start.
+func newSession(opt Options, chip *cmp.Chip) *Session {
+	return &Session{opt: opt, chip: chip, mflush: mflushPolicies(chip)}
 }
 
 // mflushPolicies returns the per-core MFLUSH policies, or nil when any
@@ -123,45 +131,36 @@ func (s *Session) Snapshot() *Sample {
 	return &s.sample
 }
 
-// refreshSample fills s.sample from the chip, reusing its slices.
+// refreshSample fills s.sample from the chip, reusing its slices and
+// the totals scratch. Each gang member is its own Session, so members
+// stepping concurrently never share a buffer.
 //
 //mflush:hotpath
 func (s *Session) refreshSample() {
-	refreshSampleInto(&s.sample, &s.totals, s.chip, s.mflush, s.measureStart, s.resetGen)
-}
-
-// refreshSampleInto fills sm from the chip, reusing sm's slices and the
-// caller's totals scratch. It is the one sampling implementation shared
-// by Session and GangSession (one call per gang member, against that
-// member's own sample/totals pair, so concurrent members never share a
-// buffer).
-//
-//mflush:hotpath
-func refreshSampleInto(sm *Sample, totals *cmp.Totals, chip *cmp.Chip,
-	mflush []*core.MFLUSH, measureStart, resetGen uint64) {
-	chip.ReadTotals(totals)
+	sm, chip := &s.sample, s.chip
+	chip.ReadTotals(&s.totals)
 	sm.Cycle = chip.Now()
-	sm.MeasuredCycles = chip.Now() - measureStart
-	sm.resetGen = resetGen
+	sm.MeasuredCycles = chip.Now() - s.measureStart
+	sm.resetGen = s.resetGen
 	sm.Committed = chip.AppendCommitted(sm.Committed[:0])
 	if sm.MeasuredCycles > 0 {
-		sm.IPC = float64(totals.Committed) / float64(sm.MeasuredCycles)
+		sm.IPC = float64(s.totals.Committed) / float64(sm.MeasuredCycles)
 	} else {
 		sm.IPC = 0
 	}
-	sm.Flushes = totals.Flushes
-	sm.FlushedInsts = totals.FlushedInsts
-	sm.WastedEnergy = totals.WastedEnergy
-	sm.L2Hits = totals.L2Hits
-	sm.L2Misses = totals.L2Misses
-	if len(mflush) == 0 {
+	sm.Flushes = s.totals.Flushes
+	sm.FlushedInsts = s.totals.FlushedInsts
+	sm.WastedEnergy = s.totals.WastedEnergy
+	sm.L2Hits = s.totals.L2Hits
+	sm.L2Misses = s.totals.L2Misses
+	if len(s.mflush) == 0 {
 		sm.MCReg = nil
 		return
 	}
 	if sm.MCReg == nil {
-		sm.MCReg = make([][]uint8, len(mflush))
+		sm.MCReg = make([][]uint8, len(s.mflush))
 	}
-	for i, mf := range mflush {
+	for i, mf := range s.mflush {
 		sm.MCReg[i] = mf.MCReg().AppendSnapshot(sm.MCReg[i][:0])
 	}
 }

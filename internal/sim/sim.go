@@ -228,41 +228,17 @@ func (r *Result) Summary() Summary {
 	}
 }
 
-// Run executes one simulation to completion. It is a thin wrapper over
-// the Session API — Open, Step(Warmup), ResetMeasurement, Step(Cycles),
-// Finish — and its output is bit-identical to the pre-Session one-shot
-// driver (test-enforced with golden fingerprints).
+// Run executes one simulation to completion: RunGang of width 1, whose
+// lone member is a Session driven Open, Step(Warmup), ResetMeasurement,
+// Step(Cycles), Finish over an unshared build. Its output is
+// bit-identical to the pre-Session one-shot driver (test-enforced with
+// golden fingerprints).
 func Run(opt Options) (*Result, error) {
-	if opt.Cycles == 0 {
-		return nil, fmt.Errorf("sim: zero cycle budget")
-	}
-	s, err := Open(opt)
+	results, err := RunGang([]Options{opt})
 	if err != nil {
 		return nil, err
 	}
-	if opt.Warmup > 0 {
-		s.Step(opt.Warmup)
-		s.ResetMeasurement()
-	}
-	var rec *Recorder
-	if opt.Interval > 0 {
-		// Registered after warm-up so the series covers exactly the
-		// measured window, firing at measured cycles Interval,
-		// 2*Interval, ...
-		rec = &Recorder{OnPoint: opt.OnSample}
-		if err := s.Observe(rec.Probe(opt.Interval)); err != nil {
-			return nil, err
-		}
-	}
-	s.Step(opt.Cycles)
-	res, err := s.Finish()
-	if err != nil {
-		return nil, err
-	}
-	if rec != nil {
-		res.Samples = rec.Points
-	}
-	return res, nil
+	return results[0], nil
 }
 
 // buildChip assembles the machine, workload sources and policies for one
@@ -274,7 +250,8 @@ func buildChip(opt Options) (*cmp.Chip, error) {
 }
 
 // buildChipShared is buildChip with an optional gang-sharing context.
-// With a nil shared it is exactly the solo build. With one, the
+// With a nil shared (Open, and a width-1 gang) it is exactly the solo
+// build. With one, the
 // immutable inputs every member would otherwise recompute are built once
 // and reused across the gang: workload profiles, the L2 prewarm fill
 // plan, and — the expensive one — the synthesised instruction streams,

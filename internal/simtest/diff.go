@@ -1,10 +1,15 @@
 // The differential harness for the simulator's execution modes: it
 // proves that running N variants as a lockstep gang (sim.GangSession)
-// is observationally bit-identical to running each variant alone
-// (sim.Session), and localises the first divergence when it is not.
-// The unit, metamorphic and race tests across internal/sim and
-// internal/campaign are built on it, so "gang = solo" is frozen as an
-// executable invariant rather than a comment.
+// is observationally bit-identical to running each variant alone as a
+// width-1, unshared sim.Session — exactly what sim.Run executes — and
+// localises the first divergence when it is not. Both sides step
+// through the same Session code, so the harness isolates what the gang
+// adds (shared streams and prewarm plans, the lockstep barrier, member
+// parallelism); the golden fingerprints in internal/sim remain the
+// absolute reference for the results themselves. The unit, metamorphic
+// and race tests across internal/sim and internal/campaign are built on
+// it, so "gang = solo" is frozen as an executable invariant rather than
+// a comment.
 
 package simtest
 
@@ -46,10 +51,11 @@ type DiffConfig struct {
 	Parallelism int
 }
 
-// DiffGang runs opts once as a gang and once as independent solo
-// sessions, comparing every member's observable state at every chunk
-// boundary and the full Results (Fingerprint) at the end. It returns
-// nil when the gang is bit-identical to solo, and otherwise an error
+// DiffGang runs opts once as a gang and once as N independent width-1,
+// unshared sessions (sim.Open, the build sim.Run uses), comparing every
+// member's observable state at every chunk boundary and the full
+// Results (Fingerprint) at the end. It returns nil when the gang is
+// bit-identical to solo, and otherwise an error
 // naming the first diverging member, cycle and field. Members'
 // Interval sampling, when set, is exercised on both sides and the
 // recorded series compared point by point.

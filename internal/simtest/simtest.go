@@ -6,7 +6,10 @@
 //     fail them.
 //   - DiffGang and Fingerprint (diff.go), the differential harness that
 //     proves a lockstep gang (sim.GangSession) is observationally
-//     bit-identical to solo sessions, localising the first divergence.
+//     bit-identical to N width-1, unshared sessions — what sim.Run
+//     executes — localising the first divergence. Both sides step
+//     through Session.Step, so the golden fingerprints in internal/sim
+//     remain the absolute reference for what either side computes.
 //
 // Production code must not import it.
 package simtest

@@ -121,8 +121,8 @@ func TestMixStreamsMatchLiveSynthesis(t *testing.T) {
 }
 
 // TestBenchModeKeepsTracegenStream: with an explicit Base, thread 0 is
-// the raw (seed, base) generator stream — what cmd/tracegen always
-// wrote, so old recipes still produce the same traces.
+// the raw (seed, base) generator stream, so historical bench-mode
+// recipes still produce the same traces.
 func TestBenchModeKeepsTracegenStream(t *testing.T) {
 	const seed, base, n = 5, uint64(1) << 34, 2000
 	s, err := Synthesize(Config{Mode: "bench", Benches: []string{"vpr"}, N: n, Seed: seed, Base: base})
@@ -135,7 +135,7 @@ func TestBenchModeKeepsTracegenStream(t *testing.T) {
 	for i := range s.Threads[0] {
 		gen.Next(&want)
 		if s.Threads[0][i] != want {
-			t.Fatalf("bench stream diverges from tracegen's at inst %d", i)
+			t.Fatalf("bench stream diverges from the raw generator at inst %d", i)
 		}
 	}
 }
@@ -181,8 +181,8 @@ func TestWriteFileRoundTrips(t *testing.T) {
 	}
 }
 
-// TestWriteFileAtomic is the regression for the tracegen
-// partial-file-on-error bug: a failed write must leave neither a
+// TestWriteFileAtomic is the regression for the partial-file-on-error
+// bug: a failed write must leave neither a
 // truncated output file nor a stray temp file, and must not clobber
 // whatever already lives at the destination.
 func TestWriteFileAtomic(t *testing.T) {
@@ -275,9 +275,8 @@ func TestWriteFileMftraceGuards(t *testing.T) {
 	}
 }
 
-// TestMain covers the CLI shell: -list, the tracegen-compat defaults,
-// flag validation, and that both program personalities share one code
-// path.
+// TestMain covers the CLI shell: -list, scenario and legacy MFTRACE1
+// writes, and flag validation.
 func TestMain(t *testing.T) {
 	run := func(prog string, argv ...string) (int, string, string) {
 		var out, errb strings.Builder
@@ -307,19 +306,21 @@ func TestMain(t *testing.T) {
 		}
 	})
 
-	t.Run("tracegen legacy defaults", func(t *testing.T) {
+	t.Run("legacy MFTRACE1 recipe", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "mcf.trace")
-		code, _, errs := run("tracegen", "-bench", "mcf", "-n", "500", "-o", path)
+		code, _, errs := run("mflushtrace", "-bench", "mcf", "-n", "500",
+			"-format", "mftrace", "-base", "17179869184", "-o", path)
 		if code != 0 {
 			t.Fatalf("exit %d: %s", code, errs)
 		}
-		// Default format is legacy MFTRACE1 with the historical base.
+		// Legacy MFTRACE1 output of the raw stream at the historical
+		// base (1<<34).
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.HasPrefix(raw, []byte("MFTRACE1")) {
-			t.Fatalf("tracegen default output not MFTRACE1: %q", raw[:8])
+			t.Fatalf("-format mftrace output not MFTRACE1: %q", raw[:8])
 		}
 		prof, _ := synth.ByName("mcf")
 		gen := synth.NewGenerator(prof, 1, 1<<34)
@@ -330,7 +331,7 @@ func TestMain(t *testing.T) {
 		var want isa.Inst
 		gen.Next(&want)
 		if s.Threads[0][0] != want {
-			t.Fatal("tracegen stream no longer matches the historical (seed, base) derivation")
+			t.Fatal("legacy recipe no longer records the historical (seed, base) stream")
 		}
 	})
 
