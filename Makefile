@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test shorttest racetest vet lint bench bench-throughput benchbaseline benchcmp benchtest docscheck metricscheck fuzzsmoke crashtest
+.PHONY: build test shorttest racetest vet lint bench bench-throughput benchbaseline benchcmp benchtest perfpin docscheck metricscheck fuzzsmoke crashtest
 
 # The hot-path benchmarks benchcmp tracks, and where their runs live.
 # The metrics pair guards the observability overhead: per-sample updates
@@ -24,6 +24,24 @@ shorttest:
 # (mirrors the CI benchtest job).
 benchtest:
 	cd bench/mflushperf && $(GO) vet ./... && $(GO) test ./...
+
+# Full-size output pin: run every mflushperf workload briefly at seed 1
+# and fail if any reports a failed operation. A seed-1 run checks its
+# outputs digest against bench/mflushperf/expected.json and counts every
+# operation failed on a mismatch, so this catches a speed change that
+# drifts full-size simulation output, which benchtest's toy-scale runs
+# cannot. Mirrors the CI perfpin job (~1 min).
+PERF_WORKLOADS := solo-mem solo-ilp sweep-gang service
+
+perfpin:
+	@for w in $(PERF_WORKLOADS); do \
+		out=$$(bash bench/mflushperf/run.sh --workload $$w --seed 1 --seconds 2 --trace 0) || { \
+			printf '%s\n' "$$out"; echo "perfpin: $$w exited non-zero"; exit 1; }; \
+		case "$$(printf '%s\n' "$$out" | tail -n 1)" in \
+		*'"failed":0,'*) echo "perfpin: $$w ok";; \
+		*) printf '%s\n' "$$out"; echo "perfpin: $$w reported failed operations"; exit 1;; \
+		esac; \
+	done
 
 # Race-checks the campaign scheduler, the daemon's submit/cancel/SSE
 # churn and the cluster coordinator/worker concurrency (mirrors the CI

@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/config"
 )
@@ -22,6 +23,9 @@ type Cache struct {
 	sets     int
 	lineBits uint
 	bankMask uint64
+	// setShift drops the bank bits from a line address before the set
+	// index is taken (log2 of the bank count).
+	setShift uint
 	// bankStride is sets*assoc: ways of (bank, set) start at
 	// bank*bankStride + set*assoc in the flat arrays below (one
 	// allocation each, better locality than per-bank slices).
@@ -30,7 +34,9 @@ type Cache struct {
 	// lineAddr+1.
 	tags []uint64
 	// stamp mirrors tags with LRU timestamps.
-	stamp   []uint64
+	stamp []uint64
+	// lines is the one allocation tags and stamp share, kept for Release.
+	lines   []uint64
 	clock   uint64
 	hits    uint64
 	misses  uint64
@@ -52,11 +58,47 @@ func New(geom config.CacheGeom) *Cache {
 		sets:       sets,
 		lineBits:   lineBits,
 		bankMask:   uint64(geom.Banks - 1),
+		setShift:   uint(bitsFor(geom.Banks)),
 		bankStride: sets * geom.Assoc,
-		tags:       make([]uint64, geom.Banks*sets*geom.Assoc),
-		stamp:      make([]uint64, geom.Banks*sets*geom.Assoc),
 	}
+	n := geom.Banks * sets * geom.Assoc
+	c.lines = takeLines(2 * n)
+	c.tags, c.stamp = c.lines[:n:n], c.lines[n:]
 	return c
+}
+
+// linePools recycles the tag-and-stamp arrays of released caches, one
+// sync.Pool per array length. A sweep finishes machines and builds new
+// ones back to back, and the L2's arrays are most of a machine's memory:
+// handing them on keeps every gang start from allocating megabytes
+// afresh, which would otherwise land in whatever garbage-collection cycle
+// is marking at the time and inflate the next heap target.
+var linePools sync.Map // int -> *sync.Pool of *[]uint64
+
+// takeLines returns a zeroed array of n entries, recycled when a released
+// cache left one of that length.
+func takeLines(n int) []uint64 {
+	if p, ok := linePools.Load(n); ok {
+		if a, ok := p.(*sync.Pool).Get().(*[]uint64); ok {
+			clear(*a)
+			return *a
+		}
+	}
+	return make([]uint64, n)
+}
+
+// Release hands the cache's arrays to the next cache built with the same
+// geometry. The cache is unusable afterwards: a later lookup or fill
+// panics rather than touching lines another cache now owns. Statistics
+// stay readable. Call it once the owning machine is finished.
+func (c *Cache) Release() {
+	if c.lines == nil {
+		return
+	}
+	lines := c.lines
+	c.lines, c.tags, c.stamp = nil, nil, nil
+	p, _ := linePools.LoadOrStore(len(lines), new(sync.Pool))
+	p.(*sync.Pool).Put(&lines)
 }
 
 // Geometry returns the construction geometry.
@@ -71,7 +113,7 @@ func (c *Cache) BankOf(addr uint64) int {
 }
 
 func (c *Cache) setOf(line uint64) int {
-	return int((line >> uint(bitsFor(c.geom.Banks))) % uint64(c.sets))
+	return int((line >> c.setShift) % uint64(c.sets))
 }
 
 // bitsFor returns log2 of a power of two.

@@ -51,6 +51,47 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheReleaseRecyclesEmpty: a released cache's arrays go to the next
+// cache of its geometry, which must start as cold as a fresh one, while
+// the released cache refuses further lookups.
+func TestCacheReleaseRecyclesEmpty(t *testing.T) {
+	g := smallGeom()
+	reused := 0
+	for i := 0; i < 20; i++ {
+		old := New(g)
+		for a := uint64(0); a < uint64(g.SizeBytes); a += uint64(g.LineBytes) {
+			old.Fill(a)
+		}
+		backing := &old.lines[0]
+		old.Release()
+		c := New(g)
+		if &c.lines[0] == backing {
+			reused++
+		}
+		for a := uint64(0); a < uint64(g.SizeBytes); a += uint64(g.LineBytes) {
+			if c.Probe(a) {
+				t.Fatalf("round %d: new cache already holds %#x", i, a)
+			}
+		}
+		for _, v := range c.stamp {
+			if v != 0 {
+				t.Fatalf("round %d: new cache starts with LRU stamp %d", i, v)
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("access to a released cache did not panic")
+				}
+			}()
+			old.Access(0)
+		}()
+	}
+	if reused == 0 {
+		t.Fatal("no released array was ever reused")
+	}
+}
+
 func TestCacheEvictionReportsVictim(t *testing.T) {
 	g := smallGeom()
 	c := New(g)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -31,12 +32,14 @@ type Cache struct {
 
 	mu sync.Mutex
 	// done memoises completed records only when no store backs the
-	// cache; with a store, its in-memory index already holds every
-	// record, so a second map would just double the footprint.
+	// cache; with a store, the store serves every record from disk, so
+	// the cache's memory does not grow with the results it has seen.
 	done     map[string]Record
 	inflight map[string]*flight // keys currently simulating
 	hits     uint64
 	misses   uint64
+	// waiting counts Do calls blocked on another caller's flight.
+	waiting atomic.Int64
 }
 
 // flight is one in-progress computation; waiters block on done.
@@ -107,27 +110,25 @@ func (c *Cache) Do(ctx context.Context, j Job) (rec Record, hit bool, err error)
 		// worker slot while the leader (which always acquired its own
 		// slot first, so there is no deadlock) finishes — idle capacity
 		// traded for simplicity.
-		select {
-		case <-f.done:
-			if f.err != nil {
-				// The leader aborted on its *own* cancellation (possible
-				// only with a job-level runner; local simulations always
-				// finish). That is not this caller's cancellation and not
-				// a simulation failure — nothing was computed and nothing
-				// cached — so retry: this caller becomes the new leader
-				// or joins a fresher flight.
-				if isCtxErr(f.err) && ctx.Err() == nil {
-					return c.Do(ctx, j)
-				}
-				return Record{}, false, f.err
-			}
-			c.mu.Lock()
-			c.hits++ // count the join only once a result was served
-			c.mu.Unlock()
-			return relabel(f.rec, j), true, nil
-		case <-ctx.Done():
-			return Record{}, false, ctx.Err()
+		if err := c.await(ctx, f); err != nil {
+			return Record{}, false, err
 		}
+		if f.err != nil {
+			// The leader aborted on its *own* cancellation (possible
+			// only with a job-level runner; local simulations always
+			// finish). That is not this caller's cancellation and not
+			// a simulation failure — nothing was computed and nothing
+			// cached — so retry: this caller becomes the new leader
+			// or joins a fresher flight.
+			if isCtxErr(f.err) && ctx.Err() == nil {
+				return c.Do(ctx, j)
+			}
+			return Record{}, false, f.err
+		}
+		c.mu.Lock()
+		c.hits++ // count the join only once a result was served
+		c.mu.Unlock()
+		return relabel(f.rec, j), true, nil
 	}
 	f := &flight{done: make(chan struct{})}
 	c.inflight[key] = f
@@ -144,6 +145,23 @@ func (c *Cache) Do(ctx context.Context, j Job) (rec Record, hit bool, err error)
 	close(f.done)
 	return f.rec, false, f.err
 }
+
+// await blocks until flight f settles or ctx is cancelled, counted in
+// Waiting meanwhile.
+func (c *Cache) await(ctx context.Context, f *flight) error {
+	c.waiting.Add(1)
+	defer c.waiting.Add(-1)
+	select {
+	case <-f.done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// Waiting returns how many Do calls are currently blocked on another
+// caller's in-flight run of the same job.
+func (c *Cache) Waiting() int { return int(c.waiting.Load()) }
 
 // Contains reports whether the cache can already serve j without a
 // simulation. Unlike Lookup it counts nothing and returns no record —

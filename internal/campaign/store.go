@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -30,14 +31,26 @@ type Record struct {
 }
 
 // Store persists campaign results as append-only JSONL keyed by job
-// content hash. Opening an existing store loads every completed record,
+// content hash. Opening an existing store indexes every completed record,
 // which is how an interrupted campaign resumes: the scheduler skips any
-// job whose key is already present. Append is safe for concurrent use
-// by scheduler workers.
+// job whose key is already present. The records themselves stay on disk:
+// memory holds only each key's line position, so a long-running daemon or
+// sweep does not grow by a decoded Summary per result, and Get reads the
+// line back. Append and Get are safe for concurrent use by scheduler
+// workers.
 type Store struct {
-	mu   sync.Mutex
-	f    *os.File
-	recs map[string]Record
+	mu sync.Mutex
+	f  *os.File // append-only writer
+	r  *os.File // positioned reads for Get
+	// index maps each completed key to its record's line, the last one
+	// when a key was appended more than once.
+	index map[string]span
+}
+
+// span locates one record line (without its newline) in the store file.
+type span struct {
+	off int64
+	n   int
 }
 
 // OpenStore opens (creating if absent) the JSONL store at path. A kill
@@ -51,13 +64,15 @@ type Store struct {
 // corrupted, and dropping everything after it would delete completed
 // work, so opening fails instead.
 func OpenStore(path string) (*Store, error) {
-	s := &Store{recs: make(map[string]Record)}
+	s := &Store{index: make(map[string]span)}
+	var off int64 // RecoverJSONL hands over the lines in file order
 	f, err := RecoverJSONL(path, func(line []byte) error {
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
 			return fmt.Errorf("not a store record")
 		}
-		s.recs[rec.Key] = rec
+		s.index[rec.Key] = span{off: off, n: len(line)}
+		off += int64(len(line)) + 1
 		return nil
 	})
 	if err != nil {
@@ -68,7 +83,12 @@ func OpenStore(path string) (*Store, error) {
 		}
 		return nil, fmt.Errorf("campaign: open store: %w", err)
 	}
-	s.f = f
+	r, err := os.Open(path)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("campaign: open store: %w", err)
+	}
+	s.f, s.r = f, r
 	return s, nil
 }
 
@@ -76,7 +96,7 @@ func OpenStore(path string) (*Store, error) {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.recs)
+	return len(s.index)
 }
 
 // Keys returns every completed job key in sorted order — the store's
@@ -85,20 +105,35 @@ func (s *Store) Len() int {
 func (s *Store) Keys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.recs))
-	for k := range s.recs {
+	keys := make([]string, 0, len(s.index))
+	for k := range s.index {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys
 }
 
-// Get returns the record for a job key, if completed.
+// Get returns the record for a job key, if completed, decoded afresh
+// from its line. A line that can no longer be read back as that key's
+// record (the file was changed underneath the store, or the store is
+// closed) reads as absent, so the caller recomputes the job — the
+// deterministic result — instead of serving a wrong one.
 func (s *Store) Get(key string) (Record, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.recs[key]
-	return rec, ok
+	sp, ok := s.index[key]
+	s.mu.Unlock()
+	if !ok {
+		return Record{}, false
+	}
+	line := make([]byte, sp.n)
+	if _, err := s.r.ReadAt(line, sp.off); err != nil {
+		return Record{}, false
+	}
+	var rec Record
+	if err := json.Unmarshal(line, &rec); err != nil || rec.Key != key {
+		return Record{}, false
+	}
+	return rec, true
 }
 
 // Append persists one completed record. Each record is a single Write
@@ -114,13 +149,23 @@ func (s *Store) Append(rec Record) error {
 	if _, err := s.f.Write(line); err != nil {
 		return fmt.Errorf("campaign: append record: %w", err)
 	}
-	s.recs[rec.Key] = rec
+	// An O_APPEND write leaves the file offset just past the bytes it
+	// wrote, wherever other writers put theirs.
+	end, err := s.f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return fmt.Errorf("campaign: append record: %w", err)
+	}
+	s.index[rec.Key] = span{off: end - int64(len(line)), n: len(line) - 1}
 	return nil
 }
 
-// Close releases the backing file.
+// Close releases the backing file handles.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.f.Close()
+	rerr := s.r.Close()
+	if err := s.f.Close(); err != nil {
+		return err
+	}
+	return rerr
 }

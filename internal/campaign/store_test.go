@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -46,6 +47,61 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if _, ok := s.Get("nope"); ok {
 		t.Fatal("phantom record")
+	}
+}
+
+// TestStoreReadsRecordsBack: the store keeps only line positions in
+// memory, so every Get decodes the record from disk. The record must come
+// back whole, a re-appended key must serve its latest line, a caller
+// mutating what Get returned must not change the next Get, and a line
+// changed underneath the store must read as absent, never as another
+// key's record.
+func TestStoreReadsRecordsBack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	s, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want := testRecord("k1", "2W1", "ICOUNT", 1, 1.5)
+	want.Summary.Counters = map[string]uint64{"l2.hits": 7, "policy.flushes": 3}
+	for _, rec := range []Record{want, testRecord("k2", "2W1", "MFLUSH", 1, 1.8)} {
+		if err := s.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, ok := s.Get("k1")
+	if !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Get(k1) = %+v, %v; want %+v", got, ok, want)
+	}
+	got.Summary.Counters["l2.hits"] = 0
+	if again, _ := s.Get("k1"); again.Summary.Counters["l2.hits"] != 7 {
+		t.Fatal("mutating a returned record changed the stored one")
+	}
+	want.Summary.IPC = 2.5
+	if err := s.Append(want); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.Get("k1"); got.Summary.IPC != 2.5 || s.Len() != 2 {
+		t.Fatalf("re-appended k1 serves IPC %v (Len %d), want the latest line", got.Summary.IPC, s.Len())
+	}
+	// Swap the file's contents for k2's line alone: k1's position now
+	// points past the end and k2's at a line holding k2 no more.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	if err := os.WriteFile(path, lines[1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"k1", "k2"} {
+		if rec, ok := s.Get(key); ok && rec.Key != key {
+			t.Fatalf("Get(%s) served %s's record", key, rec.Key)
+		}
+	}
+	if _, ok := s.Get("k1"); ok {
+		t.Fatal("record beyond the end of the rewritten file still served")
 	}
 }
 

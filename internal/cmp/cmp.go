@@ -81,6 +81,11 @@ func (ch *Chip) L2() *mem.L2System { return ch.l2 }
 // Config returns the machine configuration.
 func (ch *Chip) Config() config.Config { return ch.cfg }
 
+// Release recycles the chip's shared L2 arrays for the next chip built
+// (mem.L2System.Release). The chip must not be ticked afterwards; its
+// counters and totals stay readable.
+func (ch *Chip) Release() { ch.l2.Release() }
+
 // CheckInvariants validates every core's resource conservation.
 func (ch *Chip) CheckInvariants() error {
 	for i, c := range ch.cores {

@@ -314,6 +314,10 @@ func (s *L2System) Counters() *stats.Set { return &s.counters }
 // helpers).
 func (s *L2System) Cache() *cache.Cache { return s.l2 }
 
+// Release recycles the L2 tag store's arrays (cache.Release) once the
+// system will not be ticked again; counters and histograms stay readable.
+func (s *L2System) Release() { s.l2.Release() }
+
 // MinHitLatency returns the no-contention request latency through the
 // system measured from submission: bus + bank + bus.
 func (s *L2System) MinHitLatency() int {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -23,6 +24,12 @@ const mshrRetryDelay = 4
 // wheelSize bounds the execution completion horizon (longest fixed
 // execution latency plus L1 hit time).
 const wheelSize = 64
+
+// depsCap is the initial wakeup-list capacity of a new uop. Producers
+// behind a long miss commonly collect several consumers; starting at 8
+// means few lists ever grow, so the pool reaches steady capacity within
+// warm-up instead of growing lists one doubling at a time.
+const depsCap = 8
 
 // Typed counter IDs for every per-cycle-path event (stats.Set.Bump is a
 // dense array add; the string names remain the reporting API).
@@ -263,13 +270,14 @@ func (c *Core) allocUOp() *UOp {
 		u.pooled = false
 		return u
 	}
-	return &UOp{}
+	return &UOp{deps: make([]uopRef, 0, depsCap)}
 }
 
 // freeUOp recycles a dead uop (committed, or squashed and no longer
 // resident in the wheel or MSHR waiter lists). The generation bump
 // invalidates every outstanding uopRef to it. The uop's LoadInfo rides
-// along, except while the thread is still flush-stalled on it.
+// along, except while the thread is still flush-stalled on it, and so
+// does its emptied wakeup list's capacity.
 func (c *Core) freeUOp(u *UOp) {
 	if u.pooled {
 		panic("pipeline: double free of uop")
@@ -279,7 +287,7 @@ func (c *Core) freeUOp(u *UOp) {
 		c.loadFree = append(c.loadFree, li)
 	}
 	gen := u.Gen + 1
-	*u = UOp{Gen: gen, pooled: true}
+	*u = UOp{Gen: gen, pooled: true, deps: u.deps[:0]}
 	c.uopFree = append(c.uopFree, u)
 }
 
@@ -401,9 +409,12 @@ func (c *Core) Tick(now uint64) {
 func (c *Core) commitStage(now uint64) {
 	budget := c.cfg.Core.CommitWidth
 	n := len(c.threads)
-	start := int(now) % n
+	idx := int(now) % n
 	for i := 0; i < n && budget > 0; i++ {
-		t := c.threads[(start+i)%n]
+		t := c.threads[idx]
+		if idx++; idx == n {
+			idx = 0
+		}
 		for budget > 0 {
 			u := t.rob.front()
 			if u == nil {
@@ -484,11 +495,22 @@ func (c *Core) writebackStage(now uint64) {
 	}
 }
 
-// markExecuted completes a uop: the result is produced and dependents may
-// issue from the next cycle. The physical register is held to commit.
+// markExecuted completes a uop: the result is produced, and each consumer
+// whose last pending source this was becomes ready to issue. The
+// physical register is held to commit.
 func (c *Core) markExecuted(u *UOp, now uint64) {
 	u.Executed = true
 	u.DoneAt = now
+	for _, r := range u.deps {
+		d := r.live()
+		if d == nil || d.Squashed {
+			continue
+		}
+		if d.waitSrc--; d.waitSrc == 0 {
+			c.queueFor(d.Inst.Class).markReady(d)
+		}
+	}
+	u.deps = u.deps[:0]
 }
 
 func (c *Core) resolveControl(u *UOp, now uint64) {
@@ -522,69 +544,41 @@ func (c *Core) resolveControl(u *UOp, now uint64) {
 // ---- issue ----
 
 func (c *Core) issueStage(now uint64) {
-	// Direct age-order walks over the queue slots (no per-entry callback):
-	// this loop visits every waiting uop every cycle, so it is the
-	// simulator's single hottest code.
-	units := c.cfg.Core.IntUnits
-	for _, u := range c.intQ.liveFrom() {
-		if units == 0 {
-			break
-		}
-		if u != nil && c.ready(u, now) {
-			units--
-			c.issueALU(u, now)
-		}
+	c.issueFrom(c.intQ, c.cfg.Core.IntUnits, now)
+	c.issueFrom(c.fpQ, c.cfg.Core.FPUnits, now)
+	c.issueFrom(c.lsQ, c.cfg.Core.LSUnits, now)
+}
+
+// issueFrom offers q's ready uops, oldest first, to up to units execution
+// units. Only uops whose producers have all executed carry a ready bit,
+// so the walk never touches a waiting uop; a uop still inside a retry
+// delay (DTLB walk, full MSHR file) is skipped without spending a unit.
+// Every attempt spends one, even one that leaves the uop queued behind a
+// new retry delay. An issue clears the uop's bit in q.ready, not in the
+// copied word being walked, so removal during the walk is safe.
+func (c *Core) issueFrom(q *queue, units int, now uint64) {
+	if units == 0 {
+		return
 	}
-	units = c.cfg.Core.FPUnits
-	for _, u := range c.fpQ.liveFrom() {
-		if units == 0 {
-			break
-		}
-		if u != nil && c.ready(u, now) {
-			units--
-			c.issueALU(u, now)
-		}
-	}
-	units = c.cfg.Core.LSUnits
-	for _, u := range c.lsQ.liveFrom() {
-		if units == 0 {
-			break
-		}
-		if u != nil && c.ready(u, now) {
-			units--
-			c.issueMem(u, now)
+	for w, word := range q.ready {
+		for ; word != 0; word &= word - 1 {
+			u := q.slots[w<<6|bits.TrailingZeros64(word)]
+			if u.RetryAt > now {
+				continue
+			}
+			if q == c.lsQ {
+				c.issueMem(u, now)
+			} else {
+				c.issueALU(q, u, now)
+			}
+			if units--; units == 0 {
+				return
+			}
 		}
 	}
 }
 
-func (c *Core) ready(u *UOp, now uint64) bool {
-	if u.RetryAt > now {
-		return false
-	}
-	// A producer observed executed — or recycled, which implies it
-	// executed or squashed together with u — never becomes un-executed
-	// again, so the reference is dropped once satisfied and later checks
-	// skip the pointer chase.
-	if p := u.Src1Prod.u; p != nil {
-		if p.Gen == u.Src1Prod.gen && !p.Executed {
-			return false
-		}
-		u.Src1Prod = uopRef{}
-	}
-	if p := u.Src2Prod.u; p != nil {
-		if p.Gen == u.Src2Prod.gen && !p.Executed {
-			return false
-		}
-		u.Src2Prod = uopRef{}
-	}
-	return true
-}
-
-func (c *Core) issueALU(u *UOp, now uint64) {
-	q := c.intQ
-	if u.Inst.Class.UsesFP() {
-		q = c.fpQ
-	}
+func (c *Core) issueALU(q *queue, u *UOp, now uint64) {
 	q.remove(u)
 	c.threads[u.Tid].icount--
 	u.Issued = true
@@ -686,8 +680,12 @@ func (c *Core) renameStage(now uint64) {
 	}
 	for budget > 0 {
 		progressed := false
+		next := start
 		for i := 0; i < n && budget > 0; i++ {
-			idx := (start + i) % n
+			idx := next
+			if next++; next == n {
+				next = 0
+			}
 			if blocked[idx] {
 				continue
 			}
@@ -737,11 +735,14 @@ func (c *Core) tryRename(t *thread, u *UOp) bool {
 		c.stats.Bump(cRenameBlockedRegs, 1)
 		return false
 	}
+	// Sources are looked up before the destination is renamed, so an
+	// instruction reading its own destination waits on the previous
+	// producer.
 	if s := u.Inst.Src1; s != isa.InvalidReg {
-		u.Src1Prod = t.regProd[s]
+		waitOn(t.regProd[s], u)
 	}
 	if s := u.Inst.Src2; s != isa.InvalidReg {
-		u.Src2Prod = t.regProd[s]
+		waitOn(t.regProd[s], u)
 	}
 	if needsReg {
 		c.freePRegs--
@@ -753,6 +754,19 @@ func (c *Core) tryRename(t *thread, u *UOp) bool {
 	q.insert(u)
 	t.rob.push(u)
 	return true
+}
+
+// waitOn registers u with the source producer prod if prod is live and
+// has not executed; a dead reference names an architectural value. The
+// registration needs no undo on squash: a consumer is always younger
+// than its producer in the same thread, so any squash that drops an
+// unexecuted producer drops its consumers too, and markExecuted skips
+// the stale entries.
+func waitOn(prod uopRef, u *UOp) {
+	if p := prod.live(); p != nil && !p.Executed {
+		u.waitSrc++
+		p.deps = append(p.deps, mkRef(u))
+	}
 }
 
 // ---- policy ----
@@ -1070,8 +1084,9 @@ func (c *Core) predictControl(t *thread, u *UOp, now uint64) bool {
 
 // ---- invariant checks (used by tests) ----
 
-// CheckInvariants validates resource conservation; it returns an error
-// describing the first violation.
+// CheckInvariants validates resource conservation and the wakeup state
+// (ready bits against producer counts, producer counts against wakeup
+// lists); it returns an error describing the first violation.
 func (c *Core) CheckInvariants() error {
 	pool := c.cfg.Core.PhysRegs - c.cfg.Core.ThreadsPerCore*isa.NumArchRegs
 	totalHeld := 0
@@ -1111,6 +1126,20 @@ func (c *Core) CheckInvariants() error {
 		if n > 0 {
 			return fmt.Errorf("pipeline: %d squashed uops resident in an issue queue", n)
 		}
+		if err := q.checkReady(); err != nil {
+			return err
+		}
+		var err error
+		q.scan(func(u *UOp) bool {
+			if want := c.pendingProducers(u); int(u.waitSrc) != want {
+				err = fmt.Errorf("pipeline: thread %d uop %d waits on %d producers, %d unexecuted ones list it",
+					u.Tid, u.Seq, u.waitSrc, want)
+			}
+			return err == nil
+		})
+		if err != nil {
+			return err
+		}
 	}
 	waiterLines := 0
 	for _, ws := range c.slotWaiters {
@@ -1123,6 +1152,25 @@ func (c *Core) CheckInvariants() error {
 			c.mshr.InUse(), waiterLines)
 	}
 	return nil
+}
+
+// pendingProducers counts the wakeup-list entries naming u across its
+// thread's live, unexecuted ROB uops: the wakeups u still expects.
+func (c *Core) pendingProducers(u *UOp) int {
+	rob := c.threads[u.Tid].rob
+	n := 0
+	for i := 0; i < rob.len(); i++ {
+		p := rob.at(i)
+		if p.Executed {
+			continue
+		}
+		for _, r := range p.deps {
+			if r.refersTo(u) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // ResetMeasurement zeroes the core's accumulated statistics (energy,

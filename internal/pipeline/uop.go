@@ -5,6 +5,9 @@
 package pipeline
 
 import (
+	"fmt"
+	"math/bits"
+
 	"repro/internal/energy"
 	"repro/internal/isa"
 	"repro/internal/policy"
@@ -31,9 +34,13 @@ type UOp struct {
 	FetchedAt     uint64
 	RenameReadyAt uint64
 
-	// Src1Prod/Src2Prod reference the most recent producers of the
-	// source registers at rename time (dead ref: value architectural).
-	Src1Prod, Src2Prod uopRef
+	// waitSrc counts the source producers that had not executed when the
+	// uop was renamed and have not executed since; the uop may issue only
+	// at zero. deps lists the consumers renamed against this uop while it
+	// was unexecuted, for markExecuted to wake. Its backing array survives
+	// recycling, so wakeup allocates nothing in steady state.
+	waitSrc int32
+	deps    []uopRef
 	// PrevProd restores the rename table if this uop is squashed.
 	PrevProd uopRef
 
@@ -72,11 +79,12 @@ type UOp struct {
 	Load *policy.LoadInfo
 }
 
-// uopRef is a generation-validated reference to a producer uop. The
-// pipeline frees uops at commit while rename-table entries and dependant
-// source references may still name them; the generation check turns such
-// stale references into "architectural" (nil), which is exactly the old
-// semantics — a committed producer was always Executed.
+// uopRef is a generation-validated reference to a uop. The pipeline frees
+// uops at commit or squash while rename-table entries and wakeup lists
+// may still name them; the generation check turns such stale references
+// into nil. A stale producer reads as "architectural", exactly as a
+// committed (always Executed) producer did before recycling, and a stale
+// consumer was squashed and needs no wakeup.
 type uopRef struct {
 	u   *UOp
 	gen uint32
@@ -206,26 +214,25 @@ func (r *ring) at(i int) *UOp {
 
 // queue is a shared issue queue: a bounded collection preserving age
 // order, with O(1) free-slot tracking and mid-queue removal by nil-ing.
-// head is a lazily advanced index of the first possibly-live slot, so
-// per-cycle walks skip the nil prefix left by issued/squashed uops.
+// ready is a bitmap over the slots: bit i is set iff slots[i] holds a uop
+// that waits on no producer (waitSrc == 0), so the issue stage visits
+// only issuable candidates, oldest first, instead of polling every
+// waiting uop every cycle. Insert-time compaction keeps len(slots) at
+// most 2*cap, so neither array ever grows.
 type queue struct {
 	slots []*UOp
+	ready []uint64
 	count int
 	cap   int
-	head  int
-}
-
-// liveFrom advances head past leading nils and returns the live window.
-// Slots inside the window may still be nil (mid-queue removals).
-func (q *queue) liveFrom() []*UOp {
-	for q.head < len(q.slots) && q.slots[q.head] == nil {
-		q.head++
-	}
-	return q.slots[q.head:]
 }
 
 func newQueue(capacity int) *queue {
-	return &queue{slots: make([]*UOp, 0, capacity+8), cap: capacity}
+	n := 2*capacity + 8
+	return &queue{
+		slots: make([]*UOp, 0, n),
+		ready: make([]uint64, (n+63)/64),
+		cap:   capacity,
+	}
 }
 
 func (q *queue) hasSpace() bool { return q.count < q.cap }
@@ -235,24 +242,39 @@ func (q *queue) insert(u *UOp) {
 	if !q.hasSpace() {
 		panic("pipeline: issue queue overflow")
 	}
-	// Compact at insert time only: remove() may run inside scan(), and
-	// compacting there would corrupt the live iteration.
+	// Compact at insert time only: remove() runs inside the issue walk,
+	// and compacting there would corrupt the live iteration.
 	if len(q.slots) >= 2*q.cap && q.count*2 <= len(q.slots) {
+		clear(q.ready)
 		live := q.slots[:0]
 		for _, s := range q.slots {
 			if s != nil {
 				s.qIdx = int32(len(live))
 				live = append(live, s)
+				if s.waitSrc == 0 {
+					q.markReady(s)
+				}
 			}
 		}
 		q.slots = live
-		q.head = 0
 	}
 	u.qIdx = int32(len(q.slots))
 	q.slots = append(q.slots, u)
 	q.count++
 	u.InQueue = true
+	if u.waitSrc == 0 {
+		q.markReady(u)
+	}
 }
+
+// markReady sets the ready bit of a queued uop that waits on no producer.
+func (q *queue) markReady(u *UOp) {
+	i := uint(u.qIdx)
+	q.ready[i>>6] |= 1 << (i & 63)
+}
+
+// isReady reports slot i's ready bit.
+func (q *queue) isReady(i int) bool { return q.ready[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // remove drops u from the queue (issue or squash) in O(1) via the slot
 // index recorded at insert.
@@ -262,8 +284,30 @@ func (q *queue) remove(u *UOp) {
 		panic("pipeline: removing uop not in queue")
 	}
 	q.slots[i] = nil
+	q.ready[i>>6] &^= 1 << (uint(i) & 63)
 	q.count--
 	u.InQueue = false
+}
+
+// checkReady verifies the ready bitmap against the slots: no bit is set
+// on an empty or out-of-range slot, and every queued uop's bit is set
+// exactly when it waits on no producer.
+func (q *queue) checkReady() error {
+	for w, word := range q.ready {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			if i >= len(q.slots) || q.slots[i] == nil {
+				return fmt.Errorf("pipeline: ready bit set on empty issue-queue slot %d", i)
+			}
+		}
+	}
+	for i, u := range q.slots {
+		if u != nil && q.isReady(i) != (u.waitSrc == 0) {
+			return fmt.Errorf("pipeline: issue-queue slot %d ready bit %v, but its uop waits on %d producers",
+				i, q.isReady(i), u.waitSrc)
+		}
+	}
+	return nil
 }
 
 // scan calls f on each entry in age order until f returns false.

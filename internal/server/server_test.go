@@ -332,15 +332,18 @@ func TestCacheKeysExposed(t *testing.T) {
 func TestCancelledWaiterNotCountedFailed(t *testing.T) {
 	r := simtest.New()
 	r.Gate = make(chan struct{})
-	s := New(Config{Runner: r.Run, Workers: 4, MaxQueuedJobs: 100})
+	// Twice the campaign's width in slots: a's gated runs hold four, so
+	// b's jobs get slots of their own and reach the cache's in-flight
+	// join instead of queueing for a slot.
+	s := New(Config{Runner: r.Run, Workers: 8, MaxQueuedJobs: 100})
 	a := submit(t, s, specBody)
-	for r.Total() < 4 {
-		time.Sleep(time.Millisecond)
-	}
+	simtest.WaitFor(t, 10*time.Second, func() bool { return r.Total() == 4 },
+		"campaign a started %d runs, want 4", func() any { return r.Total() })
 	// b's jobs all join a's in-flight runs; cancelling b while it waits
 	// must settle it as canceled with zero failures.
 	b := submit(t, s, specBody)
-	time.Sleep(5 * time.Millisecond)
+	simtest.WaitFor(t, 10*time.Second, func() bool { return s.cache.Waiting() == 4 },
+		"%d of b's jobs joined a's in-flight runs, want 4", func() any { return s.cache.Waiting() })
 	if code, _ := do(t, s, "DELETE", "/v1/campaigns/"+b, ""); code != http.StatusAccepted {
 		t.Fatal("cancel failed")
 	}

@@ -169,7 +169,8 @@ func (s *Session) refreshSample() {
 // the measurement window (MeasuredCycles is the IPC denominator, so a
 // session that stepped Warmup, reset, then stepped Cycles returns
 // exactly Run's result). The session is closed afterwards: further
-// Step/Observe calls panic or error, and a second Finish errors.
+// Step/Observe calls panic or error, a second Finish errors, and the
+// chip's L2 arrays go to the next machine built (cmp.Chip.Release).
 func (s *Session) Finish() (*Result, error) {
 	if s.finished {
 		return nil, fmt.Errorf("sim: session already finished")
@@ -179,5 +180,7 @@ func (s *Session) Finish() (*Result, error) {
 		return nil, fmt.Errorf("sim: session finished with an empty measurement window")
 	}
 	s.finished = true
-	return collect(s.chip, s.opt, measured)
+	res, err := collect(s.chip, s.opt, measured)
+	s.chip.Release()
+	return res, err
 }

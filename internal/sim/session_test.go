@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/config"
+	"repro/internal/isa"
 	"repro/internal/workload"
 )
 
@@ -12,12 +14,20 @@ import (
 // chip.Run driver immediately before Run was rebuilt on Open/Step/
 // Finish; TestRunMatchesGolden enforces that the redesign (and anything
 // after it) never moves a single bit of observable output.
+//
+// tweak and traces, when set, pin paths the default machine exercises
+// only lightly: a shrunken machine (issue-queue compaction, unit
+// exhaustion, re-issue after a DTLB walk) and trace replay carrying
+// per-load miss-latency overrides. A replay case's workload field is only
+// a label.
 type goldenCase struct {
 	workload string
 	policy   PolicySpec
 	seed     uint64
 	warmup   uint64
 	cycles   uint64
+	tweak    func(*config.Config)
+	traces   func(*testing.T) [][]isa.Inst
 	golden   string
 }
 
@@ -31,15 +41,56 @@ var goldenCases = []goldenCase{
 	{workload: "8W3", policy: SpecMFLUSH, seed: 1, warmup: 8000, cycles: 16000,
 		golden: "ipc=3.239562500000 committed=[3153 7854 7655 3845 1770 3004 5826 18726] percore=[0.6879375 0.71875 0.298375 1.5345] flushes=264 wasted=28261.460000000 flushed=36434 hitlat=n=36 mean=32.7 min=23 p50=23 p90=46 max=71 overflow=0 counters=branches=5372 commit.blocked.exec=18697 commit.blocked.mem=60582 commit.blocked.queued=9416 dtlb.misses=92 fetch.blocked.flush=48119 fetch.blocked.frontq=10496 fetch.blocked.icache=37491 fetch.blocked.policy=2361 fetch.blocked.stall=2678 flush.resolved_miss=263 itlb.misses=7 l1d.load_hits=22198 l1d.load_misses=1165 l1d.store_hits=4886 l1d.store_misses=203 l1i.hits=13510 l1i.misses=362 l2.bank_ops=2826 l2.fills=1386 l2.hits=60 l2.misses=1381 l2.requests=1431 mem.reads=1381 mispredicts=592 mshr.full_retries=4 mshr.merges=299 policy.flushes=264 policy.stall_cycles=3148 rename.blocked.queue=1712 rename.blocked.regs=11062"},
 	{workload: "8W3", policy: SpecMFLUSH, seed: 2, warmup: 0, cycles: 12000,
-		golden: "ipc=0.592250000000 committed=[372 1255 2718 235 969 252 612 694] percore=[0.13558333333333333 0.24608333333333332 0.10175 0.10883333333333334] flushes=197 wasted=7366.160000000 flushed=9769 hitlat=n=11 mean=37.0 min=23 p50=25 p90=60 max=67 overflow=0 counters=branches=1168 commit.blocked.exec=3664 commit.blocked.mem=45744 commit.blocked.queued=11815 dtlb.misses=106 fetch.blocked.flush=35493 fetch.blocked.frontq=2093 fetch.blocked.icache=44002 fetch.blocked.policy=450 fetch.blocked.stall=8866 flush.resolved_miss=192 itlb.misses=29 l1d.load_hits=3493 l1d.load_misses=896 l1d.store_hits=573 l1d.store_misses=143 l1i.hits=2508 l1i.misses=403 l2.bank_ops=2330 l2.fills=1131 l2.hits=47 l2.misses=1151 l2.requests=1199 mem.reads=1151 mispredicts=210 mshr.full_retries=94 mshr.merges=243 policy.flushes=197 policy.stall_cycles=2308 rename.blocked.queue=593 rename.blocked.regs=1740"}}
+		golden: "ipc=0.592250000000 committed=[372 1255 2718 235 969 252 612 694] percore=[0.13558333333333333 0.24608333333333332 0.10175 0.10883333333333334] flushes=197 wasted=7366.160000000 flushed=9769 hitlat=n=11 mean=37.0 min=23 p50=25 p90=60 max=67 overflow=0 counters=branches=1168 commit.blocked.exec=3664 commit.blocked.mem=45744 commit.blocked.queued=11815 dtlb.misses=106 fetch.blocked.flush=35493 fetch.blocked.frontq=2093 fetch.blocked.icache=44002 fetch.blocked.policy=450 fetch.blocked.stall=8866 flush.resolved_miss=192 itlb.misses=29 l1d.load_hits=3493 l1d.load_misses=896 l1d.store_hits=573 l1d.store_misses=143 l1i.hits=2508 l1i.misses=403 l2.bank_ops=2330 l2.fills=1131 l2.hits=47 l2.misses=1151 l2.requests=1199 mem.reads=1151 mispredicts=210 mshr.full_retries=94 mshr.merges=243 policy.flushes=197 policy.stall_cycles=2308 rename.blocked.queue=593 rename.blocked.regs=1740"},
+	{workload: "4W3", policy: SpecMFLUSH, seed: 4, warmup: 4000, cycles: 12000, tweak: tinyQueues,
+		golden: "ipc=1.217333333333 committed=[893 4566 2464 6685] percore=[0.4549166666666667 0.7624166666666666] flushes=60 wasted=2063.500000000 flushed=3132 hitlat=n=127 mean=27.4 min=23 p50=23 p90=37 max=66 overflow=0 counters=branches=1784 commit.blocked.exec=6193 commit.blocked.mem=14023 commit.blocked.queued=9962 dtlb.misses=47 fetch.blocked.flush=13365 fetch.blocked.frontq=8985 fetch.blocked.icache=15984 fetch.blocked.policy=746 fetch.blocked.stall=1048 flush.resolved_hit=1 flush.resolved_miss=60 itlb.misses=2 l1d.load_hits=3558 l1d.load_misses=290 l1d.store_hits=1265 l1d.store_misses=86 l1i.hits=3186 l1i.misses=150 l2.bank_ops=846 l2.fills=338 l2.hits=175 l2.misses=335 l2.requests=507 mem.reads=335 mispredicts=239 mshr.merges=19 policy.flushes=60 policy.stall_cycles=915 rename.blocked.queue=13922 rename.blocked.regs=1834"},
+	{workload: "replay-4", policy: SpecFlushS(30), seed: 5, warmup: 4000, cycles: 12000, traces: farMemoryTraces,
+		golden: "ipc=0.164833333333 committed=[167 818 284 709] percore=[0.08208333333333333 0.08275] flushes=80 wasted=1921.830000000 flushed=2617 hitlat=n=0 mean=0.0 min=-1 p50=0 p90=0 max=-1 overflow=0 counters=branches=420 commit.blocked.exec=1062 commit.blocked.mem=31611 commit.blocked.queued=4079 dtlb.misses=35 fetch.blocked.flush=31679 fetch.blocked.frontq=466 fetch.blocked.icache=12751 fetch.blocked.stall=1028 flush.resolved_miss=80 itlb.misses=3 l1d.load_hits=980 l1d.load_misses=337 l1d.store_hits=126 l1d.store_misses=41 l1i.hits=1184 l1i.misses=155 l2.bank_ops=947 l2.fills=475 l2.hits=3 l2.misses=469 l2.requests=472 mem.reads=469 mispredicts=132 mshr.full_retries=2 mshr.merges=61 policy.flushes=80 rename.blocked.queue=13 rename.blocked.regs=1"}}
+
+// tinyQueues shrinks every issue queue to 8 entries behind a single
+// load/store unit, so queues compact constantly and loads contend for
+// the one unit.
+func tinyQueues(c *config.Config) {
+	c.Core.IntQueue, c.Core.FPQueue, c.Core.LSQueue = 8, 8, 8
+	c.Core.LSUnits = 1
+}
+
+// farMemoryTraces records four threads for a two-core replay, stamping a
+// far-memory miss-latency override onto every third load of two of them.
+func farMemoryTraces(t *testing.T) [][]isa.Inst {
+	overrides := func(tr []isa.Inst, lat uint32) []isa.Inst {
+		loads := 0
+		for i := range tr {
+			if tr[i].Class == isa.ClassLoad {
+				loads++
+				if loads%3 == 0 {
+					tr[i].MissLatency = lat
+				}
+			}
+		}
+		return tr
+	}
+	return [][]isa.Inst{
+		overrides(record(t, "mcf", 5, 1<<34, 30000), 900),
+		record(t, "gzip", 6, 2<<34, 30000),
+		overrides(record(t, "art", 7, 3<<34, 30000), 1500),
+		record(t, "vpr", 8, 4<<34, 30000),
+	}
+}
 
 func (c goldenCase) options(t *testing.T) Options {
 	t.Helper()
+	opt := Options{Policy: c.policy, Seed: c.seed, Warmup: c.warmup, Cycles: c.cycles, Tweak: c.tweak}
+	if c.traces != nil {
+		opt.ThreadTraces = c.traces(t)
+		return opt
+	}
 	w, ok := workload.ByName(c.workload)
 	if !ok {
 		t.Fatalf("unknown workload %s", c.workload)
 	}
-	return Options{Workload: w, Policy: c.policy, Seed: c.seed, Warmup: c.warmup, Cycles: c.cycles}
+	opt.Workload = w
+	return opt
 }
 
 // TestRunMatchesGolden proves sim.Run's results remain bit-identical to

@@ -418,7 +418,11 @@ func prewarmPlan(profiles []synth.Profile, bases [][]uint64, capBytes, line uint
 			cursors = append(cursors, cursor{next: dataBase, end: dataBase + prof.FootprintBytes})
 		}
 	}
-	var plan []uint64
+	lines := 0
+	for _, cu := range cursors {
+		lines += int((cu.end - cu.next + line - 1) / line)
+	}
+	plan := make([]uint64, 0, lines)
 	for {
 		progressed := false
 		for i := range cursors {
