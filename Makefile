@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test shorttest racetest vet lint bench bench-throughput benchbaseline benchcmp benchtest perfpin docscheck metricscheck fuzzsmoke crashtest
+.PHONY: build test shorttest racetest vet lint bench benchbaseline benchcmp benchtest perfpin docscheck metricscheck fuzzsmoke crashtest
 
 # The hot-path benchmarks benchcmp tracks, and where their runs live.
 # The metrics pair guards the observability overhead: per-sample updates
@@ -81,8 +81,9 @@ lint:
 	$(GO) run ./cmd/mflushvet ./...
 
 # Documentation checks: markdown links in README/CAMPAIGNS/ARCHITECTURE/
-# API resolve, and every exported identifier in internal/server and
-# internal/campaign has a doc comment (mirrors the CI docs job).
+# API resolve, every markdown file a Go comment names exists, and every
+# exported identifier in internal/server and internal/campaign has a doc
+# comment (mirrors the CI docs job).
 docscheck:
 	$(GO) test ./internal/docs/
 
@@ -93,15 +94,11 @@ docscheck:
 metricscheck:
 	$(GO) test -run TestMetricNamesConform ./internal/docs/
 
-# Full evaluation benchmarks: every figure's headline metric plus raw
-# simulator throughput.
+# The hot-path benchmarks: simulator speed (the PERFORMANCE numbers in
+# README.md) and the metrics update/scrape paths. The paper's figures
+# come from cmd/mflushbench, not from benchmarks.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem .
-
-# Just the simulator speed benchmarks (the PERFORMANCE numbers in
-# README.md).
-bench-throughput:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 5x .
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem .
 
 # Re-record the committed hot-path baseline that benchcmp diffs against.
 # Run it when a PR intentionally moves simulator performance.

@@ -3,17 +3,19 @@
 //
 // Usage:
 //
-//	mflushbench [-fig N] [-warmup N] [-cycles N] [-seed N] [-quick]
+//	mflushbench [-fig N] [-ablations] [-warmup N] [-cycles N] [-seed N] [-quick]
 //
 // Without -fig it runs the complete evaluation (Figures 1-11) in order.
 // Absolute numbers will not match the paper (the substrate is a from-
-// scratch simulator fed synthetic workloads — see DESIGN.md); the shapes
-// are the reproduction target and are recorded in EXPERIMENTS.md.
+// scratch simulator fed synthetic workloads — see internal/synth); the
+// shapes are the reproduction target.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"text/tabwriter"
@@ -27,64 +29,78 @@ import (
 )
 
 func main() {
-	fig := flag.Int("fig", 0, "figure to regenerate (1-11); 0 runs all")
-	ablate := flag.Bool("ablations", false, "run the design-choice ablations instead of the figures")
-	warmup := flag.Uint64("warmup", experiments.Default.Warmup, "warm-up cycles (excluded from measurement)")
-	cycles := flag.Uint64("cycles", experiments.Default.Cycles, "measured cycles per simulation")
-	seed := flag.Uint64("seed", experiments.Default.Seed, "workload synthesis seed")
-	quick := flag.Bool("quick", false, "use the reduced quick configuration")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintf(os.Stderr, "mflushbench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and writes the selected figures (or the ablations) to
+// out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("mflushbench", flag.ContinueOnError)
+	fig := fs.Int("fig", 0, "figure to regenerate (1-11); 0 runs all")
+	ablate := fs.Bool("ablations", false, "run the design-choice ablations instead of the figures")
+	warmup := fs.Uint64("warmup", experiments.Default.Warmup, "warm-up cycles (excluded from measurement)")
+	cycles := fs.Uint64("cycles", experiments.Default.Cycles, "measured cycles per simulation")
+	seed := fs.Uint64("seed", experiments.Default.Seed, "workload synthesis seed")
+	quick := fs.Bool("quick", false, "use the reduced quick configuration")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := experiments.Config{Warmup: *warmup, Cycles: *cycles, Seed: *seed}
 	if *quick {
 		cfg = experiments.Quick
 	}
-
-	figs := map[int]func(experiments.Config) error{
-		1: figure1, 2: figure2, 3: figure3, 4: figure4, 5: figure5,
-		6: figure6, 7: figure7, 8: figure8, 9: figure9, 10: figure10,
-		11: figure11,
-	}
-	run := func(n int) {
-		if err := figs[n](cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "mflushbench: figure %d: %v\n", n, err)
-			os.Exit(1)
-		}
-	}
 	if *ablate {
-		if err := ablations(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "mflushbench: ablations: %v\n", err)
-			os.Exit(1)
+		if err := ablations(out, cfg); err != nil {
+			return fmt.Errorf("ablations: %w", err)
 		}
-		return
+		return nil
+	}
+
+	figs := []func(io.Writer, experiments.Config) error{
+		figure1, figure2, figure3, figure4, figure5, figure6,
+		figure7, figure8, figure9, figure10, figure11,
+	}
+	runFig := func(n int) error {
+		if err := figs[n-1](out, cfg); err != nil {
+			return fmt.Errorf("figure %d: %w", n, err)
+		}
+		return nil
 	}
 	if *fig != 0 {
-		if _, ok := figs[*fig]; !ok {
-			fmt.Fprintf(os.Stderr, "mflushbench: no figure %d (valid: 1-11)\n", *fig)
-			os.Exit(2)
+		if *fig < 1 || *fig > len(figs) {
+			return fmt.Errorf("no figure %d (valid: 1-11)", *fig)
 		}
-		run(*fig)
-		return
+		return runFig(*fig)
 	}
-	for n := 1; n <= 11; n++ {
-		run(n)
-		fmt.Println()
+	for n := 1; n <= len(figs); n++ {
+		if err := runFig(n); err != nil {
+			return err
+		}
+		fmt.Fprintln(out)
 	}
+	return nil
 }
 
-func header(title string) {
-	fmt.Println(title)
-	fmt.Println(strings.Repeat("-", len(title)))
+func header(out io.Writer, title string) {
+	fmt.Fprintln(out, title)
+	fmt.Fprintln(out, strings.Repeat("-", len(title)))
 }
 
-func tabbed() *tabwriter.Writer {
-	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func tabbed(out io.Writer) *tabwriter.Writer {
+	return tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 }
 
-func figure1(experiments.Config) error {
-	header("Figure 1: simulation parameters and workloads")
+func figure1(out io.Writer, _ experiments.Config) error {
+	header(out, "Figure 1: simulation parameters and workloads")
 	c := config.Default(4)
-	w := tabbed()
+	w := tabbed(out)
 	fmt.Fprintf(w, "Pipeline depth\t11 stages (front end %d)\n", c.Core.FrontEndStages)
 	fmt.Fprintf(w, "Queues\t%d int, %d fp, %d ld/st\n", c.Core.IntQueue, c.Core.FPQueue, c.Core.LSQueue)
 	fmt.Fprintf(w, "Execution units\t%d int, %d fp, %d ld/st\n", c.Core.IntUnits, c.Core.FPUnits, c.Core.LSUnits)
@@ -103,8 +119,8 @@ func figure1(experiments.Config) error {
 	fmt.Fprintf(w, "Main memory\t%d cycles\n", c.Mem.MainMemoryLatency)
 	w.Flush()
 
-	fmt.Println("\nBenchmark letter map:")
-	w = tabbed()
+	fmt.Fprintln(out, "\nBenchmark letter map:")
+	w = tabbed(out)
 	ps := synth.Profiles()
 	for i := 0; i < len(ps); i += 4 {
 		var cells []string
@@ -115,8 +131,8 @@ func figure1(experiments.Config) error {
 	}
 	w.Flush()
 
-	fmt.Println("\nWorkloads (xWy):")
-	w = tabbed()
+	fmt.Fprintln(out, "\nWorkloads (xWy):")
+	w = tabbed(out)
 	for _, size := range workload.Sizes() {
 		for _, wl := range workload.OfSize(size) {
 			fmt.Fprintf(w, "%s\t%s\n", wl.Name, wl.Describe())
@@ -126,56 +142,56 @@ func figure1(experiments.Config) error {
 	return nil
 }
 
-func figure2(cfg experiments.Config) error {
-	header("Figure 2: throughput in single-core SMT (ICOUNT vs FLUSH-S30)")
+func figure2(out io.Writer, cfg experiments.Config) error {
+	header(out, "Figure 2: throughput in single-core SMT (ICOUNT vs FLUSH-S30)")
 	rows, avg, err := experiments.Figure2(cfg)
 	if err != nil {
 		return err
 	}
-	w := tabbed()
+	w := tabbed(out)
 	fmt.Fprintln(w, "workload\tICOUNT IPC\tFLUSH-S30 IPC\tspeedup")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%+.1f%%\n", r.Workload, r.ICOUNT, r.FlushS30, r.Speedup*100)
 	}
 	fmt.Fprintf(w, "average\t\t\t%+.1f%%\n", avg*100)
 	w.Flush()
-	fmt.Println("paper: FLUSH speedups up to 93%, average 22%")
+	fmt.Fprintln(out, "paper: FLUSH speedups up to 93%, average 22%")
 	return nil
 }
 
-func figure3(cfg experiments.Config) error {
-	header("Figure 3: average throughput in multicore CMP+SMT configurations")
+func figure3(out io.Writer, cfg experiments.Config) error {
+	header(out, "Figure 3: average throughput in multicore CMP+SMT configurations")
 	rows, err := experiments.Figure3(cfg)
 	if err != nil {
 		return err
 	}
-	w := tabbed()
+	w := tabbed(out)
 	fmt.Fprintln(w, "threads\tcores\tICOUNT IPC\tFLUSH-S30 IPC\tavg speedup")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%dW\t%d\t%.3f\t%.3f\t%+.1f%%\n",
 			r.Threads, r.Cores, r.ICOUNT, r.FlushS30, r.AvgSpeedup*100)
 	}
 	w.Flush()
-	fmt.Println("paper: the single-core 22% advantage shrinks with core count and")
-	fmt.Println("turns into a ~9% slowdown at 4 cores")
+	fmt.Fprintln(out, "paper: the single-core 22% advantage shrinks with core count and")
+	fmt.Fprintln(out, "turns into a ~9% slowdown at 4 cores")
 	return nil
 }
 
-func figure4(cfg experiments.Config) error {
-	header("Figure 4: average L2 cache hit time (cycles from load issue, ICOUNT)")
+func figure4(out io.Writer, cfg experiments.Config) error {
+	header(out, "Figure 4: average L2 cache hit time (cycles from load issue, ICOUNT)")
 	rows, err := experiments.Figure4(cfg)
 	if err != nil {
 		return err
 	}
-	w := tabbed()
+	w := tabbed(out)
 	fmt.Fprintln(w, "threads\tcores\thits\tmean\tp50\tp90\tmax\t20-70cy share")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%dW\t%d\t%d\t%.1f\t%d\t%d\t%d\t%.0f%%\n",
 			r.Threads, r.Cores, r.Hits, r.Mean, r.P50, r.P90, r.Max, r.Frac20to70*100)
 	}
 	w.Flush()
-	fmt.Println("\ndistribution (10-cycle bins, share of hits):")
-	w = tabbed()
+	fmt.Fprintln(out, "\ndistribution (10-cycle bins, share of hits):")
+	w = tabbed(out)
 	fmt.Fprint(w, "threads")
 	for b := 0; b < 16; b++ {
 		if b == 15 {
@@ -193,31 +209,31 @@ func figure4(cfg experiments.Config) error {
 		fmt.Fprintln(w)
 	}
 	w.Flush()
-	fmt.Println("paper: both the mean and the dispersion of the L2 hit time grow")
-	fmt.Println("with the number of cores; no single threshold fits all cases")
+	fmt.Fprintln(out, "paper: both the mean and the dispersion of the L2 hit time grow")
+	fmt.Fprintln(out, "with the number of cores; no single threshold fits all cases")
 	return nil
 }
 
-func figure5(cfg experiments.Config) error {
-	header("Figure 5: Detection Moment analysis (FLUSH trigger sweep)")
+func figure5(out io.Writer, cfg experiments.Config) error {
+	header(out, "Figure 5: Detection Moment analysis (FLUSH trigger sweep)")
 	rows, err := experiments.Figure5(cfg)
 	if err != nil {
 		return err
 	}
-	w := tabbed()
+	w := tabbed(out)
 	fmt.Fprintln(w, "workload\tpolicy\tIPC")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%s\t%.3f\n", r.Workload, r.Policy, r.IPC)
 	}
 	w.Flush()
-	fmt.Println("paper: the best trigger is workload-dependent (50 for 8W3, 90 for")
-	fmt.Println("bzip2/twolf) and non-speculative FLUSH wins on 8W3")
+	fmt.Fprintln(out, "paper: the best trigger is workload-dependent (50 for 8W3, 90 for")
+	fmt.Fprintln(out, "bzip2/twolf) and non-speculative FLUSH wins on 8W3")
 	return nil
 }
 
-func figure6(experiments.Config) error {
-	header("Figure 6: MFLUSH operational environment")
-	w := tabbed()
+func figure6(out io.Writer, _ experiments.Config) error {
+	header(out, "Figure 6: MFLUSH operational environment")
+	w := tabbed(out)
 	fmt.Fprintln(w, "cores\tMIN\tMAX\tMT\tsuspicious\tBarrier(pred=MIN)\tBarrier(pred=55)")
 	for cores := 1; cores <= 4; cores++ {
 		c := config.Default(cores)
@@ -227,35 +243,35 @@ func figure6(experiments.Config) error {
 			env.Barrier(env.Min), env.Barrier(55))
 	}
 	w.Flush()
-	fmt.Println("BARRIER = L2prediction + MIN/2 + MT;  suspicious = MIN + MT")
-	fmt.Println("MT = (bus delay + L2 bank access delay) * (cores - 1)")
+	fmt.Fprintln(out, "BARRIER = L2prediction + MIN/2 + MT;  suspicious = MIN + MT")
+	fmt.Fprintln(out, "MT = (bus delay + L2 bank access delay) * (cores - 1)")
 	return nil
 }
 
-func figure7(experiments.Config) error {
-	header("Figure 7: MCReg hardware support (worked example, 4 cores x 4 banks)")
+func figure7(out io.Writer, _ experiments.Config) error {
+	header(out, "Figure 7: MCReg hardware support (worked example, 4 cores x 4 banks)")
 	c := config.Default(4)
 	env := core.EnvironmentFor(&c)
 	f := core.NewMCRegFile(c.Mem.L2.Banks, 1, env.Min)
 	f.Update(2, 55) // the paper's example: bank 2 last hit in 55 cycles
-	w := tabbed()
+	w := tabbed(out)
 	fmt.Fprintln(w, "bank\tMCReg (last L2 hit latency)\tpredicted barrier")
 	for b := 0; b < f.Banks(); b++ {
 		pred := f.Predict(b)
 		fmt.Fprintf(w, "%d\t%d cycles\t%d cycles\n", b, pred, env.Barrier(pred))
 	}
 	w.Flush()
-	fmt.Println("an L1 miss in core 0 to bank 2 predicts a 55-cycle L2 hit latency")
+	fmt.Fprintln(out, "an L1 miss in core 0 to bank 2 predicts a 55-cycle L2 hit latency")
 	return nil
 }
 
-func figure8(cfg experiments.Config) error {
-	header("Figure 8: throughput results (4W/6W/8W workloads)")
+func figure8(out io.Writer, cfg experiments.Config) error {
+	header(out, "Figure 8: throughput results (4W/6W/8W workloads)")
 	rows, err := experiments.Figure8(cfg)
 	if err != nil {
 		return err
 	}
-	w := tabbed()
+	w := tabbed(out)
 	fmt.Fprintln(w, "workload\tICOUNT\tFLUSH-S30\tFLUSH-S100\tMFLUSH")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.3f\t%.3f\n",
@@ -264,15 +280,15 @@ func figure8(cfg experiments.Config) error {
 	ic, s30, s100, mf := experiments.Figure8Averages(rows)
 	fmt.Fprintf(w, "average\t%.3f\t%.3f\t%.3f\t%.3f\n", ic, s30, s100, mf)
 	w.Flush()
-	fmt.Printf("MFLUSH vs FLUSH-S100: %+.1f%%\n", (mf/s100-1)*100)
-	fmt.Println("paper: MFLUSH within ~2% of FLUSH-S100 with no a-priori trigger;")
-	fmt.Println("FLUSH-S30 sometimes loses to ICOUNT")
+	fmt.Fprintf(out, "MFLUSH vs FLUSH-S100: %+.1f%%\n", (mf/s100-1)*100)
+	fmt.Fprintln(out, "paper: MFLUSH within ~2% of FLUSH-S100 with no a-priori trigger;")
+	fmt.Fprintln(out, "FLUSH-S30 sometimes loses to ICOUNT")
 	return nil
 }
 
-func figure9(experiments.Config) error {
-	header("Figure 9: energy consumption distribution per resource")
-	w := tabbed()
+func figure9(out io.Writer, _ experiments.Config) error {
+	header(out, "Figure 9: energy consumption distribution per resource")
+	w := tabbed(out)
 	fmt.Fprintln(w, "resource\tshare\tpipeline stages")
 	for _, r := range energy.Distribution() {
 		var names []string
@@ -285,9 +301,9 @@ func figure9(experiments.Config) error {
 	return nil
 }
 
-func figure10(experiments.Config) error {
-	header("Figure 10: Energy Consumption Factor")
-	w := tabbed()
+func figure10(out io.Writer, _ experiments.Config) error {
+	header(out, "Figure 10: Energy Consumption Factor")
+	w := tabbed(out)
 	fmt.Fprintln(w, "pipeline stage\tlocal\taccumulated")
 	for s := energy.Stage(0); s < energy.Stage(energy.NumStages); s++ {
 		fmt.Fprintf(w, "%s\t%.2f\t%.2f\n", s, energy.LocalFactor(s), energy.AccumFactor(s))
@@ -296,7 +312,7 @@ func figure10(experiments.Config) error {
 	return nil
 }
 
-func ablations(cfg experiments.Config) error {
+func ablations(out io.Writer, cfg experiments.Config) error {
 	suites := []struct {
 		name string
 		run  func(experiments.Config) ([]experiments.AblationRow, error)
@@ -307,29 +323,29 @@ func ablations(cfg experiments.Config) error {
 		{"Rename-register reservation (clog severity)", experiments.AblationRegReserve},
 	}
 	for _, s := range suites {
-		header("Ablation: " + s.name)
+		header(out, "Ablation: "+s.name)
 		rows, err := s.run(cfg)
 		if err != nil {
 			return err
 		}
-		w := tabbed()
+		w := tabbed(out)
 		fmt.Fprintln(w, "workload\tvariant\tIPC\tflushes\twasted energy")
 		for _, r := range rows {
 			fmt.Fprintf(w, "%s\t%s\t%.3f\t%d\t%.0f\n", r.Workload, r.Variant, r.IPC, r.Flushes, r.Wasted)
 		}
 		w.Flush()
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 	return nil
 }
 
-func figure11(cfg experiments.Config) error {
-	header("Figure 11: FLUSH wasted energy (energy units; 1 unit = 1 commit)")
+func figure11(out io.Writer, cfg experiments.Config) error {
+	header(out, "Figure 11: FLUSH wasted energy (energy units; 1 unit = 1 commit)")
 	rows, err := experiments.Figure11(cfg)
 	if err != nil {
 		return err
 	}
-	w := tabbed()
+	w := tabbed(out)
 	fmt.Fprintln(w, "workload\tFLUSH-S30\tFLUSH-S100\tMFLUSH\tMFLUSH vs S100")
 	for _, r := range rows {
 		saving := 0.0
@@ -342,7 +358,7 @@ func figure11(cfg experiments.Config) error {
 	s30, s100, mf, saving := experiments.Figure11Averages(rows)
 	fmt.Fprintf(w, "total\t%.0f\t%.0f\t%.0f\t%+.0f%%\n", s30, s100, mf, -saving*100)
 	w.Flush()
-	fmt.Println("paper: MFLUSH wastes ~20% less energy than FLUSH-S100, which in")
-	fmt.Println("turn wastes ~10% more than FLUSH-S30")
+	fmt.Fprintln(out, "paper: MFLUSH wastes ~20% less energy than FLUSH-S100, which in")
+	fmt.Fprintln(out, "turn wastes ~10% more than FLUSH-S30")
 	return nil
 }

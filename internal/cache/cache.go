@@ -101,9 +101,6 @@ func (c *Cache) Release() {
 	p.(*sync.Pool).Put(&lines)
 }
 
-// Geometry returns the construction geometry.
-func (c *Cache) Geometry() config.CacheGeom { return c.geom }
-
 // LineAddr converts a byte address to a line address.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineBits }
 

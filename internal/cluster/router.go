@@ -11,12 +11,12 @@ import (
 
 // Router decides where a cache miss simulates: on the worker fleet when
 // live workers are registered, in-process otherwise. It is the job-level
-// runner the daemon's cluster mode plugs into campaign.NewJobCache, so
-// routing happens per job, behind the admission queue and the cache's
-// single-flight — a campaign transparently mixes remote and local
-// execution as workers come and go, and a fleet that dies mid-job
-// strands nothing: the dispatch fails with ErrNoWorkers and the job
-// falls back to the local simulator.
+// runner the daemon plugs into campaign.NewJobCache (a single-process
+// daemon is a router with no coordinator), so routing happens per job,
+// behind the admission queue and the cache's single-flight — a campaign
+// transparently mixes remote and local execution as workers come and
+// go, and a fleet that dies mid-job strands nothing: the dispatch fails
+// with ErrNoWorkers and the job falls back to the local simulator.
 type Router struct {
 	coord *Coordinator
 	local func(sim.Options) (*sim.Result, error)
@@ -33,9 +33,9 @@ type Router struct {
 // NewRouter builds a router over coord (nil: always local) running
 // local fallback simulations with runner (nil: sim.Run) on at most
 // workers goroutines (<= 0: GOMAXPROCS). The local bound exists because
-// the daemon's cluster-mode scheduler pool is sized for the admission
-// queue, not the core count — remote dispatches are cheap waits, local
-// simulations are not.
+// the daemon's scheduler pool is sized for the admission queue, not the
+// core count — remote dispatches are cheap waits, local simulations are
+// not.
 func NewRouter(coord *Coordinator, workers int, runner func(sim.Options) (*sim.Result, error)) *Router {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -201,9 +201,6 @@ func NewMFLUSHHistory(cfg *config.Config, historyLen int) *MFLUSH {
 	}
 }
 
-// Name implements policy.Policy.
-func (m *MFLUSH) Name() string { return "MFLUSH" }
-
 // Env returns the derived operational environment.
 func (m *MFLUSH) Env() OperationalEnvironment { return m.env }
 

@@ -8,11 +8,12 @@ import (
 	"repro/internal/workload"
 )
 
-// The ablations quantify the design choices DESIGN.md calls out: the
-// MCReg history depth the paper mentions as an optional extension, the
-// STALL response action MFLUSH builds on, and the sensitivity of the
-// whole mechanism to the per-core MSHR size (which bounds the
-// memory-level parallelism a flush can disturb).
+// The ablations quantify the design choices behind MFLUSH: the MCReg
+// history depth the paper mentions as an optional extension, the STALL
+// response action MFLUSH builds on, and the sensitivity of the whole
+// mechanism to the per-core MSHR size (which bounds the memory-level
+// parallelism a flush can disturb) and to the rename-register
+// reservation (which sets how badly a blocked thread clogs its core).
 
 // AblationRow is one policy/configuration variant measured on one
 // workload.
@@ -24,6 +25,34 @@ type AblationRow struct {
 	Flushes  uint64
 }
 
+// ablation runs every workload under every variant and returns one row
+// per pair, workload-major, with variant k labelled labels[k].
+func ablation(cfg Config, ws []workload.Workload, variants []sim.Options, labels []string) ([]AblationRow, error) {
+	res, err := grid(cfg, ws, variants)
+	if err != nil {
+		return nil, err
+	}
+	var rows []AblationRow
+	for i, w := range ws {
+		for k, r := range res[i] {
+			rows = append(rows, AblationRow{
+				Workload: w.Name, Variant: labels[k],
+				IPC: r.IPC, Wasted: r.WastedEnergy(), Flushes: r.Flushes,
+			})
+		}
+	}
+	return rows, nil
+}
+
+// named resolves workload names that are known to exist.
+func named(names ...string) []workload.Workload {
+	ws := make([]workload.Workload, len(names))
+	for i, n := range names {
+		ws[i], _ = workload.ByName(n)
+	}
+	return ws
+}
+
 // MCRegHistoryDepths are the history configurations swept by
 // AblationMCRegHistory. Depth 1 is the published single-register design.
 var MCRegHistoryDepths = []int{1, 2, 4, 8}
@@ -32,26 +61,13 @@ var MCRegHistoryDepths = []int{1, 2, 4, 8}
 // (paper §4.1: "the MCReg registers admit more complex configurations,
 // involving queues") on a contended and an uncontended workload.
 func AblationMCRegHistory(cfg Config) ([]AblationRow, error) {
-	w8, _ := workload.ByName("8W3")
-	w4, _ := workload.ByName("4W3")
-	var opts []sim.Options
-	var rows []AblationRow
-	for _, w := range []workload.Workload{w4, w8} {
-		for _, depth := range MCRegHistoryDepths {
-			opts = append(opts, cfg.options(w, sim.PolicySpec{Kind: sim.MFLUSH, History: depth}))
-			rows = append(rows, AblationRow{Workload: w.Name, Variant: fmt.Sprintf("MCReg history %d", depth)})
-		}
+	var specs []sim.PolicySpec
+	var labels []string
+	for _, depth := range MCRegHistoryDepths {
+		specs = append(specs, sim.PolicySpec{Kind: sim.MFLUSH, History: depth})
+		labels = append(labels, fmt.Sprintf("MCReg history %d", depth))
 	}
-	res, err := runGrid(opts)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range res {
-		rows[i].IPC = r.IPC
-		rows[i].Wasted = r.WastedEnergy()
-		rows[i].Flushes = r.Flushes
-	}
-	return rows, nil
+	return ablation(cfg, named("4W3", "8W3"), policies(specs...), labels)
 }
 
 // AblationResponseAction compares the two response actions the paper
@@ -59,32 +75,17 @@ func AblationMCRegHistory(cfg Config) ([]AblationRow, error) {
 // resources) — plus MFLUSH, which blends them through the Preventive
 // State.
 func AblationResponseAction(cfg Config) ([]AblationRow, error) {
-	w2, _ := workload.ByName("2W3")
-	w8, _ := workload.ByName("8W3")
 	specs := []sim.PolicySpec{
 		sim.SpecICOUNT,
 		sim.SpecStallS(30),
 		sim.SpecFlushS(30),
 		sim.SpecMFLUSH,
 	}
-	var opts []sim.Options
-	var rows []AblationRow
-	for _, w := range []workload.Workload{w2, w8} {
-		for _, spec := range specs {
-			opts = append(opts, cfg.options(w, spec))
-			rows = append(rows, AblationRow{Workload: w.Name, Variant: spec.String()})
-		}
+	var labels []string
+	for _, spec := range specs {
+		labels = append(labels, spec.String())
 	}
-	res, err := runGrid(opts)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range res {
-		rows[i].IPC = r.IPC
-		rows[i].Wasted = r.WastedEnergy()
-		rows[i].Flushes = r.Flushes
-	}
-	return rows, nil
+	return ablation(cfg, named("2W3", "8W3"), policies(specs...), labels)
 }
 
 // MSHRSizes are the per-core MSHR capacities swept by AblationMSHR.
@@ -94,26 +95,16 @@ var MSHRSizes = []int{4, 8, 16, 32}
 // each thread's memory-level parallelism and therefore both the clog a
 // blocked thread causes and the work a flush destroys.
 func AblationMSHR(cfg Config) ([]AblationRow, error) {
-	w, _ := workload.ByName("8W3")
-	var opts []sim.Options
-	var rows []AblationRow
+	var variants []sim.Options
+	var labels []string
 	for _, size := range MSHRSizes {
-		size := size
-		o := cfg.options(w, sim.SpecMFLUSH)
-		o.Tweak = func(c *config.Config) { c.Core.MSHREntries = size }
-		opts = append(opts, o)
-		rows = append(rows, AblationRow{Workload: w.Name, Variant: fmt.Sprintf("MSHR %d", size)})
+		variants = append(variants, sim.Options{
+			Policy: sim.SpecMFLUSH,
+			Tweak:  func(c *config.Config) { c.Core.MSHREntries = size },
+		})
+		labels = append(labels, fmt.Sprintf("MSHR %d", size))
 	}
-	res, err := runGrid(opts)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range res {
-		rows[i].IPC = r.IPC
-		rows[i].Wasted = r.WastedEnergy()
-		rows[i].Flushes = r.Flushes
-	}
-	return rows, nil
+	return ablation(cfg, named("8W3"), variants, labels)
 }
 
 // RegReserveSizes are the per-thread rename-register reservations swept by
@@ -125,29 +116,16 @@ var RegReserveSizes = []int{0, 16, 24, 48, 96}
 // the mechanism behind the paper's ICOUNT pathology (reserve 0 recreates a
 // fully shared pool; 96 approaches a static partition).
 func AblationRegReserve(cfg Config) ([]AblationRow, error) {
-	w, _ := workload.ByName("2W3")
-	var opts []sim.Options
-	var rows []AblationRow
+	var variants []sim.Options
+	var labels []string
 	for _, spec := range []sim.PolicySpec{sim.SpecICOUNT, sim.SpecFlushS(30)} {
 		for _, reserve := range RegReserveSizes {
-			reserve := reserve
-			o := cfg.options(w, spec)
-			o.Tweak = func(c *config.Config) { c.Core.RegReservePerThread = reserve }
-			opts = append(opts, o)
-			rows = append(rows, AblationRow{
-				Workload: w.Name,
-				Variant:  fmt.Sprintf("%s reserve %d", spec, reserve),
+			variants = append(variants, sim.Options{
+				Policy: spec,
+				Tweak:  func(c *config.Config) { c.Core.RegReservePerThread = reserve },
 			})
+			labels = append(labels, fmt.Sprintf("%s reserve %d", spec, reserve))
 		}
 	}
-	res, err := runGrid(opts)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range res {
-		rows[i].IPC = r.IPC
-		rows[i].Wasted = r.WastedEnergy()
-		rows[i].Flushes = r.Flushes
-	}
-	return rows, nil
+	return ablation(cfg, named("2W3"), variants, labels)
 }

@@ -1,12 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation: one function per figure, each returning structured rows that
-// cmd/mflushbench renders and bench_test.go asserts on.
+// cmd/mflushbench renders.
 //
 // All experiments run the same synthetic workloads through the same
 // machine for every policy, so differences are attributable to the IFetch
-// policy alone. Simulations are independent and run in parallel on the
-// campaign scheduler (internal/campaign), the same worker pool that
-// backs cmd/mflushsweep.
+// policy alone. Every figure and ablation is a workload × variant grid
+// (grid), run in parallel on the campaign scheduler (internal/campaign),
+// the same worker pool that backs cmd/mflushsweep.
 package experiments
 
 import (
@@ -21,7 +21,7 @@ import (
 
 // Config scales the experiment suite. The defaults trade the paper's
 // 120M-cycle runs for laptop-scale runs that preserve the steady-state
-// shapes (see EXPERIMENTS.md for the comparison).
+// shapes.
 type Config struct {
 	// Warmup cycles run before measurement to populate caches,
 	// predictors and TLBs.
@@ -36,21 +36,50 @@ type Config struct {
 // Default is the full-quality configuration used by cmd/mflushbench.
 var Default = Config{Warmup: 300000, Cycles: 200000, Seed: 1}
 
-// Quick is a reduced configuration for tests and benchmarks.
+// Quick is a reduced configuration (mflushbench -quick).
 var Quick = Config{Warmup: 60000, Cycles: 60000, Seed: 1}
 
-func (c Config) options(w workload.Workload, p sim.PolicySpec) sim.Options {
-	return sim.Options{Workload: w, Policy: p, Warmup: c.Warmup, Cycles: c.Cycles, Seed: c.Seed}
-}
-
-// runGrid executes the figure's simulation grid through the campaign
-// scheduler (bounded parallelism, results in input order).
-func runGrid(opts []sim.Options) ([]*sim.Result, error) {
+// grid runs every workload under every variant through the campaign
+// scheduler (bounded parallelism) and returns the results workload-major:
+// res[i][k] is ws[i] under variants[k]. A variant sets the policy and,
+// for ablations, a machine Tweak; grid fills in the workload and cfg's
+// scale.
+func grid(cfg Config, ws []workload.Workload, variants []sim.Options) ([][]*sim.Result, error) {
+	opts := make([]sim.Options, 0, len(ws)*len(variants))
+	for _, w := range ws {
+		for _, v := range variants {
+			v.Workload, v.Warmup, v.Cycles, v.Seed = w, cfg.Warmup, cfg.Cycles, cfg.Seed
+			opts = append(opts, v)
+		}
+	}
 	res, err := campaign.RunAll(context.Background(), opts)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	return res, nil
+	out := make([][]*sim.Result, len(ws))
+	for i := range out {
+		out[i] = res[i*len(variants) : (i+1)*len(variants)]
+	}
+	return out, nil
+}
+
+// policies returns one grid variant per spec, on the unmodified machine.
+func policies(specs ...sim.PolicySpec) []sim.Options {
+	vs := make([]sim.Options, len(specs))
+	for k, p := range specs {
+		vs[k].Policy = p
+	}
+	return vs
+}
+
+// multicore returns the 4W, 6W and 8W workloads that Figures 8 and 11
+// evaluate.
+func multicore() []workload.Workload {
+	var ws []workload.Workload
+	for _, size := range []int{4, 6, 8} {
+		ws = append(ws, workload.OfSize(size)...)
+	}
+	return ws
 }
 
 // Figure2Row is one bar pair of Figure 2: single-core SMT throughput under
@@ -68,19 +97,14 @@ type Figure2Row struct {
 // with a 22% average.
 func Figure2(cfg Config) ([]Figure2Row, float64, error) {
 	ws := workload.OfSize(2)
-	var opts []sim.Options
-	for _, w := range ws {
-		opts = append(opts, cfg.options(w, sim.SpecICOUNT))
-		opts = append(opts, cfg.options(w, sim.SpecFlushS(30)))
-	}
-	res, err := runGrid(opts)
+	res, err := grid(cfg, ws, policies(sim.SpecICOUNT, sim.SpecFlushS(30)))
 	if err != nil {
 		return nil, 0, err
 	}
 	rows := make([]Figure2Row, len(ws))
 	var speedups []float64
 	for i, w := range ws {
-		ic, fl := res[2*i], res[2*i+1]
+		ic, fl := res[i][0], res[i][1]
 		rows[i] = Figure2Row{
 			Workload: w.Name, ICOUNT: ic.IPC, FlushS30: fl.IPC,
 			Speedup: sim.Speedup(fl, ic),
@@ -104,19 +128,14 @@ func Figure3(cfg Config) ([]Figure3Row, error) {
 	var rows []Figure3Row
 	for _, size := range workload.Sizes() {
 		ws := workload.OfSize(size)
-		var opts []sim.Options
-		for _, w := range ws {
-			opts = append(opts, cfg.options(w, sim.SpecICOUNT))
-			opts = append(opts, cfg.options(w, sim.SpecFlushS(30)))
-		}
-		res, err := runGrid(opts)
+		res, err := grid(cfg, ws, policies(sim.SpecICOUNT, sim.SpecFlushS(30)))
 		if err != nil {
 			return nil, err
 		}
 		row := Figure3Row{Threads: size, Cores: (size + 1) / 2}
 		var speedups []float64
-		for i := range ws {
-			ic, fl := res[2*i], res[2*i+1]
+		for _, r := range res {
+			ic, fl := r[0], r[1]
 			row.ICOUNT += ic.IPC / float64(len(ws))
 			row.FlushS30 += fl.IPC / float64(len(ws))
 			speedups = append(speedups, sim.Speedup(fl, ic))
@@ -144,25 +163,18 @@ type Figure4Row struct {
 // from load issue, under ICOUNT (which "does not alter the L2 access
 // pattern"), for each machine size. Dispersion grows with core count.
 func Figure4(cfg Config) ([]Figure4Row, error) {
-	var opts []sim.Options
-	var sizes []int
-	for _, size := range workload.Sizes() {
-		for _, w := range workload.OfSize(size) {
-			opts = append(opts, cfg.options(w, sim.SpecICOUNT))
-			sizes = append(sizes, size)
-		}
-	}
-	res, err := runGrid(opts)
+	ws := workload.All()
+	res, err := grid(cfg, ws, policies(sim.SpecICOUNT))
 	if err != nil {
 		return nil, err
 	}
 	bySize := map[int]*stats.Histogram{}
-	for i, r := range res {
-		h := bySize[sizes[i]]
-		if h == nil {
-			bySize[sizes[i]] = r.HitLatency
+	for i, w := range ws {
+		h := res[i][0].HitLatency
+		if merged := bySize[w.Threads()]; merged != nil {
+			merged.Merge(h)
 		} else {
-			h.Merge(r.HitLatency)
+			bySize[w.Threads()] = h
 		}
 	}
 	var rows []Figure4Row
@@ -203,22 +215,23 @@ var Figure5Triggers = []int{30, 50, 70, 90, 110, 130, 150}
 func Figure5(cfg Config) ([]Figure5Row, error) {
 	w3, _ := workload.ByName("8W3")
 	targets := []workload.Workload{w3, workload.BzipTwolf8}
-	var opts []sim.Options
-	var rows []Figure5Row
-	for _, w := range targets {
-		for _, trig := range Figure5Triggers {
-			opts = append(opts, cfg.options(w, sim.SpecFlushS(trig)))
-			rows = append(rows, Figure5Row{Workload: w.Name, Policy: fmt.Sprintf("FL-S%d", trig)})
-		}
-		opts = append(opts, cfg.options(w, sim.SpecFlushNS))
-		rows = append(rows, Figure5Row{Workload: w.Name, Policy: "FL-NS"})
+	var specs []sim.PolicySpec
+	var labels []string
+	for _, trig := range Figure5Triggers {
+		specs = append(specs, sim.SpecFlushS(trig))
+		labels = append(labels, fmt.Sprintf("FL-S%d", trig))
 	}
-	res, err := runGrid(opts)
+	specs = append(specs, sim.SpecFlushNS)
+	labels = append(labels, "FL-NS")
+	res, err := grid(cfg, targets, policies(specs...))
 	if err != nil {
 		return nil, err
 	}
-	for i := range rows {
-		rows[i].IPC = res[i].IPC
+	var rows []Figure5Row
+	for i, w := range targets {
+		for k, r := range res[i] {
+			rows = append(rows, Figure5Row{Workload: w.Name, Policy: labels[k], IPC: r.IPC})
+		}
 	}
 	return rows, nil
 }
@@ -242,29 +255,17 @@ var Figure8Policies = []sim.PolicySpec{
 // paper's headline: MFLUSH within ~2% of FLUSH-S100 on average, ahead on
 // some workloads, while FLUSH-S30 can lose to ICOUNT.
 func Figure8(cfg Config) ([]Figure8Row, error) {
-	var ws []workload.Workload
-	for _, size := range []int{4, 6, 8} {
-		ws = append(ws, workload.OfSize(size)...)
-	}
-	var opts []sim.Options
-	for _, w := range ws {
-		for _, p := range Figure8Policies {
-			opts = append(opts, cfg.options(w, p))
-		}
-	}
-	res, err := runGrid(opts)
+	ws := multicore()
+	res, err := grid(cfg, ws, policies(Figure8Policies...))
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Figure8Row, len(ws))
 	for i, w := range ws {
-		base := i * len(Figure8Policies)
+		r := res[i]
 		rows[i] = Figure8Row{
-			Workload:  w.Name,
-			ICOUNT:    res[base+0].IPC,
-			FlushS30:  res[base+1].IPC,
-			FlushS100: res[base+2].IPC,
-			MFLUSH:    res[base+3].IPC,
+			Workload: w.Name,
+			ICOUNT:   r[0].IPC, FlushS30: r[1].IPC, FlushS100: r[2].IPC, MFLUSH: r[3].IPC,
 		}
 	}
 	return rows, nil
@@ -299,30 +300,20 @@ type Figure11Row struct {
 // MFLUSH wastes ~20% less energy than FLUSH-S100 (the best performer),
 // and FLUSH-S100 wastes ~10% more than FLUSH-S30.
 func Figure11(cfg Config) ([]Figure11Row, error) {
-	var ws []workload.Workload
-	for _, size := range []int{4, 6, 8} {
-		ws = append(ws, workload.OfSize(size)...)
-	}
-	specs := []sim.PolicySpec{sim.SpecFlushS(30), sim.SpecFlushS(100), sim.SpecMFLUSH}
-	var opts []sim.Options
-	for _, w := range ws {
-		for _, p := range specs {
-			opts = append(opts, cfg.options(w, p))
-		}
-	}
-	res, err := runGrid(opts)
+	ws := multicore()
+	res, err := grid(cfg, ws, policies(sim.SpecFlushS(30), sim.SpecFlushS(100), sim.SpecMFLUSH))
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Figure11Row, len(ws))
 	for i, w := range ws {
-		base := i * len(specs)
+		r := res[i]
 		rows[i] = Figure11Row{
 			Workload:        w.Name,
-			FlushS30:        res[base+0].WastedEnergy(),
-			FlushS100:       res[base+1].WastedEnergy(),
-			MFLUSH:          res[base+2].WastedEnergy(),
-			MFLUSHCommitted: res[base+2].Energy.Committed(),
+			FlushS30:        r[0].WastedEnergy(),
+			FlushS100:       r[1].WastedEnergy(),
+			MFLUSH:          r[2].WastedEnergy(),
+			MFLUSHCommitted: r[2].Energy.Committed(),
 		}
 	}
 	return rows, nil

@@ -94,7 +94,7 @@ func TestPropertyInvariantsUnderRandomStreams(t *testing.T) {
 		for burst := 0; burst < 4; burst++ {
 			h.run(t, 2500)
 			if err := h.core.CheckInvariants(); err != nil {
-				t.Logf("seed %d policy %s: %v", seed, pol.Name(), err)
+				t.Logf("seed %d policy %T (pick %d): %v", seed, pol, polPick%4, err)
 				return false
 			}
 		}

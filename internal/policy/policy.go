@@ -91,8 +91,6 @@ type Directive struct {
 // Policy is consulted by one core's pipeline. Implementations must be
 // deterministic and cheap: Tick runs every cycle.
 type Policy interface {
-	// Name identifies the policy in reports ("ICOUNT", "FLUSH-S30", ...).
-	Name() string
 	// OnL1Miss is called when a load misses the L1 data cache and
 	// enters the shared hierarchy.
 	OnL1Miss(li *LoadInfo, now uint64)
@@ -147,9 +145,6 @@ type ICOUNT struct{}
 // NewICOUNT returns the ICOUNT baseline.
 func NewICOUNT() *ICOUNT { return &ICOUNT{} }
 
-// Name implements Policy.
-func (*ICOUNT) Name() string { return "ICOUNT" }
-
 // OnL1Miss implements Policy.
 func (*ICOUNT) OnL1Miss(*LoadInfo, uint64) {}
 
@@ -188,14 +183,6 @@ func NewFlushS(threads int, trigger int) *Flush {
 // L2 tag check reports a miss.
 func NewFlushNS(threads int) *Flush {
 	return &Flush{nonSpec: true, tr: newTracker(threads)}
-}
-
-// Name implements Policy.
-func (f *Flush) Name() string {
-	if f.nonSpec {
-		return "FLUSH-NS"
-	}
-	return fmt.Sprintf("FLUSH-S%d", f.trigger)
 }
 
 // OnL1Miss implements Policy.
@@ -246,9 +233,6 @@ func NewStall(threads int, trigger int) *Stall {
 	}
 	return &Stall{trigger: uint64(trigger), tr: newTracker(threads)}
 }
-
-// Name implements Policy.
-func (s *Stall) Name() string { return fmt.Sprintf("STALL-S%d", s.trigger) }
 
 // OnL1Miss implements Policy.
 func (s *Stall) OnL1Miss(li *LoadInfo, _ uint64) { s.tr.add(li) }

@@ -22,9 +22,6 @@ func TestICOUNTIsInert(t *testing.T) {
 		t.Fatalf("ICOUNT issued directives: %v", ds)
 	}
 	p.OnResolve(li, 2000)
-	if p.Name() != "ICOUNT" {
-		t.Fatalf("name = %q", p.Name())
-	}
 }
 
 func TestFlushSTriggersAfterDelay(t *testing.T) {
@@ -91,18 +88,6 @@ func TestFlushNSOnlyOnDetectedMiss(t *testing.T) {
 	ds := p.Tick(41)
 	if len(ds) != 1 || ds[0].Action != ActFlush || ds[0].Load != li {
 		t.Fatalf("FL-NS did not fire on detected miss: %v", ds)
-	}
-}
-
-func TestFlushNames(t *testing.T) {
-	if got := NewFlushS(1, 100).Name(); got != "FLUSH-S100" {
-		t.Fatalf("name = %q", got)
-	}
-	if got := NewFlushNS(1).Name(); got != "FLUSH-NS" {
-		t.Fatalf("name = %q", got)
-	}
-	if got := NewStall(1, 30).Name(); got != "STALL-S30" {
-		t.Fatalf("name = %q", got)
 	}
 }
 

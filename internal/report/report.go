@@ -1,6 +1,6 @@
-// Package report renders experiment results as aligned text tables and
-// ASCII bar charts — the output layer of cmd/mflushbench and the
-// examples.
+// Package report renders result tables in three formats: aligned text,
+// CSV and JSON rows. It is the table layer under campaign aggregates:
+// mflushsweep's exports and mflushd's result endpoint.
 package report
 
 import (
@@ -150,77 +150,3 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	c.n += int64(n)
 	return n, err
 }
-
-// Bars renders a labelled horizontal bar chart scaled to the maximum
-// value, width characters wide.
-func Bars(w io.Writer, width int, labels []string, values []float64) error {
-	if len(labels) != len(values) {
-		return fmt.Errorf("report: %d labels for %d values", len(labels), len(values))
-	}
-	if width < 1 {
-		width = 40
-	}
-	max := 0.0
-	labelW := 0
-	for i, v := range values {
-		if v < 0 {
-			return fmt.Errorf("report: negative bar value %v", v)
-		}
-		if v > max {
-			max = v
-		}
-		if len(labels[i]) > labelW {
-			labelW = len(labels[i])
-		}
-	}
-	for i, v := range values {
-		n := 0
-		if max > 0 {
-			n = int(v/max*float64(width) + 0.5)
-		}
-		if _, err := fmt.Fprintf(w, "%-*s %8.3f %s\n",
-			labelW, labels[i], v, strings.Repeat("#", n)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Histogram renders bucket counts as percentage bars. bucketWidth names
-// the bin size for the labels; the last bucket is labelled open-ended.
-func Histogram(w io.Writer, bucketWidth int, counts []uint64, chartWidth int) error {
-	if chartWidth < 1 {
-		chartWidth = 40
-	}
-	var total uint64
-	var maxC uint64
-	for _, c := range counts {
-		total += c
-		if c > maxC {
-			maxC = c
-		}
-	}
-	if total == 0 {
-		_, err := fmt.Fprintln(w, "(no samples)")
-		return err
-	}
-	for i, c := range counts {
-		label := fmt.Sprintf("%4d-%-4d", i*bucketWidth, (i+1)*bucketWidth-1)
-		if i == len(counts)-1 {
-			label = fmt.Sprintf("%4d+    ", i*bucketWidth)
-		}
-		frac := float64(c) / float64(total)
-		n := 0
-		if maxC > 0 {
-			n = int(float64(c) / float64(maxC) * float64(chartWidth))
-		}
-		if _, err := fmt.Fprintf(w, "%s %5.1f%% %s\n",
-			label, frac*100, strings.Repeat("#", n)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Pct formats a fraction as a signed percentage ("+12.3%").
-func Pct(frac float64) string { return fmt.Sprintf("%+.1f%%", frac*100) }

@@ -85,105 +85,6 @@ func TestEmptyTableRendering(t *testing.T) {
 	}
 }
 
-func TestBarsWidthClamped(t *testing.T) {
-	// Non-positive widths fall back to the 40-character default.
-	for _, width := range []int{0, -3} {
-		var b strings.Builder
-		if err := Bars(&b, width, []string{"max", "half"}, []float64{2, 1}); err != nil {
-			t.Fatal(err)
-		}
-		lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
-		if n := strings.Count(lines[0], "#"); n != 40 {
-			t.Fatalf("width %d: max bar has %d chars, want the 40 default", width, n)
-		}
-		if n := strings.Count(lines[1], "#"); n != 20 {
-			t.Fatalf("width %d: half bar has %d chars, want 20", width, n)
-		}
-	}
-}
-
-func TestHistogramWidthClamped(t *testing.T) {
-	var b strings.Builder
-	if err := Histogram(&b, 10, []uint64{4}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(b.String(), "#"); n != 40 {
-		t.Fatalf("max bucket has %d chars, want the 40 default", n)
-	}
-}
-
-func TestBars(t *testing.T) {
-	var b strings.Builder
-	err := Bars(&b, 10, []string{"one", "two"}, []float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	// The max value gets the full width; the half value half of it.
-	if !strings.HasSuffix(lines[1], strings.Repeat("#", 10)) {
-		t.Fatalf("max bar wrong: %q", lines[1])
-	}
-	if strings.Count(lines[0], "#") != 5 {
-		t.Fatalf("half bar wrong: %q", lines[0])
-	}
-}
-
-func TestBarsErrors(t *testing.T) {
-	var b strings.Builder
-	if err := Bars(&b, 10, []string{"a"}, []float64{1, 2}); err == nil {
-		t.Fatal("mismatched lengths accepted")
-	}
-	if err := Bars(&b, 10, []string{"a"}, []float64{-1}); err == nil {
-		t.Fatal("negative value accepted")
-	}
-}
-
-func TestBarsZeroMax(t *testing.T) {
-	var b strings.Builder
-	if err := Bars(&b, 10, []string{"a"}, []float64{0}); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), "#") {
-		t.Fatal("zero value produced a bar")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	var b strings.Builder
-	if err := Histogram(&b, 10, []uint64{5, 10, 5}, 20); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "0-9") || !strings.Contains(out, "20+") {
-		t.Fatalf("labels wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "50.0%") || !strings.Contains(out, "25.0%") {
-		t.Fatalf("percentages wrong:\n%s", out)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	var b strings.Builder
-	if err := Histogram(&b, 10, []uint64{0, 0}, 20); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "no samples") {
-		t.Fatal("empty marker missing")
-	}
-}
-
-func TestPct(t *testing.T) {
-	if got := Pct(0.123); got != "+12.3%" {
-		t.Fatalf("Pct = %q", got)
-	}
-	if got := Pct(-0.05); got != "-5.0%" {
-		t.Fatalf("Pct = %q", got)
-	}
-}
-
 func TestTableWriteJSON(t *testing.T) {
 	tb := NewTable("workload", "ipc")
 	tb.Row("2W3", 1.234567)

@@ -122,16 +122,18 @@ func New(cfg Config) *Server {
 		stopAll:      cancel,
 		campaigns:    make(map[string]*run),
 	}
+	// Every cache miss goes through the router: to the fleet when live
+	// workers exist (cluster mode), otherwise to a local simulation
+	// bounded by Workers — with no coordinator that is every job. The
+	// scheduler pool is sized for the admission queue rather than the
+	// core count, since a dispatch parked on a remote worker is a cheap
+	// wait and local simulations are bounded inside the router, not by
+	// pool goroutines.
+	router := cluster.NewRouter(cfg.Cluster, cfg.Workers, cfg.Runner)
+	router.OnSample = s.samples.publish
+	s.cache = campaign.NewJobCache(cfg.Store, router.Run)
+	s.sched = campaign.NewShared(maxQueued)
 	if cfg.Cluster != nil {
-		// Cluster mode: misses route through the fleet router, and the
-		// scheduler pool is sized for the admission queue rather than
-		// the core count — a dispatch parked on a remote worker is a
-		// cheap wait, and local simulations are bounded inside the
-		// router, not by pool goroutines.
-		router := cluster.NewRouter(cfg.Cluster, cfg.Workers, cfg.Runner)
-		router.OnSample = s.samples.publish
-		s.cache = campaign.NewJobCache(cfg.Store, router.Run)
-		s.sched = campaign.NewShared(maxQueued)
 		// A durable coordinator may have replayed an interrupted
 		// campaign from its WAL; rebind that work to this incarnation
 		// before the listener opens.
@@ -149,28 +151,6 @@ func New(cfg Config) *Server {
 			}
 		}
 		s.resumeRecovered(recovered)
-	} else {
-		// Single-process mode: a job-level runner so sampled jobs can
-		// stream live interval points into the hub; everything else is
-		// NewCache semantics (the runner ignores ctx, like a local
-		// simulation always has).
-		runner := cfg.Runner
-		if runner == nil {
-			runner = sim.Run
-		}
-		s.cache = campaign.NewJobCache(cfg.Store, func(_ context.Context, j campaign.Job) (campaign.Record, error) {
-			o, err := j.SimOptions()
-			if err != nil {
-				return campaign.Record{}, err
-			}
-			j.StreamSamples(&o, s.samples.publish)
-			res, err := runner(o)
-			if err != nil {
-				return campaign.Record{}, err
-			}
-			return campaign.NewRecord(j, res), nil
-		})
-		s.sched = campaign.NewShared(cfg.Workers)
 	}
 	// The registry needs the cache in place; the coordinator adds the
 	// fleet and WAL families when clustering.

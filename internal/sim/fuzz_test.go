@@ -19,6 +19,8 @@ func FuzzParseSpec(f *testing.F) {
 		"STALL-S-5", "MFLUSH-H0", "MFLUSH-Hx", "banana",
 		// Prefix/suffix edge shapes.
 		"FL-S", "MFLUSH-H", "FLUSH-S+5", "STALL-S999999999999999999999",
+		// H1 is plain MFLUSH (TestParseSpec).
+		"MFLUSH-H1", "mflush-h1",
 	} {
 		f.Add(s)
 	}

@@ -26,6 +26,11 @@ func ParseSpec(s string) (PolicySpec, error) {
 		if err != nil || n < 1 {
 			return PolicySpec{}, fmt.Errorf("bad MFLUSH history depth in %q", s)
 		}
+		if n == 1 {
+			// The published single-register design, which String names
+			// plain MFLUSH: History 1 would not round-trip.
+			return SpecMFLUSH, nil
+		}
 		return PolicySpec{Kind: MFLUSH, History: n}, nil
 	case strings.HasPrefix(u, "FLUSH-S") || strings.HasPrefix(u, "FL-S"):
 		n, err := strconv.Atoi(u[strings.Index(u, "-S")+2:])

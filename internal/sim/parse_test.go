@@ -13,6 +13,8 @@ func TestParseSpec(t *testing.T) {
 		"STALL-S50": SpecStallS(50),
 		"MFLUSH":    SpecMFLUSH,
 		"mflush-h4": {Kind: MFLUSH, History: 4},
+		"MFLUSH-H1": SpecMFLUSH,
+		"mflush-h1": SpecMFLUSH,
 	}
 	for in, want := range cases {
 		got, err := ParseSpec(in)

@@ -268,58 +268,72 @@ func TestSessionLifecycleErrors(t *testing.T) {
 
 // TestRunIntervalSamples checks the Run-level plumbing: Options.Interval
 // yields Result.Samples covering the measured window, the live OnSample
-// tee sees the same points in order, and the Summary carries them.
+// tee sees the same points in order, and the Summary carries them. Under
+// each policy the cumulative flush count never decreases and the MCReg
+// state is present exactly when the policy has an MCReg file (MFLUSH).
 func TestRunIntervalSamples(t *testing.T) {
 	w, _ := workload.ByName("2W3")
-	var live []SamplePoint
-	opt := Options{
-		Workload: w, Policy: SpecMFLUSH, Seed: 1,
-		Warmup: 4000, Cycles: 10000, Interval: 2000,
-		OnSample: func(p SamplePoint) { live = append(live, p) },
-	}
-	res, err := Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Samples) != 5 {
-		t.Fatalf("got %d samples, want 5", len(res.Samples))
-	}
-	for i, p := range res.Samples {
-		if want := uint64(i+1) * 2000; p.MeasuredCycles != want {
-			t.Errorf("sample %d at measured cycle %d, want %d", i, p.MeasuredCycles, want)
-		}
-		if p.Cycle != p.MeasuredCycles+opt.Warmup {
-			t.Errorf("sample %d absolute cycle %d, want %d", i, p.Cycle, p.MeasuredCycles+opt.Warmup)
-		}
-	}
-	last := res.Samples[len(res.Samples)-1]
-	if last.IPC != res.IPC {
-		t.Errorf("final sample IPC %v != result IPC %v", last.IPC, res.IPC)
-	}
-	if len(live) != len(res.Samples) {
-		t.Fatalf("live tee saw %d points, recorder %d", len(live), len(res.Samples))
-	}
-	if res.Summary().IntervalSamples == nil {
-		t.Error("summary dropped the interval samples")
-	}
-	// Interval IPCs must reconstruct the cumulative committed total.
-	var sum float64
-	for _, p := range res.Samples {
-		sum += p.IntervalIPC * 2000
-	}
-	if got := sum / float64(opt.Cycles); got < res.IPC-1e-9 || got > res.IPC+1e-9 {
-		t.Errorf("interval IPCs integrate to %v, want %v", got, res.IPC)
-	}
+	for _, policy := range []PolicySpec{SpecMFLUSH, SpecICOUNT} {
+		t.Run(policy.String(), func(t *testing.T) {
+			var live []SamplePoint
+			opt := Options{
+				Workload: w, Policy: policy, Seed: 1,
+				Warmup: 4000, Cycles: 10000, Interval: 2000,
+				OnSample: func(p SamplePoint) { live = append(live, p) },
+			}
+			res, err := Run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Samples) != 5 {
+				t.Fatalf("got %d samples, want 5", len(res.Samples))
+			}
+			var prevFlushes uint64
+			for i, p := range res.Samples {
+				if want := uint64(i+1) * 2000; p.MeasuredCycles != want {
+					t.Errorf("sample %d at measured cycle %d, want %d", i, p.MeasuredCycles, want)
+				}
+				if p.Cycle != p.MeasuredCycles+opt.Warmup {
+					t.Errorf("sample %d absolute cycle %d, want %d", i, p.Cycle, p.MeasuredCycles+opt.Warmup)
+				}
+				if p.Flushes < prevFlushes {
+					t.Errorf("sample %d: cumulative flushes decreased (%d -> %d)", i, prevFlushes, p.Flushes)
+				}
+				prevFlushes = p.Flushes
+				if _, _, ok := p.MCRegBounds(); ok != (policy.Kind == MFLUSH) {
+					t.Errorf("sample %d: MCReg present = %v", i, ok)
+				}
+			}
+			last := res.Samples[len(res.Samples)-1]
+			if last.IPC != res.IPC {
+				t.Errorf("final sample IPC %v != result IPC %v", last.IPC, res.IPC)
+			}
+			if len(live) != len(res.Samples) {
+				t.Fatalf("live tee saw %d points, recorder %d", len(live), len(res.Samples))
+			}
+			if res.Summary().IntervalSamples == nil {
+				t.Error("summary dropped the interval samples")
+			}
+			// Interval IPCs must reconstruct the cumulative committed total.
+			var sum float64
+			for _, p := range res.Samples {
+				sum += p.IntervalIPC * 2000
+			}
+			if got := sum / float64(opt.Cycles); got < res.IPC-1e-9 || got > res.IPC+1e-9 {
+				t.Errorf("interval IPCs integrate to %v, want %v", got, res.IPC)
+			}
 
-	// And a sampled run must not perturb the simulation itself.
-	opt2 := opt
-	opt2.Interval, opt2.OnSample = 0, nil
-	res2, err := Run(opt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(res) != fingerprint(res2) {
-		t.Error("sampling changed the simulation output")
+			// And a sampled run must not perturb the simulation itself.
+			opt2 := opt
+			opt2.Interval, opt2.OnSample = 0, nil
+			res2, err := Run(opt2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fingerprint(res) != fingerprint(res2) {
+				t.Error("sampling changed the simulation output")
+			}
+		})
 	}
 }
 

@@ -26,9 +26,8 @@ import (
 // Runner is an injectable sim.Run replacement. Configure Gate/Fail
 // before handing Run to a scheduler; Total/Max observe concurrently.
 type Runner struct {
-	mu      sync.Mutex
-	calls   map[string]int
-	batches []int
+	mu    sync.Mutex
+	calls map[string]int
 	// Gate, when non-nil, blocks every run until the channel closes —
 	// used to provably hold jobs in flight while callers pile up.
 	Gate chan struct{}
@@ -89,15 +88,11 @@ func (r *Runner) Run(o sim.Options) (*sim.Result, error) {
 
 // RunGang is the Runner's sim.RunGang analogue, for injection where a
 // scheduler or worker takes a GangRunner: each member counts as one Run
-// invocation (Gate/Fail included) and the batch size is recorded for
-// Batches.
+// invocation (Gate/Fail included).
 func (r *Runner) RunGang(opts []sim.Options) ([]*sim.Result, error) {
 	if len(opts) == 0 {
 		return nil, errors.New("simtest: empty gang")
 	}
-	r.mu.Lock()
-	r.batches = append(r.batches, len(opts))
-	r.mu.Unlock()
 	results := make([]*sim.Result, len(opts))
 	for i, o := range opts {
 		res, err := r.Run(o)
@@ -107,14 +102,6 @@ func (r *Runner) RunGang(opts []sim.Options) ([]*sim.Result, error) {
 		results[i] = res
 	}
 	return results, nil
-}
-
-// Batches returns the size of every RunGang invocation so far, in call
-// order.
-func (r *Runner) Batches() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]int(nil), r.batches...)
 }
 
 // Total returns the number of simulator invocations so far.

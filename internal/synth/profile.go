@@ -8,7 +8,7 @@
 // dynamic instruction stream from it. What the paper's experiments need
 // from a trace is its *rate behaviour* (ILP, L1/L2 miss rates, mispredict
 // rates, memory-level parallelism), which these parameters control
-// directly; see DESIGN.md for the substitution argument.
+// directly.
 package synth
 
 import "fmt"

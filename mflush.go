@@ -18,14 +18,13 @@
 //	})
 //	fmt.Println(res.IPC)
 //
-// The experiment harnesses behind every figure of the paper live in
-// Figure2..Figure11; cmd/mflushbench renders them as text tables.
+// cmd/mflushbench regenerates every figure of the paper's evaluation as
+// text tables.
 package mflush
 
 import (
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/synth"
 	"repro/internal/workload"
@@ -71,9 +70,6 @@ type Workload = workload.Workload
 
 // Profile is a synthetic benchmark description.
 type Profile = synth.Profile
-
-// ExperimentConfig scales the figure harnesses.
-type ExperimentConfig = experiments.Config
 
 // Common policy specifications.
 var (
@@ -141,44 +137,4 @@ func BenchmarkProfiles() []Profile { return synth.Profiles() }
 func OperationalEnvironment(cores int) core.OperationalEnvironment {
 	cfg := config.Default(cores)
 	return core.EnvironmentFor(&cfg)
-}
-
-// Experiment harness re-exports: each reproduces the corresponding paper
-// figure. See EXPERIMENTS.md for paper-vs-measured results.
-var (
-	DefaultExperiments = experiments.Default
-	QuickExperiments   = experiments.Quick
-)
-
-// Figure2 runs the single-core ICOUNT vs FLUSH-S30 comparison and returns
-// the per-workload rows plus the mean speedup.
-func Figure2(cfg ExperimentConfig) ([]experiments.Figure2Row, float64, error) {
-	return experiments.Figure2(cfg)
-}
-
-// Figure3 runs the multicore FLUSH-degradation analysis.
-func Figure3(cfg ExperimentConfig) ([]experiments.Figure3Row, error) {
-	return experiments.Figure3(cfg)
-}
-
-// Figure4 measures the L2 hit-time distributions per machine size.
-func Figure4(cfg ExperimentConfig) ([]experiments.Figure4Row, error) {
-	return experiments.Figure4(cfg)
-}
-
-// Figure5 sweeps the FLUSH Detection Moment on the paper's two example
-// workloads.
-func Figure5(cfg ExperimentConfig) ([]experiments.Figure5Row, error) {
-	return experiments.Figure5(cfg)
-}
-
-// Figure8 runs the four-policy throughput evaluation on all multicore
-// workloads.
-func Figure8(cfg ExperimentConfig) ([]experiments.Figure8Row, error) {
-	return experiments.Figure8(cfg)
-}
-
-// Figure11 runs the wasted-energy evaluation.
-func Figure11(cfg ExperimentConfig) ([]experiments.Figure11Row, error) {
-	return experiments.Figure11(cfg)
 }
