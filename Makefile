@@ -1,13 +1,6 @@
 GO ?= go
 
-.PHONY: build test shorttest racetest vet lint bench benchbaseline benchcmp benchtest perfpin docscheck metricscheck fuzzsmoke crashtest
-
-# The hot-path benchmarks benchcmp tracks, and where their runs live.
-# The metrics pair guards the observability overhead: per-sample updates
-# must stay allocation-free and a full /metrics scrape O(1)-alloc.
-BENCH_PATTERN := BenchmarkSimulatorThroughput|BenchmarkGangCyclesPerSec|BenchmarkSingleCoreSim|BenchmarkMetricsUpdate|BenchmarkMetricsScrape
-BENCH_BASELINE := bench/baseline.txt
-BENCH_CURRENT := bench/current.txt
+.PHONY: build test shorttest racetest vet lint benchtest perfpin docscheck metricscheck fuzzsmoke crashtest
 
 build:
 	$(GO) build ./...
@@ -93,31 +86,3 @@ docscheck:
 # docscheck; this target runs just the metric lint.
 metricscheck:
 	$(GO) test -run TestMetricNamesConform ./internal/docs/
-
-# The hot-path benchmarks: simulator speed (the PERFORMANCE numbers in
-# README.md) and the metrics update/scrape paths. The paper's figures
-# come from cmd/mflushbench, not from benchmarks.
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem .
-
-# Re-record the committed hot-path baseline that benchcmp diffs against.
-# Run it when a PR intentionally moves simulator performance.
-benchbaseline:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 3x -count 6 . | tee $(BENCH_BASELINE)
-
-# Compare the current hot path against the committed baseline. A CI job
-# runs this as a non-blocking report, so the cycle-loop cost of any
-# refactor (like the Session layer) is visible on every PR. benchstat
-# renders a statistical comparison when installed; without it the two
-# raw runs are printed side by side (absolute numbers are machine-
-# dependent — compare deltas, not values, unless the baseline was
-# recorded on the same machine).
-benchcmp:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 3x -count 6 . | tee $(BENCH_CURRENT)
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat $(BENCH_BASELINE) $(BENCH_CURRENT); \
-	else \
-		echo "== benchstat not installed (go install golang.org/x/perf/cmd/benchstat@latest)"; \
-		echo "== raw baseline ($(BENCH_BASELINE)):"; cat $(BENCH_BASELINE); \
-		echo "== raw current ($(BENCH_CURRENT)):"; cat $(BENCH_CURRENT); \
-	fi

@@ -6,6 +6,7 @@
 //
 //	mflushsim -workload 2W3 -policy MFLUSH [-cycles N] [-warmup N] [-seed N] [-cores N] [-name S] [-v]
 //	mflushsim -workload 8W3 -policy MFLUSH -interval 5000 [-out series.csv] [-json]
+//	mflushsim -traces burst.scen,pair.scen -policy FLUSH-S30 [-name S]
 //
 // Policies: ICOUNT, FLUSH-S<delay>, FLUSH-NS, STALL-S<delay>, MFLUSH,
 // MFLUSH-H<depth>.
@@ -15,11 +16,17 @@
 // as the simulation advances. The series goes to -out when given (the
 // normal summary still prints to stdout) and replaces the summary on
 // stdout otherwise.
+//
+// With -traces the run replays trace files instead of synthesising a
+// workload: every thread of every file (MFSCEN1 or JSONL scenarios from
+// mflushtrace, or legacy MFTRACE1 files) becomes one hardware thread, in
+// order, with the scenarios' per-instruction miss-latency overrides.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -55,52 +62,60 @@ func writeSampleCSV(w io.Writer, p sim.SamplePoint) {
 }
 
 func main() {
-	wl := flag.String("workload", "2W3", "workload name (xWy from the paper, or 8W-bzip2-twolf)")
-	pol := flag.String("policy", "MFLUSH", "IFetch policy")
-	cycles := flag.Uint64("cycles", 200000, "measured cycles")
-	warmup := flag.Uint64("warmup", 300000, "warm-up cycles")
-	seed := flag.Uint64("seed", 1, "synthesis seed")
-	cores := flag.Int("cores", 0, "core count override (0: derive from workload)")
-	verbose := flag.Bool("v", false, "print all event counters")
-	asJSON := flag.Bool("json", false, "emit the result as JSON")
-	traces := flag.String("traces", "", "comma-separated MFTRACE1 trace files (from mflushtrace -format mftrace) to replay instead of -workload")
-	name := flag.String("name", "", "workload name to report (replayed traces otherwise report replay-N)")
-	interval := flag.Uint64("interval", 0, "emit a time-series sample every N measured cycles (0: off)")
-	out := flag.String("out", "", "time-series destination file (default: stdout, replacing the summary)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintf(os.Stderr, "mflushsim: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, runs the simulation and writes the report (or the
+// time series) to stdout; flag errors and usage go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("mflushsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	wl := fs.String("workload", "2W3", "workload name (xWy from the paper, or 8W-bzip2-twolf)")
+	pol := fs.String("policy", "MFLUSH", "IFetch policy")
+	cycles := fs.Uint64("cycles", 200000, "measured cycles")
+	warmup := fs.Uint64("warmup", 300000, "warm-up cycles")
+	seed := fs.Uint64("seed", 1, "synthesis seed")
+	cores := fs.Int("cores", 0, "core count override (0: derive from workload)")
+	verbose := fs.Bool("v", false, "print all event counters")
+	asJSON := fs.Bool("json", false, "emit the result as JSON")
+	traces := fs.String("traces", "", "comma-separated trace files (MFSCEN1, JSONL or legacy MFTRACE1) to replay instead of -workload; every thread of every file is appended")
+	name := fs.String("name", "", "workload name to report (replayed traces otherwise report replay-N)")
+	interval := fs.Uint64("interval", 0, "emit a time-series sample every N measured cycles (0: off)")
+	out := fs.String("out", "", "time-series destination file (default: stdout, replacing the summary)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var w workload.Workload
 	var threadTraces [][]isa.Inst
 	if *traces != "" {
 		for _, path := range strings.Split(*traces, ",") {
-			f, err := os.Open(strings.TrimSpace(path))
+			scen, err := trace.LoadScenario(strings.TrimSpace(path))
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "mflushsim: %v\n", err)
-				os.Exit(1)
+				return err
 			}
-			insts, err := trace.ReadAll(f)
-			f.Close()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mflushsim: %s: %v\n", path, err)
-				os.Exit(1)
-			}
-			threadTraces = append(threadTraces, insts)
+			threadTraces = append(threadTraces, scen.Threads...)
 		}
 	} else {
 		var ok bool
 		w, ok = workload.ByName(*wl)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "mflushsim: unknown workload %q; valid names:\n", *wl)
+			var names strings.Builder
 			for _, x := range workload.All() {
-				fmt.Fprintf(os.Stderr, "  %s\n", x.Describe())
+				fmt.Fprintf(&names, "\n  %s", x.Describe())
 			}
-			os.Exit(2)
+			return fmt.Errorf("unknown workload %q; valid names:%s", *wl, names.String())
 		}
 	}
 	spec, err := sim.ParseSpec(*pol)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mflushsim: %v\n", err)
-		os.Exit(2)
+		return err
 	}
 
 	opt := sim.Options{
@@ -112,19 +127,17 @@ func main() {
 
 	// Stream the time series as the simulation takes each sample.
 	seriesToStdout := *interval > 0 && *out == ""
-	var seriesW *bufio.Writer
 	if *interval > 0 {
-		dst := os.Stdout
+		dst := stdout
 		if *out != "" {
 			f, err := os.Create(*out)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "mflushsim: %v\n", err)
-				os.Exit(1)
+				return err
 			}
 			defer f.Close()
 			dst = f
 		}
-		seriesW = bufio.NewWriter(dst)
+		seriesW := bufio.NewWriter(dst)
 		defer seriesW.Flush()
 		if !*asJSON {
 			fmt.Fprintln(seriesW, sampleCSVHeader)
@@ -142,28 +155,23 @@ func main() {
 
 	res, err := sim.Run(opt)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mflushsim: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	if seriesToStdout {
-		return // the series replaced the summary
+		return nil // the series replaced the summary
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(res.Summary()); err != nil {
-			fmt.Fprintf(os.Stderr, "mflushsim: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		return enc.Encode(res.Summary())
 	}
 
 	desc := w.Describe()
 	if *traces != "" {
 		desc = "replayed traces: " + *traces
 	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "workload\t%s\n", desc)
 	fmt.Fprintf(tw, "policy\t%s\n", res.Policy)
 	fmt.Fprintf(tw, "cycles\t%d (after %d warm-up)\n", res.Cycles, *warmup)
@@ -181,14 +189,17 @@ func main() {
 	h := res.HitLatency
 	fmt.Fprintf(tw, "L2 hit time\tmean %.1f, p50 %d, p90 %d, max %d (n=%d)\n",
 		h.Mean(), h.Percentile(0.5), h.Percentile(0.9), h.Max(), h.Count())
-	tw.Flush()
+	if err := tw.Flush(); err != nil {
+		return err
+	}
 
 	if *verbose {
-		fmt.Println("\ncounters:")
-		tw = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(stdout, "\ncounters:")
+		tw = tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 		for _, c := range res.Counters.All() {
 			fmt.Fprintf(tw, "  %s\t%d\n", c.Name, c.Value)
 		}
-		tw.Flush()
+		return tw.Flush()
 	}
+	return nil
 }

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/sim"
 )
 
 // Cache is a content-addressed, single-flight result cache over a Store:
@@ -22,13 +20,11 @@ import (
 // Record is byte-for-byte the record a fresh run would produce — cache
 // hits are indistinguishable from recomputation, forever.
 type Cache struct {
-	runner func(sim.Options) (*sim.Result, error)
-	// jobRun, when non-nil (NewJobCache), replaces runner with a
-	// job-level executor that sees the whole Job and the leader's
-	// context — the hook the cluster router uses to send misses to
-	// remote workers instead of the local simulator.
-	jobRun func(context.Context, Job) (Record, error)
-	store  *Store
+	// run executes a miss: it sees the whole Job and the leader's
+	// context, so it may route the job to a remote worker (the cluster
+	// router) instead of simulating in process.
+	run   func(context.Context, Job) (Record, error)
+	store *Store
 
 	mu sync.Mutex
 	// done memoises completed records only when no store backs the
@@ -50,35 +46,19 @@ type flight struct {
 }
 
 // NewCache returns a cache backed by store (nil: in-memory only, results
-// live for the process lifetime) executing misses with runner (nil:
-// sim.Run). Completed records are appended to the store as they finish,
-// so the cache survives restarts with the same crash-consistency
-// guarantees as campaign resume.
-func NewCache(store *Store, runner func(sim.Options) (*sim.Result, error)) *Cache {
-	if runner == nil {
-		runner = sim.Run
-	}
+// live for the process lifetime) executing misses with run, which
+// receives the full Job and the leader caller's context. The daemon's
+// run is the cluster router: it may send the job to a remote worker
+// (and honour cancellation while the job is still queued) instead of
+// simulating in process. run must return a Record a local run would
+// have produced byte-for-byte (RunGroup over a deterministic simulation
+// does); the cache stamps the job's key on it before persisting.
+// Completed records are appended to the store as they finish, so the
+// cache survives restarts with the same crash-consistency guarantees as
+// campaign resume.
+func NewCache(store *Store, run func(context.Context, Job) (Record, error)) *Cache {
 	return &Cache{
-		runner:   runner,
-		store:    store,
-		done:     make(map[string]Record),
-		inflight: make(map[string]*flight),
-	}
-}
-
-// NewJobCache returns a cache like NewCache's, but executing misses
-// with a job-level runner that receives the full Job and the leader
-// caller's context. This is the constructor the daemon's cluster mode
-// uses: the runner can route the job to a remote worker (and honour
-// cancellation while the job is still queued) instead of simulating in
-// process. Single-flight, store persistence and hit accounting are
-// identical to NewCache. The runner must return a Record a local run
-// would have produced byte-for-byte (NewRecord over a deterministic
-// simulation does); the cache stamps the job's key on it before
-// persisting.
-func NewJobCache(store *Store, run func(context.Context, Job) (Record, error)) *Cache {
-	return &Cache{
-		jobRun:   run,
+		run:      run,
 		store:    store,
 		done:     make(map[string]Record),
 		inflight: make(map[string]*flight),
@@ -93,9 +73,9 @@ func NewJobCache(store *Store, run func(context.Context, Job) (Record, error)) *
 // waiting on another caller's in-flight run returns ctx.Err() if ctx is
 // cancelled first; a leader running a local simulation always finishes it
 // (runs are not interruptible) so the store never loses a completed
-// result. A job-level runner (NewJobCache) may instead honour the
-// leader's ctx while the job is still queued remotely; waiters that were
-// not themselves cancelled transparently retry such abandoned flights.
+// result. The runner may instead honour the leader's ctx while the job
+// is still queued (remotely or for a local slot); waiters that were not
+// themselves cancelled transparently retry such abandoned flights.
 func (c *Cache) Do(ctx context.Context, j Job) (rec Record, hit bool, err error) {
 	key := j.Key()
 	c.mu.Lock()
@@ -114,12 +94,12 @@ func (c *Cache) Do(ctx context.Context, j Job) (rec Record, hit bool, err error)
 			return Record{}, false, err
 		}
 		if f.err != nil {
-			// The leader aborted on its *own* cancellation (possible
-			// only with a job-level runner; local simulations always
-			// finish). That is not this caller's cancellation and not
-			// a simulation failure — nothing was computed and nothing
-			// cached — so retry: this caller becomes the new leader
-			// or joins a fresher flight.
+			// The leader aborted on its *own* cancellation, before its
+			// job started simulating (a simulation always finishes).
+			// That is not this caller's cancellation and not a
+			// simulation failure — nothing was computed and nothing
+			// cached — so retry: this caller becomes the new leader or
+			// joins a fresher flight.
 			if isCtxErr(f.err) && ctx.Err() == nil {
 				return c.Do(ctx, j)
 			}
@@ -200,49 +180,19 @@ func (c *Cache) lookup(key string) (Record, bool) {
 	return rec, ok
 }
 
-// compute executes the miss — through the job-level runner when one is
-// set (cluster routing), the plain simulator runner otherwise — and
-// persists the record. ctx reaches only the job-level runner: local
-// simulations are not interruptible, so the plain path always finishes.
+// compute executes the miss through the runner and persists the record.
 func (c *Cache) compute(ctx context.Context, j Job, key string) (Record, error) {
-	var rec Record
-	if c.jobRun != nil {
-		r, err := c.jobRun(ctx, j)
-		if err != nil {
-			return Record{}, err
-		}
-		rec = r
-		rec.Key = key // the store must index by this job's key, whatever the runner set
-	} else {
-		// SimOptions loads and digest-verifies a trace job's scenario, so
-		// a load failure surfaces as the job's error like a sim failure.
-		o, err := j.SimOptions()
-		if err != nil {
-			return Record{}, err
-		}
-		res, err := c.runner(o)
-		if err != nil {
-			return Record{}, err
-		}
-		rec = NewRecord(j, res)
+	rec, err := c.run(ctx, j)
+	if err != nil {
+		return Record{}, err
 	}
+	rec.Key = key // the store must index by this job's key, whatever the runner set
 	if c.store != nil {
 		if err := c.store.Append(rec); err != nil {
 			return Record{}, err
 		}
 	}
 	return rec, nil
-}
-
-// NewRecord builds the store record for a completed job. Every path
-// that turns a simulation into a record — the local scheduler, the
-// cache, remote cluster workers — goes through this one constructor, so
-// a record is byte-for-byte identical no matter where the job ran.
-func NewRecord(j Job, res *sim.Result) Record {
-	return Record{
-		Key: j.Key(), Workload: res.Workload, Policy: res.Policy,
-		Tweak: j.Tweak.Label(), Seed: j.Seed, Summary: res.Summary(),
-	}
 }
 
 // relabel refreshes the display-only tweak label: job keys hash tweak

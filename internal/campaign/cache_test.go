@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/simtest"
 )
 
@@ -27,10 +28,22 @@ func testJobs(t *testing.T, seeds ...uint64) []Job {
 	return jobs
 }
 
+// simulate adapts an options-level runner into the cache's job-level
+// runner, executing each miss in process through RunGroup.
+func simulate(run func(sim.Options) (*sim.Result, error)) func(context.Context, Job) (Record, error) {
+	return func(_ context.Context, j Job) (Record, error) {
+		recs, err := RunGroup([]Job{j}, run, nil)
+		if err != nil {
+			return Record{}, err
+		}
+		return recs[0], nil
+	}
+}
+
 func TestCacheSingleFlight(t *testing.T) {
 	r := simtest.New()
 	r.Gate = make(chan struct{})
-	c := NewCache(nil, r.Run)
+	c := NewCache(nil, simulate(r.Run))
 	jobs := testJobs(t, 1)
 
 	const callers = 8
@@ -91,7 +104,7 @@ func TestCachePersistsAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1 := simtest.New()
-	c1 := NewCache(store, r1.Run)
+	c1 := NewCache(store, simulate(r1.Run))
 	jobs := testJobs(t, 1, 2)
 	var first []Record
 	for _, j := range jobs {
@@ -114,7 +127,7 @@ func TestCachePersistsAcrossReopen(t *testing.T) {
 	}
 	defer store2.Close()
 	r2 := simtest.New()
-	c2 := NewCache(store2, r2.Run)
+	c2 := NewCache(store2, simulate(r2.Run))
 	for i, j := range jobs {
 		rec, hit, err := c2.Do(context.Background(), j)
 		if err != nil || !hit {
@@ -145,7 +158,7 @@ func TestCacheStatsAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1 := simtest.New()
-	c1 := NewCache(store, r1.Run)
+	c1 := NewCache(store, simulate(r1.Run))
 	jobs := testJobs(t, 1, 2) // 4 jobs
 	for _, j := range jobs {
 		if _, _, err := c1.Do(context.Background(), j); err != nil {
@@ -176,7 +189,7 @@ func TestCacheStatsAcrossRestart(t *testing.T) {
 	}
 	defer store2.Close()
 	r2 := simtest.New()
-	c2 := NewCache(store2, r2.Run)
+	c2 := NewCache(store2, simulate(r2.Run))
 	if hits, misses := c2.Stats(); hits != 0 || misses != 0 {
 		t.Fatalf("restarted cache starts at %d hits / %d misses, want 0/0", hits, misses)
 	}
@@ -205,7 +218,7 @@ func TestCacheStatsAcrossRestart(t *testing.T) {
 func TestCacheDoesNotCacheErrors(t *testing.T) {
 	r := simtest.New()
 	r.Fail = true
-	c := NewCache(nil, r.Run)
+	c := NewCache(nil, simulate(r.Run))
 	j := testJobs(t, 1)[0]
 	if _, _, err := c.Do(context.Background(), j); err == nil {
 		t.Fatal("failed run reported no error")
@@ -229,7 +242,7 @@ func TestCacheDoesNotCacheErrors(t *testing.T) {
 func TestCacheWaiterHonoursContext(t *testing.T) {
 	r := simtest.New()
 	r.Gate = make(chan struct{})
-	c := NewCache(nil, r.Run)
+	c := NewCache(nil, simulate(r.Run))
 	j := testJobs(t, 1)[0]
 
 	leaderDone := make(chan struct{})
@@ -254,7 +267,7 @@ func TestCacheWaiterHonoursContext(t *testing.T) {
 
 func TestCacheRelabelsTweak(t *testing.T) {
 	r := simtest.New()
-	c := NewCache(nil, r.Run)
+	c := NewCache(nil, simulate(r.Run))
 	mk := func(name string) Job {
 		jobs, err := Spec{
 			Workloads: []string{"2W1"}, Policies: []string{"ICOUNT"},
@@ -280,7 +293,7 @@ func TestCacheRelabelsTweak(t *testing.T) {
 
 func TestRunCachedSharedScheduler(t *testing.T) {
 	r := simtest.New()
-	c := NewCache(nil, r.Run)
+	c := NewCache(nil, simulate(r.Run))
 	sched := NewShared(4)
 	jobs := testJobs(t, 1, 2, 3)
 
@@ -324,7 +337,7 @@ func TestRunCachedSharedScheduler(t *testing.T) {
 func TestRunCachedCancellation(t *testing.T) {
 	r := simtest.New()
 	r.Gate = make(chan struct{})
-	c := NewCache(nil, r.Run)
+	c := NewCache(nil, simulate(r.Run))
 	sched := &Scheduler{Workers: 1}
 	jobs := testJobs(t, 1, 2, 3)
 
@@ -358,7 +371,7 @@ func TestRunCachedCancellation(t *testing.T) {
 // long-running simulations.
 func TestRunCachedServesHitsWithoutSlots(t *testing.T) {
 	r := simtest.New()
-	c := NewCache(nil, r.Run)
+	c := NewCache(nil, simulate(r.Run))
 	sched := NewShared(1)
 	cachedJobs := testJobs(t, 1)
 	if _, err := sched.RunCached(context.Background(), cachedJobs, c, nil); err != nil {

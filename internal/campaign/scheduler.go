@@ -81,15 +81,6 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job, store *Store) ([]Record
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	runner := s.Runner
-	if runner == nil {
-		runner = sim.Run
-	}
-	gangRun := s.GangRunner
-	if gangRun == nil {
-		gangRun = sim.RunGang
-	}
-
 	records := make([]Record, len(jobs))
 	report := newReporter(len(jobs), func(p Progress) {
 		if cb := s.OnProgress; cb != nil {
@@ -114,10 +105,9 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job, store *Store) ([]Record
 		pending = append(pending, i)
 	}
 
-	// complete books job i's finished simulation: record, store, report.
-	complete := func(i int, res *sim.Result) error {
+	// complete books job i's finished record: store, report.
+	complete := func(i int, rec Record) error {
 		j := jobs[i]
-		rec := NewRecord(j, res)
 		if store != nil {
 			if err := store.Append(rec); err != nil {
 				report(Progress{Job: j, Err: err})
@@ -130,10 +120,9 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job, store *Store) ([]Record
 	}
 
 	// The pool's unit of work is one gang group: singletons below
-	// GangWidth 2, else up to GangWidth compatible jobs. A width-1 group
-	// runs through Runner and a wider one through GangRunner; either way
-	// its results are booked member by member through complete, so
-	// records and stores cannot depend on the width.
+	// GangWidth 2, else up to GangWidth compatible jobs, executed by
+	// RunGroup. Its records are booked member by member through
+	// complete, so records and stores cannot depend on the width.
 	pendingJobs := make([]Job, len(pending))
 	for k, i := range pending {
 		pendingJobs[k] = jobs[i]
@@ -149,11 +138,12 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job, store *Store) ([]Record
 	jobErrs := make([]error, len(jobs))
 	gerrs := runPool(ctx, workers, s.slots, len(groups), groupIdx, func(g int) error {
 		members := groups[g]
-		// failAll fails the group together. Members share one GangKey,
-		// hence one trace file, so an options failure (a trace that will
-		// not load or verify) hits them all, and a lockstep failure comes
-		// before any member's result exists.
-		failAll := func(err error) error {
+		gjobs := make([]Job, len(members))
+		for k, pi := range members {
+			gjobs[k] = pendingJobs[pi]
+		}
+		recs, err := RunGroup(gjobs, s.Runner, s.GangRunner)
+		if err != nil {
 			for _, pi := range members {
 				i := pending[pi]
 				jobErrs[i] = err
@@ -161,30 +151,10 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job, store *Store) ([]Record
 			}
 			return err
 		}
-		opts := make([]sim.Options, len(members))
-		for k, pi := range members {
-			o, err := jobs[pending[pi]].SimOptions()
-			if err != nil {
-				return failAll(err)
-			}
-			opts[k] = o
-		}
-		var results []*sim.Result
-		var err error
-		if len(opts) == 1 {
-			var res *sim.Result
-			res, err = runner(opts[0])
-			results = []*sim.Result{res}
-		} else {
-			results, err = gangRun(opts)
-		}
-		if err != nil {
-			return failAll(err)
-		}
 		var firstErr error
 		for k, pi := range members {
 			i := pending[pi]
-			if jobErrs[i] = complete(i, results[k]); jobErrs[i] != nil && firstErr == nil {
+			if jobErrs[i] = complete(i, recs[k]); jobErrs[i] != nil && firstErr == nil {
 				firstErr = jobErrs[i]
 			}
 		}
@@ -204,6 +174,59 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job, store *Store) ([]Record
 		}
 	}
 	return records, firstError(jobs, jobErrs)
+}
+
+// RunGroup executes one execution group (GangGroups) and returns one
+// record per job, in order. A lone job runs through run (nil: sim.Run);
+// a wider group runs as one lockstep gang through gang (nil:
+// sim.RunGang). This is the one path that turns jobs into records — the
+// scheduler, cluster workers and the router's local fallback all go
+// through it. An options failure or a lockstep error fails the whole
+// group: members share one GangKey, hence one trace file, so a trace
+// that will not load or verify hits them all, and a lockstep failure
+// comes before any member's result exists.
+func RunGroup(jobs []Job, run func(sim.Options) (*sim.Result, error), gang func([]sim.Options) ([]*sim.Result, error)) ([]Record, error) {
+	opts := make([]sim.Options, len(jobs))
+	for k, j := range jobs {
+		o, err := j.SimOptions()
+		if err != nil {
+			return nil, err
+		}
+		opts[k] = o
+	}
+	var results []*sim.Result
+	var err error
+	if len(opts) == 1 {
+		if run == nil {
+			run = sim.Run
+		}
+		var res *sim.Result
+		res, err = run(opts[0])
+		results = []*sim.Result{res}
+	} else {
+		if gang == nil {
+			gang = sim.RunGang
+		}
+		results, err = gang(opts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	recs := make([]Record, len(jobs))
+	for k, j := range jobs {
+		recs[k] = NewRecord(j, results[k])
+	}
+	return recs, nil
+}
+
+// NewRecord builds the store record for a completed job. RunGroup is its
+// one caller, so a record is byte-for-byte identical no matter where the
+// job ran.
+func NewRecord(j Job, res *sim.Result) Record {
+	return Record{
+		Key: j.Key(), Workload: res.Workload, Policy: res.Policy,
+		Tweak: j.Tweak.Label(), Seed: j.Seed, Summary: res.Summary(),
+	}
 }
 
 // RunCached executes jobs through cache, returning one record per job in

@@ -11,7 +11,7 @@ import (
 
 // Router decides where a cache miss simulates: on the worker fleet when
 // live workers are registered, in-process otherwise. It is the job-level
-// runner the daemon plugs into campaign.NewJobCache (a single-process
+// runner the daemon plugs into campaign.NewCache (a single-process
 // daemon is a router with no coordinator), so routing happens per job,
 // behind the admission queue and the cache's single-flight — a campaign
 // transparently mixes remote and local execution as workers come and
@@ -69,14 +69,13 @@ func (r *Router) Run(ctx context.Context, j campaign.Job) (campaign.Record, erro
 		return campaign.Record{}, ctx.Err()
 	}
 	defer func() { <-r.slots }()
-	o, err := j.SimOptions()
+	run := func(o sim.Options) (*sim.Result, error) {
+		j.StreamSamples(&o, r.OnSample)
+		return r.local(o)
+	}
+	recs, err := campaign.RunGroup([]campaign.Job{j}, run, nil)
 	if err != nil {
 		return campaign.Record{}, err
 	}
-	j.StreamSamples(&o, r.OnSample)
-	res, err := r.local(o)
-	if err != nil {
-		return campaign.Record{}, err
-	}
-	return campaign.NewRecord(j, res), nil
+	return recs[0], nil
 }

@@ -140,10 +140,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	if name == "" {
 		name = "worker"
 	}
-	runner := w.Runner
-	if runner == nil {
-		runner = sim.Run
-	}
 	leaseWait := w.LeaseWait
 	if leaseWait <= 0 {
 		leaseWait = 2 * time.Second
@@ -233,10 +229,6 @@ func (w *Worker) Run(ctx context.Context) error {
 		_ = w.call(postCtx, "DELETE", "/v1/workers/"+id, nil, nil)
 		reregister(postCtx)
 	}
-	gangRunner := w.GangRunner
-	if gangRunner == nil {
-		gangRunner = sim.RunGang
-	}
 	failed := func(key string, err error) outcome {
 		return outcome{fail: &JobFailure{Key: key, Error: err.Error()}, key: key}
 	}
@@ -262,13 +254,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	// start dispatches one lease's worth of wires. Each wire is decoded
 	// and key-checked once; one that fails is posted as a JobFailure
 	// straight away. The rest run in gang groups (singletons below
-	// GangWidth 2), one goroutine per group posting one outcome per
-	// member: a lone job through runner, a wider group as one lockstep
-	// gang through gangRunner. A gang's wall-clock is shared by its
-	// members, so it is attributed evenly to keep the per-job rate
-	// metrics meaningful.
+	// GangWidth 2), one goroutine per group running campaign.RunGroup and
+	// posting one outcome per member. A group's wall-clock — trace load
+	// included — is shared by its members, so it is attributed evenly to
+	// keep the per-job rate metrics meaningful.
 	start := func(wires []campaign.WireJob) {
-		var good []campaign.WireJob
+		var keys []string
 		var jobs []campaign.Job
 		for _, wire := range wires {
 			j, err := wire.Job()
@@ -280,59 +271,37 @@ func (w *Worker) Run(ctx context.Context) error {
 				finish(failed(wire.Key, err))
 				continue
 			}
-			good = append(good, wire)
+			keys = append(keys, wire.Key)
 			jobs = append(jobs, j)
 		}
 		for _, group := range campaign.GangGroups(jobs, w.GangWidth) {
-			gwires := make([]campaign.WireJob, len(group))
+			gkeys := make([]string, len(group))
 			gjobs := make([]campaign.Job, len(group))
 			for k, i := range group {
-				gwires[k], gjobs[k] = good[i], jobs[i]
+				gkeys[k], gjobs[k] = keys[i], jobs[i]
 			}
 			if len(group) > 1 {
-				w.logf("gang of %d (%s ...)", len(group), gwires[0].Key)
+				w.logf("gang of %d (%s ...)", len(group), gkeys[0])
 			}
 			inflight += len(group)
 			w.m.inflight.Set(float64(inflight))
 			go func() {
-				// failAll fails the group together: members share one
-				// GangKey, hence one trace file, so a trace missing or
-				// drifted on this worker's filesystem fails them all before
-				// simulating, and a lockstep failure comes before any
-				// member's result.
-				failAll := func(err error) {
-					for _, wire := range gwires {
-						results <- failed(wire.Key, err)
-					}
-				}
-				opts := make([]sim.Options, len(gjobs))
-				for k, j := range gjobs {
-					o, err := j.SimOptions()
-					if err != nil {
-						failAll(err)
-						return
-					}
-					opts[k] = o
-				}
 				began := time.Now()
-				var res []*sim.Result
-				var err error
-				if len(opts) == 1 {
-					var r *sim.Result
-					r, err = runner(opts[0])
-					res = []*sim.Result{r}
-				} else {
-					res, err = gangRunner(opts)
-				}
+				recs, err := campaign.RunGroup(gjobs, w.Runner, w.GangRunner)
 				if err != nil {
-					failAll(err)
+					// The group fails together (see RunGroup): a trace
+					// missing or drifted on this worker's filesystem fails
+					// every member before simulating.
+					for _, key := range gkeys {
+						results <- failed(key, err)
+					}
 					return
 				}
 				secs := time.Since(began).Seconds() / float64(len(gjobs))
 				for k, j := range gjobs {
 					results <- outcome{
-						rec:    campaign.NewRecord(j, res[k]),
-						key:    gwires[k].Key,
+						rec:    recs[k],
+						key:    gkeys[k],
 						cycles: float64(j.Cycles + j.Warmup),
 						secs:   secs,
 					}

@@ -20,8 +20,7 @@
 //     children are registered: families are kept sorted at registration
 //     time and children at insertion time, so WriteTo walks pre-sorted
 //     state into a reused buffer instead of building and sorting a
-//     snapshot per scrape. bench_test.go's BenchmarkMetricsScrape pins
-//     this down.
+//     snapshot per scrape. TestScrapeAllocs pins this down.
 package metrics
 
 import (

@@ -131,7 +131,7 @@ func New(cfg Config) *Server {
 	// pool goroutines.
 	router := cluster.NewRouter(cfg.Cluster, cfg.Workers, cfg.Runner)
 	router.OnSample = s.samples.publish
-	s.cache = campaign.NewJobCache(cfg.Store, router.Run)
+	s.cache = campaign.NewCache(cfg.Store, router.Run)
 	s.sched = campaign.NewShared(maxQueued)
 	if cfg.Cluster != nil {
 		// A durable coordinator may have replayed an interrupted

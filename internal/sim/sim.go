@@ -132,7 +132,7 @@ type Options struct {
 	// queue sizes, bus width, ...). The mutated config must validate.
 	Tweak func(*config.Config)
 	// ThreadTraces, when non-empty, replays recorded traces (one slice
-	// per hardware thread, e.g. loaded with trace.ReadAll) instead of
+	// per hardware thread, e.g. a trace.LoadScenario's Threads) instead of
 	// synthesising instructions from the Workload's profiles. Threads
 	// 2i and 2i+1 share core i. Functional L2 pre-warming is skipped:
 	// recorded traces carry no footprint metadata, so rely on Warmup.

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -116,25 +117,10 @@ func (e *offsetError) Unwrap() error { return e.err }
 // detected, and whether the error carries one.
 func Offset(err error) (int64, bool) {
 	var oe *offsetError
-	if ok := asOffsetError(err, &oe); ok {
+	if errors.As(err, &oe) {
 		return oe.off, true
 	}
 	return 0, false
-}
-
-func asOffsetError(err error, out **offsetError) bool {
-	for err != nil {
-		if oe, ok := err.(*offsetError); ok {
-			*out = oe
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // badAt builds a parse error carrying the byte offset of the
@@ -158,7 +144,7 @@ func ReadScenario(r io.Reader) (*Scenario, error) {
 	case string(head) == scenMagic:
 		return readScenarioBinary(br)
 	case len(head) >= len(fileMagic) && string(head[:len(fileMagic)]) == fileMagic:
-		insts, err := ReadAll(br)
+		insts, err := readLegacy(br)
 		if err != nil {
 			return nil, err
 		}
@@ -226,10 +212,9 @@ func readScenarioBinary(br *bufio.Reader) (*Scenario, error) {
 				return nil, badAt(off, "truncated instruction record: %w", err)
 			}
 			t := int(buf[0])
-			rec := buf[1 : 1+recordBytes]
-			cls := isa.Class(rec[8])
-			if int(cls) >= isa.NumClasses {
-				return nil, badAt(off, "instruction record has class %d", cls)
+			in, err := decodeInst(buf[1:1+recordBytes], off)
+			if err != nil {
+				return nil, err
 			}
 			if t >= maxScenThreads {
 				return nil, badAt(off, "thread %d exceeds the %d-thread limit", t, maxScenThreads)
@@ -237,17 +222,8 @@ func readScenarioBinary(br *bufio.Reader) (*Scenario, error) {
 			for len(s.Threads) <= t {
 				s.Threads = append(s.Threads, nil)
 			}
-			s.Threads[t] = append(s.Threads[t], isa.Inst{
-				PC:          binary.LittleEndian.Uint64(rec[0:]),
-				Class:       cls,
-				Dest:        isa.Reg(rec[9]),
-				Src1:        isa.Reg(rec[10]),
-				Src2:        isa.Reg(rec[11]),
-				Addr:        binary.LittleEndian.Uint64(rec[12:]),
-				Taken:       rec[20] == 1,
-				Target:      binary.LittleEndian.Uint64(rec[21:]),
-				MissLatency: binary.LittleEndian.Uint32(buf[1+recordBytes:]),
-			})
+			in.MissLatency = binary.LittleEndian.Uint32(buf[1+recordBytes:])
+			s.Threads[t] = append(s.Threads[t], in)
 			off += scenInstBytes
 		case scenRecPhase:
 			var hdr [3]byte

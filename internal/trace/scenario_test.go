@@ -66,36 +66,6 @@ func TestScenarioJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestScenarioReadsLegacyTrace(t *testing.T) {
-	insts := []isa.Inst{
-		{PC: 0x40, Class: isa.ClassLoad, Dest: 1, Src1: isa.InvalidReg, Src2: isa.InvalidReg, Addr: 0x99},
-		{PC: 0x44, Class: isa.ClassBranch, Dest: isa.InvalidReg, Src1: 1, Src2: isa.InvalidReg, Taken: true, Target: 0x40},
-	}
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range insts {
-		if err := w.Write(&insts[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	s, err := ReadScenario(&buf)
-	if err != nil {
-		t.Fatalf("legacy read: %v", err)
-	}
-	if len(s.Threads) != 1 || !reflect.DeepEqual(s.Threads[0], insts) {
-		t.Fatalf("legacy trace did not load as thread 0: %+v", s.Threads)
-	}
-	if len(s.Phases) != 0 {
-		t.Fatalf("legacy trace grew phase marks: %+v", s.Phases)
-	}
-}
-
 // TestScenarioErrorsCarryOffsets pins the byte-offset error discipline:
 // truncations and corruptions name where in the input they were found.
 func TestScenarioErrorsCarryOffsets(t *testing.T) {

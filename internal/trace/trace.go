@@ -1,7 +1,7 @@
 // Package trace defines how dynamic instruction streams reach the
 // simulator: the Source interface produced by the synthetic workload
-// generator (or by trace files), a fixed-record binary file format with
-// Reader/Writer, and the basic-block dictionary used to synthesise
+// generator (or by trace files), the scenario trace formats (see
+// scenario.go), and the basic-block dictionary used to synthesise
 // plausible wrong-path instructions after branch mispredictions — the
 // SMTsim technique the paper's methodology section describes.
 package trace
@@ -10,7 +10,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 
 	"repro/internal/isa"
@@ -51,77 +50,42 @@ func (s *SliceSource) Next(out *isa.Inst) {
 // Len returns the trace length in instructions.
 func (s *SliceSource) Len() int { return len(s.insts) }
 
-// File format: 8-byte magic+version header, then fixed 29-byte records.
+// Legacy MFTRACE1 file format (read-only): an 8-byte magic+version
+// header, then fixed 29-byte instruction records — the same encoding
+// MFSCEN1 instruction records embed.
 const (
 	fileMagic   = "MFTRACE1"
 	recordBytes = 8 + 1 + 1 + 1 + 1 + 8 + 1 + 8
 )
 
-// Writer serialises instructions to a trace file.
-type Writer struct {
-	w   *bufio.Writer
-	n   int
-	err error
-}
-
-// NewWriter writes the header and returns a Writer.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(fileMagic); err != nil {
-		return nil, fmt.Errorf("trace: writing header: %w", err)
-	}
-	return &Writer{w: bw}, nil
-}
-
-// Write appends one instruction record.
-func (w *Writer) Write(in *isa.Inst) error {
-	if w.err != nil {
-		return w.err
-	}
-	var buf [recordBytes]byte
-	binary.LittleEndian.PutUint64(buf[0:], in.PC)
-	buf[8] = byte(in.Class)
-	buf[9] = byte(in.Dest)
-	buf[10] = byte(in.Src1)
-	buf[11] = byte(in.Src2)
-	binary.LittleEndian.PutUint64(buf[12:], in.Addr)
-	if in.Taken {
-		buf[20] = 1
-	}
-	binary.LittleEndian.PutUint64(buf[21:], in.Target)
-	if _, err := w.w.Write(buf[:]); err != nil {
-		w.err = fmt.Errorf("trace: writing record %d: %w", w.n, err)
-		return w.err
-	}
-	w.n++
-	return nil
-}
-
-// Count returns the number of records written.
-func (w *Writer) Count() int { return w.n }
-
-// Flush flushes buffered records to the underlying writer.
-func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	return w.w.Flush()
-}
-
 // ErrBadTrace reports a malformed trace file.
 var ErrBadTrace = errors.New("trace: malformed trace file")
 
-// ReadAll parses a complete trace file into memory. Parse errors wrap
-// ErrBadTrace and carry the byte offset of the offending record
-// (recoverable with Offset), like every other reader in this package.
-func ReadAll(r io.Reader) ([]isa.Inst, error) {
-	br := bufio.NewReader(r)
-	var magic [len(fileMagic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, badAt(0, "missing header: %w", err)
+// decodeInst decodes one 29-byte instruction record found at byte off,
+// rejecting an out-of-range class. MissLatency is left zero.
+func decodeInst(rec []byte, off int64) (isa.Inst, error) {
+	cls := isa.Class(rec[8])
+	if int(cls) >= isa.NumClasses {
+		return isa.Inst{}, badAt(off, "instruction record has class %d", cls)
 	}
-	if string(magic[:]) != fileMagic {
-		return nil, badAt(0, "bad magic %q", magic)
+	return isa.Inst{
+		PC:     binary.LittleEndian.Uint64(rec[0:]),
+		Class:  cls,
+		Dest:   isa.Reg(rec[9]),
+		Src1:   isa.Reg(rec[10]),
+		Src2:   isa.Reg(rec[11]),
+		Addr:   binary.LittleEndian.Uint64(rec[12:]),
+		Taken:  rec[20] == 1,
+		Target: binary.LittleEndian.Uint64(rec[21:]),
+	}, nil
+}
+
+// readLegacy parses a complete MFTRACE1 file into memory: the legacy
+// branch of ReadScenario, which has already sniffed the magic. Parse errors wrap ErrBadTrace and carry the
+// byte offset of the offending record.
+func readLegacy(br *bufio.Reader) ([]isa.Inst, error) {
+	if _, err := br.Discard(len(fileMagic)); err != nil {
+		return nil, badAt(0, "reading header: %w", err)
 	}
 	var out []isa.Inst
 	var buf [recordBytes]byte
@@ -134,20 +98,11 @@ func ReadAll(r io.Reader) ([]isa.Inst, error) {
 		if err != nil {
 			return nil, badAt(off, "truncated record %d: %w", len(out), err)
 		}
-		cls := isa.Class(buf[8])
-		if int(cls) >= isa.NumClasses {
-			return nil, badAt(off, "record %d has class %d", len(out), cls)
+		in, err := decodeInst(buf[:], off)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, isa.Inst{
-			PC:     binary.LittleEndian.Uint64(buf[0:]),
-			Class:  cls,
-			Dest:   isa.Reg(buf[9]),
-			Src1:   isa.Reg(buf[10]),
-			Src2:   isa.Reg(buf[11]),
-			Addr:   binary.LittleEndian.Uint64(buf[12:]),
-			Taken:  buf[20] == 1,
-			Target: binary.LittleEndian.Uint64(buf[21:]),
-		})
+		out = append(out, in)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/isa"
 )
@@ -38,110 +37,23 @@ func TestSliceSourceEmptyPanics(t *testing.T) {
 	NewSliceSource(nil)
 }
 
-func TestFileRoundTrip(t *testing.T) {
-	insts := []isa.Inst{
-		{PC: 0x1000, Class: isa.ClassInt, Dest: 1, Src1: 2, Src2: 3},
-		{PC: 0x1004, Class: isa.ClassLoad, Dest: 4, Src1: 1, Src2: isa.InvalidReg, Addr: 0xdeadbeef},
-		{PC: 0x1008, Class: isa.ClassBranch, Dest: isa.InvalidReg, Taken: true, Target: 0x2000},
-		{PC: 0x100c, Class: isa.ClassStore, Src1: 4, Addr: 0xffffffffffff},
-		{PC: 0x1010, Class: isa.ClassReturn, Taken: true, Target: 0x900},
-	}
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range insts {
-		if err := w.Write(&insts[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != len(insts) {
-		t.Fatalf("count = %d", w.Count())
-	}
-	got, err := ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(insts) {
-		t.Fatalf("read %d records, wrote %d", len(got), len(insts))
-	}
-	for i := range insts {
-		if got[i] != insts[i] {
-			t.Fatalf("record %d: got %+v, want %+v", i, got[i], insts[i])
-		}
-	}
-}
-
-func TestFileRoundTripProperty(t *testing.T) {
-	f := func(pcs []uint64, classes []uint8) bool {
-		n := len(pcs)
-		if len(classes) < n {
-			n = len(classes)
-		}
-		insts := make([]isa.Inst, 0, n)
-		for i := 0; i < n; i++ {
-			insts = append(insts, isa.Inst{
-				PC:    pcs[i],
-				Class: isa.Class(classes[i] % uint8(isa.NumClasses)),
-				Dest:  isa.Reg(classes[i] % 64),
-				Addr:  pcs[i] * 3,
-				Taken: classes[i]%2 == 0,
-			})
-		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			return false
-		}
-		for i := range insts {
-			if w.Write(&insts[i]) != nil {
-				return false
-			}
-		}
-		if w.Flush() != nil {
-			return false
-		}
-		got, err := ReadAll(&buf)
-		if err != nil || len(got) != len(insts) {
-			return false
-		}
-		for i := range insts {
-			if got[i] != insts[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReadAllRejectsGarbage(t *testing.T) {
+// TestReadScenarioRejectsLegacyGarbage: empty input, an unknown magic,
+// a truncated MFTRACE1 record and an out-of-range class all fail with
+// ErrBadTrace instead of loading.
+func TestReadScenarioRejectsLegacyGarbage(t *testing.T) {
+	badClass := make([]byte, len(fileMagic)+recordBytes)
+	copy(badClass, fileMagic)
+	badClass[len(fileMagic)+8] = 200 // class byte of the first record
 	cases := map[string][]byte{
 		"empty":     {},
 		"bad magic": []byte("NOTTRACE plus some data"),
-		"truncated": append([]byte("MFTRACE1"), 1, 2, 3),
+		"truncated": append([]byte(fileMagic), 1, 2, 3),
+		"bad class": badClass,
 	}
 	for name, data := range cases {
-		if _, err := ReadAll(bytes.NewReader(data)); !errors.Is(err, ErrBadTrace) {
+		if _, err := ReadScenario(bytes.NewReader(data)); !errors.Is(err, ErrBadTrace) {
 			t.Errorf("%s: error = %v, want ErrBadTrace", name, err)
 		}
-	}
-	// Valid header+record but invalid class byte.
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	in := isa.Inst{Class: isa.ClassInt}
-	w.Write(&in)
-	w.Flush()
-	data := buf.Bytes()
-	data[8+8] = 200 // class byte of the first record
-	if _, err := ReadAll(bytes.NewReader(data)); !errors.Is(err, ErrBadTrace) {
-		t.Errorf("bad class: error = %v, want ErrBadTrace", err)
 	}
 }
 

@@ -22,9 +22,8 @@ func Main(prog string, argv []string, stdout, stderr io.Writer) int {
 	n := fs.Int("n", 1_000_000, "instructions per thread")
 	out := fs.String("o", "", "output file (bench mode default: <bench>.trace)")
 	seed := fs.Uint64("seed", 1, "synthesis seed")
-	base := fs.Uint64("base", 0, "bench mode: thread-0 address-space base (0: the live-run derivation)")
 	threads := fs.Int("threads", 1, "threads for single-bench modes (mix: one per bench)")
-	format := fs.String("format", "binary", "output encoding: binary (MFSCEN1), jsonl, mftrace (legacy, bench mode only)")
+	format := fs.String("format", "binary", "output encoding: binary (MFSCEN1) or jsonl")
 	latLo := fs.Uint64("lat-lo", 400, "miss-latency override floor, cycles")
 	latHi := fs.Uint64("lat-hi", 2000, "miss-latency override ceiling, cycles")
 	tailFrac := fs.Float64("tail-frac", 0.05, "fraction of loads receiving an override")
@@ -47,7 +46,7 @@ func Main(prog string, argv []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := Config{
-		Mode: *mode, N: *n, Threads: *threads, Seed: *seed, Base: *base,
+		Mode: *mode, N: *n, Threads: *threads, Seed: *seed,
 		LatLo: uint32(*latLo), LatHi: uint32(*latHi),
 		TailFrac: *tailFrac, Alpha: *alpha, Segments: *segments,
 	}
@@ -101,17 +100,6 @@ func splitBenches(s string) []string {
 // and is renamed into place only after a clean close, so a mid-write
 // failure leaves no truncated file behind.
 func WriteFile(path string, s *trace.Scenario, format string) error {
-	if format == "mftrace" {
-		if len(s.Threads) != 1 || len(s.Phases) > 0 {
-			return fmt.Errorf("tracecli: legacy mftrace format holds exactly one thread and no phase marks")
-		}
-		for _, in := range s.Threads[0] {
-			if in.MissLatency != 0 {
-				return fmt.Errorf("tracecli: legacy mftrace format cannot carry miss-latency overrides; use -format binary or jsonl")
-			}
-		}
-	}
-
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tracecli-*")
 	if err != nil {
@@ -131,21 +119,8 @@ func WriteFile(path string, s *trace.Scenario, format string) error {
 		if err := trace.WriteScenarioJSONL(tmp, s); err != nil {
 			return cleanup(err)
 		}
-	case "mftrace":
-		w, err := trace.NewWriter(tmp)
-		if err != nil {
-			return cleanup(err)
-		}
-		for i := range s.Threads[0] {
-			if err := w.Write(&s.Threads[0][i]); err != nil {
-				return cleanup(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return cleanup(err)
-		}
 	default:
-		return cleanup(fmt.Errorf("tracecli: unknown format %q (binary, jsonl, mftrace)", format))
+		return cleanup(fmt.Errorf("tracecli: unknown format %q (binary, jsonl)", format))
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())

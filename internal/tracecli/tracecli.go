@@ -1,6 +1,7 @@
 // Package tracecli implements the trace synthesizer behind
 // cmd/mflushtrace — one entry point for every trace file the repo
-// writes. Synthesis is fully
+// writes, in the MFSCEN1 binary or JSONL scenario encoding (legacy
+// MFTRACE1 files are read, never written). Synthesis is fully
 // deterministic: the same mode, flags and seed always produce a
 // byte-identical file (CI runs the tool twice and cmps), so a trace's
 // content digest — which campaign job keys hash — is reproducible from
@@ -8,8 +9,7 @@
 //
 // Modes:
 //
-//	bench  one benchmark, recorded verbatim (supports the legacy
-//	       MFTRACE1 output format and an explicit -base)
+//	bench  one benchmark, recorded verbatim
 //	ramp   miss-latency overrides ramp linearly from lat-lo to lat-hi
 //	       across the stream on a fraction of loads
 //	sweep  stepped latency levels, one per segment, with phase markers
@@ -49,10 +49,6 @@ type Config struct {
 	Threads int
 	// Seed drives every random draw.
 	Seed uint64
-	// Base overrides the thread-0 address base in bench mode only, so
-	// the raw (Seed, Base) generator stream can be recorded. Scenario
-	// modes always derive per-thread bases with sim.ReplayStream.
-	Base uint64
 	// LatLo and LatHi bound the miss-latency overrides in cycles.
 	LatLo, LatHi uint32
 	// TailFrac is the fraction of loads that receive an override.
@@ -175,21 +171,14 @@ func record(src trace.Source, n int) []isa.Inst {
 }
 
 // synthBench is bench mode: the raw generator stream, no overrides, no
-// markers. An explicit Base applies to thread 0; further threads derive
-// via sim.ReplayStream.
+// markers.
 func synthBench(cfg Config, profs []synth.Profile) (*trace.Scenario, error) {
 	if len(profs) != 1 {
 		return nil, fmt.Errorf("tracecli: bench mode takes exactly one benchmark")
 	}
 	s := &trace.Scenario{Threads: make([][]isa.Inst, cfg.Threads)}
 	for g := range s.Threads {
-		var src trace.Source
-		if g == 0 && cfg.Base != 0 {
-			src = synth.NewGenerator(profs[0], cfg.Seed, cfg.Base)
-		} else {
-			src = threadStream(cfg, profs[0], g)
-		}
-		s.Threads[g] = record(src, cfg.N)
+		s.Threads[g] = record(threadStream(cfg, profs[0], g), cfg.N)
 	}
 	return s, nil
 }

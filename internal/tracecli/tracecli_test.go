@@ -120,23 +120,23 @@ func TestMixStreamsMatchLiveSynthesis(t *testing.T) {
 	}
 }
 
-// TestBenchModeKeepsTracegenStream: with an explicit Base, thread 0 is
-// the raw (seed, base) generator stream, so historical bench-mode
-// recipes still produce the same traces.
-func TestBenchModeKeepsTracegenStream(t *testing.T) {
-	const seed, base, n = 5, uint64(1) << 34, 2000
-	s, err := Synthesize(Config{Mode: "bench", Benches: []string{"vpr"}, N: n, Seed: seed, Base: base})
+// TestLegacyFixtureLoads pins MFTRACE1 as a supported input format.
+// testdata/mcf64.mftrace was written by the retired legacy writer
+// (mflushtrace -bench mcf -n 64 -format mftrace -base 17179869184), so it
+// is the raw (seed 1, base 1<<34) mcf generator stream; it must still load
+// as a single thread 0 with no overrides and no phase marks.
+func TestLegacyFixtureLoads(t *testing.T) {
+	s, err := trace.LoadScenario(filepath.Join("testdata", "mcf64.mftrace"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, _ := synth.ByName("vpr")
-	gen := synth.NewGenerator(prof, seed, base)
-	var want isa.Inst
-	for i := range s.Threads[0] {
-		gen.Next(&want)
-		if s.Threads[0][i] != want {
-			t.Fatalf("bench stream diverges from the raw generator at inst %d", i)
-		}
+	if len(s.Threads) != 1 || len(s.Phases) != 0 {
+		t.Fatalf("legacy fixture loaded as %d threads, %d phase marks; want 1 thread, none", len(s.Threads), len(s.Phases))
+	}
+	prof, _ := synth.ByName("mcf")
+	want := record(synth.NewGenerator(prof, 1, 1<<34), 64)
+	if !reflect.DeepEqual(s.Threads[0], want) {
+		t.Fatal("legacy fixture does not load as the historical (seed, base) mcf stream")
 	}
 }
 
@@ -246,37 +246,8 @@ func TestWriteFileAtomic(t *testing.T) {
 	})
 }
 
-// TestWriteFileMftraceGuards: the legacy format cannot express the
-// scenario extensions, and saying so beats silently dropping them.
-func TestWriteFileMftraceGuards(t *testing.T) {
-	dir := t.TempDir()
-	multi := &trace.Scenario{Threads: [][]isa.Inst{{{Class: isa.ClassInt}}, {{Class: isa.ClassInt}}}}
-	if err := WriteFile(filepath.Join(dir, "a"), multi, "mftrace"); err == nil {
-		t.Error("mftrace accepted two threads")
-	}
-	marked := &trace.Scenario{
-		Threads: [][]isa.Inst{{{Class: isa.ClassInt}}},
-		Phases:  []trace.PhaseMark{{Label: "x"}},
-	}
-	if err := WriteFile(filepath.Join(dir, "b"), marked, "mftrace"); err == nil {
-		t.Error("mftrace accepted phase marks")
-	}
-	far := &trace.Scenario{Threads: [][]isa.Inst{{{Class: isa.ClassLoad, MissLatency: 900}}}}
-	if err := WriteFile(filepath.Join(dir, "c"), far, "mftrace"); err == nil {
-		t.Error("mftrace accepted miss-latency overrides")
-	}
-	ok := &trace.Scenario{Threads: [][]isa.Inst{{{Class: isa.ClassInt, PC: 4}}}}
-	if err := WriteFile(filepath.Join(dir, "d"), ok, "mftrace"); err != nil {
-		t.Errorf("plain single-thread scenario rejected: %v", err)
-	}
-	s, err := trace.LoadScenario(filepath.Join(dir, "d"))
-	if err != nil || len(s.Threads) != 1 {
-		t.Fatalf("legacy write unreadable: %v", err)
-	}
-}
-
-// TestMain covers the CLI shell: -list, scenario and legacy MFTRACE1
-// writes, and flag validation.
+// TestMain covers the CLI shell: -list, scenario writes and flag
+// validation.
 func TestMain(t *testing.T) {
 	run := func(prog string, argv ...string) (int, string, string) {
 		var out, errb strings.Builder
@@ -303,35 +274,6 @@ func TestMain(t *testing.T) {
 		s, err := trace.LoadScenario(path)
 		if err != nil || len(s.Threads) != 2 {
 			t.Fatalf("output unreadable: %v", err)
-		}
-	})
-
-	t.Run("legacy MFTRACE1 recipe", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "mcf.trace")
-		code, _, errs := run("mflushtrace", "-bench", "mcf", "-n", "500",
-			"-format", "mftrace", "-base", "17179869184", "-o", path)
-		if code != 0 {
-			t.Fatalf("exit %d: %s", code, errs)
-		}
-		// Legacy MFTRACE1 output of the raw stream at the historical
-		// base (1<<34).
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.HasPrefix(raw, []byte("MFTRACE1")) {
-			t.Fatalf("-format mftrace output not MFTRACE1: %q", raw[:8])
-		}
-		prof, _ := synth.ByName("mcf")
-		gen := synth.NewGenerator(prof, 1, 1<<34)
-		s, err := trace.LoadScenario(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want isa.Inst
-		gen.Next(&want)
-		if s.Threads[0][0] != want {
-			t.Fatal("legacy recipe no longer records the historical (seed, base) stream")
 		}
 	})
 
