@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/config"
@@ -26,22 +27,26 @@ type Cache struct {
 	// setShift drops the bank bits from a line address before the set
 	// index is taken (log2 of the bank count).
 	setShift uint
-	// bankStride is sets*assoc: ways of (bank, set) start at
-	// bank*bankStride + set*assoc in the flat arrays below (one
-	// allocation each, better locality than per-bank slices).
-	bankStride int
-	// tags[bank*bankStride+set*assoc+way]; 0 means empty, otherwise
-	// lineAddr+1.
+	// tags[(bank*sets+set)*assoc+way]; 0 means empty, otherwise
+	// lineAddr+1. Ways fill in order and are never invalidated, so a
+	// set's valid ways are always a prefix of its ways.
 	tags []uint64
-	// stamp mirrors tags with LRU timestamps.
-	stamp []uint64
-	// lines is the one allocation tags and stamp share, kept for Release.
+	// order[bank*sets+set] is the set's recency list: nibble i holds the
+	// way that is i-th most recently used, over the set's valid ways.
+	// Nibbles past the valid ways are never consulted. 4-bit nibbles are
+	// why a set has at most maxAssoc ways.
+	order []uint64
+	// lines is the one allocation tags and order share, kept for Release.
 	lines   []uint64
-	clock   uint64
 	hits    uint64
 	misses  uint64
 	inserts uint64
 }
+
+// maxAssoc is the largest associativity a Cache supports: one 64-bit
+// recency word per set holds up to 16 four-bit way numbers.
+// config.CacheGeom's validation enforces the same bound.
+const maxAssoc = 16
 
 // New constructs a cache from its geometry.
 func New(geom config.CacheGeom) *Cache {
@@ -49,25 +54,28 @@ func New(geom config.CacheGeom) *Cache {
 	if sets < 1 {
 		panic(fmt.Sprintf("cache: geometry %+v yields no sets", geom))
 	}
+	if geom.Assoc > maxAssoc {
+		panic(fmt.Sprintf("cache: %d-way sets exceed the %d-way limit", geom.Assoc, maxAssoc))
+	}
 	lineBits := uint(0)
 	for 1<<lineBits < geom.LineBytes {
 		lineBits++
 	}
 	c := &Cache{
-		geom:       geom,
-		sets:       sets,
-		lineBits:   lineBits,
-		bankMask:   uint64(geom.Banks - 1),
-		setShift:   uint(bitsFor(geom.Banks)),
-		bankStride: sets * geom.Assoc,
+		geom:     geom,
+		sets:     sets,
+		lineBits: lineBits,
+		bankMask: uint64(geom.Banks - 1),
+		setShift: uint(bitsFor(geom.Banks)),
 	}
-	n := geom.Banks * sets * geom.Assoc
-	c.lines = takeLines(2 * n)
-	c.tags, c.stamp = c.lines[:n:n], c.lines[n:]
+	nsets := geom.Banks * sets
+	n := nsets * geom.Assoc
+	c.lines = takeLines(n + nsets)
+	c.tags, c.order = c.lines[:n:n], c.lines[n:]
 	return c
 }
 
-// linePools recycles the tag-and-stamp arrays of released caches, one
+// linePools recycles the tag-and-order arrays of released caches, one
 // sync.Pool per array length. A sweep finishes machines and builds new
 // ones back to back, and the L2's arrays are most of a machine's memory:
 // handing them on keeps every gang start from allocating megabytes
@@ -96,7 +104,7 @@ func (c *Cache) Release() {
 		return
 	}
 	lines := c.lines
-	c.lines, c.tags, c.stamp = nil, nil, nil
+	c.lines, c.tags, c.order = nil, nil, nil
 	p, _ := linePools.LoadOrStore(len(lines), new(sync.Pool))
 	p.(*sync.Pool).Put(&lines)
 }
@@ -109,8 +117,11 @@ func (c *Cache) BankOf(addr uint64) int {
 	return int(c.LineAddr(addr) & c.bankMask)
 }
 
+// setOf returns the index of the set holding line: its recency word in
+// order, and (times assoc) its first way in tags.
 func (c *Cache) setOf(line uint64) int {
-	return int((line >> c.setShift) % uint64(c.sets))
+	bank := int(line & c.bankMask)
+	return bank*c.sets + int((line>>c.setShift)%uint64(c.sets))
 }
 
 // bitsFor returns log2 of a power of two.
@@ -122,11 +133,29 @@ func bitsFor(n int) int {
 	return b
 }
 
+// Nibble masks for the SWAR search in touch.
+const (
+	nibbleOnes = 0x1111111111111111
+	nibbleHigh = 0x8888888888888888
+)
+
+// touch makes way the most recently used of set s, which must already
+// list it: the nibbles in front of it shift back one place and way takes
+// nibble 0. The way's place is the lowest zero nibble of order^way: the
+// valid ways are distinct, and any nibble past them lies higher.
+func (c *Cache) touch(s, way int) {
+	o := c.order[s]
+	x := o ^ uint64(way)*nibbleOnes
+	p := uint(bits.TrailingZeros64((x-nibbleOnes)&^x&nibbleHigh)) &^ 3
+	upto := uint64(1)<<(p+4) - 1 // nibbles 0..p/4; all ones when p is 60
+	c.order[s] = o&^upto | (o&(upto>>4))<<4 | uint64(way)
+}
+
 // Probe reports whether the line holding addr is present, without touching
 // replacement state or statistics.
 func (c *Cache) Probe(addr uint64) bool {
 	line := c.LineAddr(addr)
-	base := c.BankOf(addr)*c.bankStride + c.setOf(line)*c.geom.Assoc
+	base := c.setOf(line) * c.geom.Assoc
 	tag := line + 1
 	for w := 0; w < c.geom.Assoc; w++ {
 		if c.tags[base+w] == tag {
@@ -139,13 +168,13 @@ func (c *Cache) Probe(addr uint64) bool {
 // Access performs a lookup for addr, updating LRU state and hit/miss
 // counters. It returns true on hit.
 func (c *Cache) Access(addr uint64) bool {
-	c.clock++
 	line := c.LineAddr(addr)
-	base := c.BankOf(addr)*c.bankStride + c.setOf(line)*c.geom.Assoc
+	s := c.setOf(line)
+	base := s * c.geom.Assoc
 	tag := line + 1
 	for w := 0; w < c.geom.Assoc; w++ {
 		if c.tags[base+w] == tag {
-			c.stamp[base+w] = c.clock
+			c.touch(s, w)
 			c.hits++
 			return true
 		}
@@ -158,32 +187,29 @@ func (c *Cache) Access(addr uint64) bool {
 // full. It returns the evicted line address and true if a valid line was
 // displaced.
 func (c *Cache) Fill(addr uint64) (evicted uint64, wasValid bool) {
-	c.clock++
 	c.inserts++
 	line := c.LineAddr(addr)
-	base := c.BankOf(addr)*c.bankStride + c.setOf(line)*c.geom.Assoc
+	s := c.setOf(line)
+	base := s * c.geom.Assoc
 	tag := line + 1
-	victim := 0
 	for w := 0; w < c.geom.Assoc; w++ {
 		i := base + w
 		if c.tags[i] == tag {
 			// Already present (a racing fill); just refresh.
-			c.stamp[i] = c.clock
+			c.touch(s, w)
 			return 0, false
 		}
 		if c.tags[i] == 0 {
 			c.tags[i] = tag
-			c.stamp[i] = c.clock
+			c.order[s] = c.order[s]<<4 | uint64(w)
 			return 0, false
 		}
-		if c.stamp[i] < c.stamp[base+victim] {
-			victim = w
-		}
 	}
+	victim := int(c.order[s]>>(4*uint(c.geom.Assoc-1))) & 0xF
 	i := base + victim
 	old := c.tags[i] - 1
 	c.tags[i] = tag
-	c.stamp[i] = c.clock
+	c.touch(s, victim)
 	return old << c.lineBits, true
 }
 

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -52,8 +53,8 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 // TestCacheReleaseRecyclesEmpty: a released cache's arrays go to the next
-// cache of its geometry, which must start as cold as a fresh one, while
-// the released cache refuses further lookups.
+// cache of its geometry, which must start as cold as a fresh one and pick
+// the same victims, while the released cache refuses further lookups.
 func TestCacheReleaseRecyclesEmpty(t *testing.T) {
 	g := smallGeom()
 	reused := 0
@@ -73,9 +74,19 @@ func TestCacheReleaseRecyclesEmpty(t *testing.T) {
 				t.Fatalf("round %d: new cache already holds %#x", i, a)
 			}
 		}
-		for _, v := range c.stamp {
-			if v != 0 {
-				t.Fatalf("round %d: new cache starts with LRU stamp %d", i, v)
+		// Three passes over twice the capacity, in an order that differs
+		// from the fill above, so leftover recency state would show as a
+		// different victim.
+		fresh := newStampModel(g)
+		for pass := 0; pass < 3; pass++ {
+			for line := 2*g.SizeBytes/g.LineBytes - 1; line >= 0; line-- {
+				a := uint64(line * g.LineBytes)
+				ev, valid := c.Fill(a)
+				wantEv, wantValid := fresh.fill(a)
+				if ev != wantEv || valid != wantValid {
+					t.Fatalf("round %d: recycled cache evicted (%#x, %t) filling %#x, fresh one (%#x, %t)",
+						i, ev, valid, a, wantEv, wantValid)
+				}
 			}
 		}
 		func() {
@@ -90,6 +101,149 @@ func TestCacheReleaseRecyclesEmpty(t *testing.T) {
 	if reused == 0 {
 		t.Fatal("no released array was ever reused")
 	}
+}
+
+// stampModel is the reference true-LRU cache the recency words replace:
+// every Access hit and Fill stamps its way with a rising clock, and the
+// victim is the way with the smallest stamp. It shares Cache's address
+// mapping so the two can be compared operation by operation.
+type stampModel struct {
+	c     *Cache // address mapping only; its arrays are never touched
+	tags  []uint64
+	stamp []uint64
+	clock uint64
+}
+
+func newStampModel(g config.CacheGeom) *stampModel {
+	n := g.Banks * g.Sets() * g.Assoc
+	return &stampModel{c: New(g), tags: make([]uint64, n), stamp: make([]uint64, n)}
+}
+
+func (m *stampModel) ways(addr uint64) (base int, tag uint64) {
+	line := m.c.LineAddr(addr)
+	return m.c.setOf(line) * m.c.geom.Assoc, line + 1
+}
+
+func (m *stampModel) probe(addr uint64) bool {
+	base, tag := m.ways(addr)
+	for w := 0; w < m.c.geom.Assoc; w++ {
+		if m.tags[base+w] == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (m *stampModel) access(addr uint64) bool {
+	m.clock++
+	base, tag := m.ways(addr)
+	for w := 0; w < m.c.geom.Assoc; w++ {
+		if m.tags[base+w] == tag {
+			m.stamp[base+w] = m.clock
+			return true
+		}
+	}
+	return false
+}
+
+func (m *stampModel) fill(addr uint64) (evicted uint64, wasValid bool) {
+	m.clock++
+	base, tag := m.ways(addr)
+	victim := 0
+	for w := 0; w < m.c.geom.Assoc; w++ {
+		i := base + w
+		if m.tags[i] == tag {
+			m.stamp[i] = m.clock
+			return 0, false
+		}
+		if m.tags[i] == 0 {
+			m.tags[i] = tag
+			m.stamp[i] = m.clock
+			return 0, false
+		}
+		if m.stamp[i] < m.stamp[base+victim] {
+			victim = w
+		}
+	}
+	i := base + victim
+	old := m.tags[i] - 1
+	m.tags[i] = tag
+	m.stamp[i] = m.clock
+	return old << m.c.lineBits, true
+}
+
+// lruAssocs are the associativities the equivalence checks cover: direct
+// mapped, the L1s' 4 ways, the L2's 12, and the 16-way limit.
+var lruAssocs = []int{1, 2, 4, 12, 16}
+
+// lruGeom is a small 2-bank, 4-set geometry of the given associativity,
+// so short random sequences both hit and evict.
+func lruGeom(assoc int) config.CacheGeom {
+	return config.CacheGeom{SizeBytes: 64 * assoc * 2 * 4, LineBytes: 64, Assoc: assoc, Banks: 2, Latency: 1}
+}
+
+// lruCheck applies one operation to both the cache and the model and
+// reports the first disagreement. op selects Access, Fill or Probe; line
+// indexes a pool of three times the cache's lines.
+func lruCheck(c *Cache, m *stampModel, op byte, line uint64) string {
+	addr := line % (3 * uint64(c.geom.SizeBytes/c.geom.LineBytes)) * uint64(c.geom.LineBytes)
+	switch op % 3 {
+	case 0:
+		if got, want := c.Access(addr), m.access(addr); got != want {
+			return fmt.Sprintf("Access(%#x) hit=%t, model %t", addr, got, want)
+		}
+	case 1:
+		ev, valid := c.Fill(addr)
+		if wantEv, wantValid := m.fill(addr); ev != wantEv || valid != wantValid {
+			return fmt.Sprintf("Fill(%#x) evicted (%#x, %t), model (%#x, %t)", addr, ev, valid, wantEv, wantValid)
+		}
+	default:
+		if got, want := c.Probe(addr), m.probe(addr); got != want {
+			return fmt.Sprintf("Probe(%#x) = %t, model %t", addr, got, want)
+		}
+	}
+	return ""
+}
+
+// TestLRUMatchesStampModel: random Access/Fill/Probe sequences give the
+// same hits, misses and victims as the stamp-based model, at every
+// supported associativity shape.
+func TestLRUMatchesStampModel(t *testing.T) {
+	for _, assoc := range lruAssocs {
+		r := rng.New(uint64(assoc))
+		for seq := 0; seq < 20; seq++ {
+			c, m := New(lruGeom(assoc)), newStampModel(lruGeom(assoc))
+			for i := 0; i < 2000; i++ {
+				if msg := lruCheck(c, m, byte(r.Intn(3)), uint64(r.Intn(1<<16))); msg != "" {
+					t.Fatalf("assoc %d, sequence %d, op %d: %s", assoc, seq, i, msg)
+				}
+			}
+			if h, mi, _ := c.Stats(); h+mi == 0 {
+				t.Fatalf("assoc %d: sequence made no accesses", assoc)
+			}
+		}
+	}
+}
+
+// FuzzCacheLRU drives the cache and the stamp model with the same
+// operations: the first byte picks the associativity, then each byte
+// pair is an operation and a line.
+func FuzzCacheLRU(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 1, 5, 0, 0})
+	f.Add([]byte{3, 1, 1, 1, 2, 1, 3, 0, 1, 1, 4, 2, 2})
+	f.Add([]byte{4, 1, 0, 1, 8, 1, 16, 1, 24, 0, 8, 1, 32, 2, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		g := lruGeom(lruAssocs[int(data[0])%len(lruAssocs)])
+		c, m := New(g), newStampModel(g)
+		for i := 1; i+1 < len(data); i += 2 {
+			if msg := lruCheck(c, m, data[i], uint64(data[i+1])); msg != "" {
+				t.Fatalf("assoc %d, op %d: %s", g.Assoc, i/2, msg)
+			}
+		}
+	})
 }
 
 func TestCacheEvictionReportsVictim(t *testing.T) {

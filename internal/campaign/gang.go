@@ -17,8 +17,7 @@ import "fmt"
 // everything members must share (window, workload, machine point) and
 // deliberately omits what they may vary (policy, seed). Trace jobs key
 // on their content digest (Job.workloadID), so they batch only with
-// replays of the byte-identical scenario — never with synthetic jobs,
-// whose stream-memoisation keys a trace replay has no part in.
+// replays of the byte-identical scenario — never with synthetic jobs.
 func (j Job) GangKey() string {
 	return fmt.Sprintf("w=%s cycles=%d warmup=%d interval=%d %s",
 		j.workloadID(), j.Cycles, j.Warmup, j.Interval, j.Tweak.canon())

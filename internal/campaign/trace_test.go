@@ -134,8 +134,7 @@ func TestTraceWireRoundTrip(t *testing.T) {
 }
 
 // TestTraceGangKeySeparation: trace jobs must never batch with
-// synthetic jobs (their stream memoisation would mis-share), and only
-// batch with replays of byte-identical content.
+// synthetic jobs, and only batch with replays of byte-identical content.
 func TestTraceGangKeySeparation(t *testing.T) {
 	w, _ := workload.ByName("2W1")
 	syn := Job{Workload: w, Policy: mustParse("ICOUNT"), Seed: 1, Cycles: 1000, Warmup: 100}

@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestDefaultValidates(t *testing.T) {
 	for cores := 1; cores <= 4; cores++ {
@@ -114,6 +117,23 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		m.mut(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a broken config", m.name)
+		}
+	}
+}
+
+// TestValidateAssocBound: 16 ways is the most a cache set can hold, and
+// a geometry one past it is rejected by name, not by its size arithmetic.
+func TestValidateAssocBound(t *testing.T) {
+	for assoc, ok := range map[int]bool{16: true, 17: false} {
+		c := Default(1)
+		c.Mem.L2.Assoc = assoc
+		c.Mem.L2.SizeBytes = c.Mem.L2.LineBytes * assoc * c.Mem.L2.Banks * 256
+		err := c.Validate()
+		if ok && err != nil {
+			t.Errorf("%d-way L2 rejected: %v", assoc, err)
+		}
+		if !ok && (err == nil || !strings.Contains(err.Error(), "16-way limit")) {
+			t.Errorf("%d-way L2: err = %v, want the 16-way limit named", assoc, err)
 		}
 	}
 }

@@ -17,20 +17,16 @@ import (
 // GangSession runs N member simulations — variants of one study, such as
 // a policy sweep over a shared (workload, seed) — in lockstep: every
 // member advances through the same cycle window together, one chunk at a
-// time. Opening members as a gang lets the immutable inputs (workload
-// profiles, prewarm plans, and above all the synthesised instruction
-// streams) be built once and shared, and lets the chunk loop fan members
-// out across goroutines behind deterministic barriers, so a gang's
-// aggregate simulated-cycles-per-second multiplies with both sharing and
-// available cores. Every member's observable output is bit-identical to
-// a solo Session over the same Options — the invariant internal/simtest
-// (DiffGang) exists to enforce.
+// time. The chunk loop fans members out across goroutines behind
+// deterministic barriers, so a gang's aggregate simulated cycles per
+// second grows with the cores available. Every member's observable
+// output is bit-identical to a solo Session over the same Options — the
+// invariant internal/simtest (DiffGang) exists to enforce.
 //
-// A gang is N Sessions: each member is an ordinary Session whose chip
-// reads the shared streams, and every per-member call delegates to it, so
-// Session.Step is the only stepping code. Members never share mutable
-// state; the only cross-member structures are the memoised immutable
-// streams (gangstream.go), which member goroutines read lock-free.
+// A gang is N Sessions: each member is an ordinary Session built exactly
+// as Open builds it, and every per-member call delegates to it, so
+// Session.Step is the only stepping code. Members share nothing; each
+// synthesises its own instruction streams.
 //
 // Lifecycle mirrors Session, widened: OpenGang -> (Step | StepContext |
 // Snapshot | Observe | ResetMeasurement | FinishMember)* -> Finish.
@@ -41,13 +37,6 @@ type GangSession struct {
 	members []*Session
 	results []*Result
 
-	// cursors[m] lists member m's shared-stream cursors, released when
-	// the member finishes so it stops pinning the streams' trim marks.
-	cursors [][]*streamCursor
-	// streams lists every shared stream in creation order, for the
-	// barrier-time trims.
-	streams []*sharedStream
-
 	cycle    uint64
 	parallel int
 	// active is the scratch list of open members, rebuilt each Step.
@@ -55,49 +44,30 @@ type GangSession struct {
 }
 
 // gangStride is the internal lockstep chunk: members run this many
-// cycles between barriers. Barriers are where cancellation is observed
-// and consumed stream chunks are trimmed, so the stride bounds both
-// cancellation latency and the shared streams' retained window. Results
-// never depend on it (chunking is invariant, test-enforced).
+// cycles between barriers. Barriers are where cancellation is observed,
+// so the stride bounds cancellation latency. Results never depend on it
+// (chunking is invariant, test-enforced).
 const gangStride = 2048
 
-// OpenGang builds one machine per member and returns the gang positioned
-// at cycle zero. Each member's Options are honoured exactly as Open
-// does; members may differ in any field, though sharing (and therefore
-// speedup) is greatest for members that differ only in policy or tweak.
-// The gang's internal parallelism defaults to min(GOMAXPROCS, width);
-// SetParallelism overrides it.
-//
-// The shared-input memo is built only for two or more members. A lone
-// member has nothing to share, and routing its streams through the memo
-// would only retain them behind cursors on top of what its generators
-// keep, so a width-1 gang — what Run executes — builds exactly what
-// Open builds.
+// OpenGang builds one machine per member, each exactly as Open builds
+// it, and returns the gang positioned at cycle zero. Members may differ
+// in any Options field. The gang's internal parallelism defaults to
+// min(GOMAXPROCS, width); SetParallelism overrides it.
 func OpenGang(opts []Options) (*GangSession, error) {
 	if len(opts) == 0 {
 		return nil, fmt.Errorf("sim: gang needs at least one member")
 	}
-	var shared *gangShared
-	if len(opts) >= 2 {
-		shared = newGangShared()
-	}
 	g := &GangSession{
 		members:  make([]*Session, len(opts)),
 		results:  make([]*Result, len(opts)),
-		cursors:  make([][]*streamCursor, len(opts)),
 		parallel: min(runtime.GOMAXPROCS(0), len(opts)),
 	}
 	for m, opt := range opts {
-		before := cursorsSnapshot(shared)
-		chip, err := buildChipShared(opt, shared)
+		chip, err := buildChip(opt)
 		if err != nil {
 			return nil, memberErr(len(opts), m, err)
 		}
 		g.members[m] = newSession(opt, chip)
-		g.cursors[m] = cursorsSince(shared, before)
-	}
-	if shared != nil {
-		g.streams = shared.order
 	}
 	return g, nil
 }
@@ -109,37 +79,6 @@ func memberErr(width, m int, err error) error {
 		return err
 	}
 	return fmt.Errorf("sim: gang member %d: %w", m, err)
-}
-
-// cursorsSnapshot records how many cursors each stream holds, so the
-// cursors a member's build adds can be attributed to that member. A nil
-// memo (a width-1 gang) has none.
-func cursorsSnapshot(gs *gangShared) []int {
-	if gs == nil {
-		return nil
-	}
-	counts := make([]int, len(gs.order))
-	for i, s := range gs.order {
-		counts[i] = len(s.cursors)
-	}
-	return counts
-}
-
-// cursorsSince returns every cursor created after the snapshot was
-// taken: the cursors belonging to the member just built.
-func cursorsSince(gs *gangShared, before []int) []*streamCursor {
-	if gs == nil {
-		return nil
-	}
-	var out []*streamCursor
-	for i, s := range gs.order {
-		from := 0
-		if i < len(before) {
-			from = before[i]
-		}
-		out = append(out, s.cursors[from:]...)
-	}
-	return out
 }
 
 // Width returns the gang's member count (finished members included).
@@ -168,8 +107,8 @@ func (g *GangSession) Parallelism() int { return g.parallel }
 
 // SetParallelism bounds the goroutines Step uses (clamped to [1, width]).
 // Results are independent of the setting — members are independent
-// machines and shared streams are immutable — so this is purely a
-// throughput knob. Call it between Steps, not during one.
+// machines — so this is purely a throughput knob. Call it between Steps,
+// not during one.
 func (g *GangSession) SetParallelism(n int) {
 	g.parallel = max(1, min(n, len(g.members)))
 }
@@ -215,7 +154,7 @@ func (g *GangSession) StepContext(ctx context.Context, n uint64) (uint64, error)
 
 // runChunk steps every open member's Session by c cycles, striding
 // members across the parallelism budget, then waits for all of them (the
-// deterministic barrier) and trims the shared streams.
+// deterministic barrier).
 func (g *GangSession) runChunk(c uint64) {
 	act := g.active
 	if p := min(g.parallel, len(act)); p > 1 {
@@ -236,9 +175,6 @@ func (g *GangSession) runChunk(c uint64) {
 		}
 	}
 	g.cycle += c
-	for _, s := range g.streams {
-		s.trim()
-	}
 }
 
 // ResetMeasurement restarts every open member's measurement window at
@@ -271,21 +207,13 @@ func (g *GangSession) Observe(m int, p Probe) error {
 // FinishMember finishes member m's Session — validating its machine
 // invariants and collecting its Result over its measurement window — and
 // removes it from the lockstep: subsequent Steps advance only the
-// remaining members, and the member's shared-stream cursors are released
-// so they stop pinning stream memory. The rest of the gang is unaffected
-// — bit-identically so.
+// remaining members. The rest of the gang is unaffected — bit-identically
+// so.
 func (g *GangSession) FinishMember(m int) (*Result, error) {
 	if m < 0 || m >= len(g.members) {
 		return nil, fmt.Errorf("sim: gang has no member %d", m)
 	}
-	s := g.members[m]
-	res, err := s.Finish()
-	if s.finished {
-		for _, cur := range g.cursors[m] {
-			cur.stream.release(cur)
-		}
-		g.cursors[m] = nil
-	}
+	res, err := g.members[m].Finish()
 	if err != nil {
 		return nil, memberErr(len(g.members), m, err)
 	}

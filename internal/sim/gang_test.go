@@ -7,13 +7,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/isa"
 	"repro/internal/workload"
 )
 
-// gangOptions builds a maximal-sharing gang: one workload and seed, the
-// paper's four policies — the policy-sweep shape campaign batching
-// produces, where every member reads the same shared streams.
+// gangOptions builds a policy-sweep gang: one workload and seed, the
+// paper's four policies — the shape campaign batching produces, where
+// every member synthesises the same instruction streams.
 func gangOptions(t *testing.T, name string, seed, warmup, cycles uint64) []Options {
 	t.Helper()
 	w, ok := workload.ByName(name)
@@ -60,10 +59,10 @@ func TestRunGangMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestRunGangSharedStreamsBitIdentity covers the maximal-sharing case —
-// all members consuming the same memoised instruction streams — against
-// solo Run, member by member.
-func TestRunGangSharedStreamsBitIdentity(t *testing.T) {
+// TestRunGangSameSeedBitIdentity covers a policy sweep whose members all
+// synthesise the same instruction streams (one workload and seed)
+// against solo Run, member by member.
+func TestRunGangSameSeedBitIdentity(t *testing.T) {
 	opts := gangOptions(t, "4W2", 7, 4000, 12000)
 	results, err := RunGang(opts)
 	if err != nil {
@@ -77,34 +76,6 @@ func TestRunGangSharedStreamsBitIdentity(t *testing.T) {
 		if g, s := fingerprint(results[m]), fingerprint(solo); g != s {
 			t.Errorf("member %d (%s): gang diverged from solo\n gang: %s\n solo: %s", m, o.Policy, g, s)
 		}
-	}
-}
-
-// TestGangWidthOneBuildsNoMemo pins what makes Run (a width-1 RunGang)
-// cost what a solo build costs: a lone member reads its own generators,
-// with no shared-stream memo behind it, and still reproduces Run.
-func TestGangWidthOneBuildsNoMemo(t *testing.T) {
-	opts := gangOptions(t, "2W3", 3, 2000, 6000)[3:]
-	g, err := OpenGang(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.streams) != 0 {
-		t.Fatalf("width-1 gang built %d shared streams, want none", len(g.streams))
-	}
-	g.Step(opts[0].Warmup)
-	g.ResetMeasurement()
-	g.Step(opts[0].Cycles)
-	results, err := g.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo, err := Run(opts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fingerprint(results[0]), fingerprint(solo); got != want {
-		t.Errorf("width-1 gang diverged from Run\n gang: %s\n  run: %s", got, want)
 	}
 }
 
@@ -338,69 +309,5 @@ func TestGangParallelismClamps(t *testing.T) {
 	g.SetParallelism(99)
 	if got := g.Parallelism(); got != len(opts) {
 		t.Errorf("SetParallelism(99) -> %d, want clamp to width %d", got, len(opts))
-	}
-}
-
-// TestSharedStreamTrim exercises the stream memo directly: cursors at
-// skewed positions read identical content, trimming drops only chunks
-// below the slowest cursor, and released cursors stop pinning memory.
-func TestSharedStreamTrim(t *testing.T) {
-	opts := gangOptions(t, "2W1", 11, 0, 1)
-	g, err := OpenGang(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.streams) == 0 {
-		t.Fatal("policy-sweep gang built no shared streams")
-	}
-	st := g.streams[0]
-	if len(st.cursors) != len(opts) {
-		t.Fatalf("stream has %d cursors, want one per member (%d)", len(st.cursors), len(opts))
-	}
-
-	// Advance one cursor far ahead; the window must retain everything the
-	// laggards still need.
-	lead, lag := st.cursors[0], st.cursors[1]
-	var a, b isa.Inst
-	for i := 0; i < 3*streamChunkSize; i++ {
-		lead.Next(&a)
-	}
-	st.trim()
-	if w := st.w.Load(); w.base != 0 {
-		t.Fatalf("trim dropped chunks below a live cursor: base = %d", w.base)
-	}
-	// Catch the laggards up past the first chunks; now trim may drop.
-	for _, cur := range st.cursors[1:] {
-		for i := 0; i < 2*streamChunkSize; i++ {
-			cur.Next(&b)
-		}
-	}
-	st.trim()
-	if w := st.w.Load(); w.base != 2*streamChunkSize {
-		t.Fatalf("trim retained consumed chunks: base = %d, want %d", w.base, 2*streamChunkSize)
-	}
-
-	// Identical positions must yield identical instructions: replay the
-	// lead's history on the lagging cursor and compare.
-	lead2 := &streamCursor{stream: st, pos: lag.pos}
-	st.cursors = append(st.cursors, lead2)
-	for i := 0; i < streamChunkSize; i++ {
-		lag.Next(&a)
-		lead2.Next(&b)
-		if a != b {
-			t.Fatalf("cursors diverged at position %d: %+v vs %+v", lag.pos-1, a, b)
-		}
-	}
-
-	// Releasing every other cursor lets the lead's position gate the trim.
-	for _, cur := range []*streamCursor{lag, lead2, st.cursors[2], st.cursors[3]} {
-		st.release(cur)
-	}
-	if len(st.cursors) != 1 || st.cursors[0] != lead {
-		t.Fatalf("release left wrong cursors: %d remaining", len(st.cursors))
-	}
-	st.trim()
-	if w := st.w.Load(); w.base != 3*streamChunkSize {
-		t.Fatalf("trim after release: base = %d, want %d", w.base, 3*streamChunkSize)
 	}
 }

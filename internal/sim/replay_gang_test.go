@@ -43,8 +43,7 @@ func recordStream(t *testing.T, bench string, seed uint64, g, n int, overrideEve
 // whose members replay recorded traces — including traces with
 // miss-latency overrides, and two members replaying the same trace
 // under different policies — is bit-identical to running each member
-// solo. Replay members bypass the gang's stream memoisation (they read
-// slices, not generators), and this proves the bypass is complete.
+// solo, reading slices rather than generators.
 func TestReplayGangMatchesSolo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential replay gang run")

@@ -230,9 +230,8 @@ func (r *Result) Summary() Summary {
 
 // Run executes one simulation to completion: RunGang of width 1, whose
 // lone member is a Session driven Open, Step(Warmup), ResetMeasurement,
-// Step(Cycles), Finish over an unshared build. Its output is
-// bit-identical to the pre-Session one-shot driver (test-enforced with
-// golden fingerprints).
+// Step(Cycles), Finish. Its output is bit-identical to the pre-Session
+// one-shot driver (test-enforced with golden fingerprints).
 func Run(opt Options) (*Result, error) {
 	results, err := RunGang([]Options{opt})
 	if err != nil {
@@ -246,21 +245,6 @@ func Run(opt Options) (*Result, error) {
 // measure the cycle loop (allocations, throughput) apart from
 // construction.
 func buildChip(opt Options) (*cmp.Chip, error) {
-	return buildChipShared(opt, nil)
-}
-
-// buildChipShared is buildChip with an optional gang-sharing context.
-// With a nil shared (Open, and a width-1 gang) it is exactly the solo
-// build. With one, the
-// immutable inputs every member would otherwise recompute are built once
-// and reused across the gang: workload profiles, the L2 prewarm fill
-// plan, and — the expensive one — the synthesised instruction streams,
-// which members consume through per-member cursors over one memoised
-// stream instead of each running its own generator. Sharing is keyed so
-// only members that would have produced bit-identical inputs share them,
-// which keeps every member's output bit-identical to a solo build
-// (test-enforced by simtest.DiffGang).
-func buildChipShared(opt Options, shared *gangShared) (*cmp.Chip, error) {
 	cores := opt.Cores
 	if cores == 0 {
 		if len(opt.ThreadTraces) > 0 {
@@ -292,11 +276,7 @@ func buildChipShared(opt Options, shared *gangShared) (*cmp.Chip, error) {
 		}
 	} else {
 		var err error
-		if shared != nil {
-			profiles, err = shared.profilesFor(opt.Workload)
-		} else {
-			profiles, err = opt.Workload.Profiles()
-		}
+		profiles, err = opt.Workload.Profiles()
 		if err != nil {
 			return nil, err
 		}
@@ -327,16 +307,7 @@ func buildChipShared(opt Options, shared *gangShared) (*cmp.Chip, error) {
 				// Threads beyond the workload re-run it modulo its size
 				// (never happens for the paper's workloads, which
 				// exactly fill the machine).
-				prof := profiles[g%len(profiles)]
-				if shared != nil {
-					// Members whose thread would synthesise the exact
-					// same stream (same workload profile, generator
-					// seed and address base) read one memoised stream
-					// through private cursors.
-					src = shared.cursorFor(opt.Workload.Name, g%len(profiles), prof, seed, base)
-				} else {
-					src = synth.NewGenerator(prof, seed, base)
-				}
+				src = synth.NewGenerator(profiles[g%len(profiles)], seed, base)
 			}
 			sources[c] = append(sources[c], src)
 			bases[c] = append(bases[c], base)
@@ -348,15 +319,7 @@ func buildChipShared(opt Options, shared *gangShared) (*cmp.Chip, error) {
 		return nil, err
 	}
 	if len(profiles) > 0 {
-		capBytes := uint64(2 * chip.Config().Mem.L2.SizeBytes)
-		line := uint64(chip.Config().Mem.L2.LineBytes)
-		var plan []uint64
-		if shared != nil {
-			plan = shared.prewarmFor(opt.Workload.Name, profiles, bases, capBytes, line)
-		} else {
-			plan = prewarmPlan(profiles, bases, capBytes, line)
-		}
-		applyPrewarm(chip, plan)
+		prewarm(chip, profiles, bases)
 	}
 	return chip, nil
 }
@@ -389,18 +352,16 @@ func replayCores(opt Options, nTraces int) int {
 	return (nTraces + tpc - 1) / tpc
 }
 
-// prewarmPlan computes the functional L2 prewarm fill sequence for each
-// thread's data footprint, interleaved across threads so each retains a
-// proportional share. The paper's 120M-cycle runs reach this steady
-// state on their own; our shorter windows would otherwise keep reporting
-// virgin-page cold misses that no real steady state contains. Footprints
-// much larger than the L2 are skipped: they churn the cache regardless,
-// so prewarming them would only distort LRU state.
-//
-// The plan depends only on immutable inputs (profiles, thread address
-// bases, L2 geometry), so a gang computes it once per distinct machine
-// shape and replays it into every member (applyPrewarm).
-func prewarmPlan(profiles []synth.Profile, bases [][]uint64, capBytes, line uint64) []uint64 {
+// prewarm functionally fills the chip's L2 with each thread's data
+// footprint, interleaved across threads so each retains a proportional
+// share. The paper's 120M-cycle runs reach this steady state on their
+// own; our shorter windows would otherwise keep reporting virgin-page
+// cold misses that no real steady state contains. Footprints larger than
+// twice the L2 are skipped: they churn the cache regardless, so
+// prewarming them would only distort LRU state.
+func prewarm(chip *cmp.Chip, profiles []synth.Profile, bases [][]uint64) {
+	geom := chip.Config().Mem.L2
+	capBytes, line := uint64(2*geom.SizeBytes), uint64(geom.LineBytes)
 	type cursor struct {
 		next, end uint64
 	}
@@ -418,11 +379,7 @@ func prewarmPlan(profiles []synth.Profile, bases [][]uint64, capBytes, line uint
 			cursors = append(cursors, cursor{next: dataBase, end: dataBase + prof.FootprintBytes})
 		}
 	}
-	lines := 0
-	for _, cu := range cursors {
-		lines += int((cu.end - cu.next + line - 1) / line)
-	}
-	plan := make([]uint64, 0, lines)
+	l2 := chip.L2().Cache()
 	for {
 		progressed := false
 		for i := range cursors {
@@ -430,21 +387,13 @@ func prewarmPlan(profiles []synth.Profile, bases [][]uint64, capBytes, line uint
 			if cu.next >= cu.end {
 				continue
 			}
-			plan = append(plan, cu.next)
+			l2.Fill(cu.next)
 			cu.next += line
 			progressed = true
 		}
 		if !progressed {
-			return plan
+			return
 		}
-	}
-}
-
-// applyPrewarm replays a prewarm fill plan into one chip's L2.
-func applyPrewarm(chip *cmp.Chip, plan []uint64) {
-	l2 := chip.L2().Cache()
-	for _, addr := range plan {
-		l2.Fill(addr)
 	}
 }
 

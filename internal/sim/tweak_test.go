@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -29,6 +30,22 @@ func TestTweakValidationFailure(t *testing.T) {
 		Tweak: func(c *config.Config) { c.Core.IntQueue = 0 }})
 	if err == nil {
 		t.Fatal("invalid tweaked config accepted")
+	}
+}
+
+// TestTweakAssocBoundIsAdmissionError: an L2 wider than the cache's
+// 16-way limit is a config error from Run, never a panic while the chip
+// is built.
+func TestTweakAssocBoundIsAdmissionError(t *testing.T) {
+	w, _ := workload.ByName("2W1")
+	_, err := Run(Options{Workload: w, Policy: SpecICOUNT, Cycles: 1000,
+		Tweak: func(c *config.Config) {
+			c.Mem.L2.Assoc = 17
+			c.Mem.L2.SizeBytes = c.Mem.L2.LineBytes * 17 * c.Mem.L2.Banks * 256
+		}})
+	if err == nil || !strings.HasPrefix(err.Error(), "sim: tweaked config invalid") ||
+		!strings.Contains(err.Error(), "16-way limit") {
+		t.Fatalf("17-way L2 tweak: err = %v, want a tweaked-config error naming the 16-way limit", err)
 	}
 }
 

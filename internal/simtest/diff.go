@@ -1,12 +1,12 @@
 // The differential harness for the simulator's execution modes: it
 // proves that running N variants as a lockstep gang (sim.GangSession)
 // is observationally bit-identical to running each variant alone as a
-// width-1, unshared sim.Session — exactly what sim.Run executes — and
-// localises the first divergence when it is not. Both sides step
+// width-1 sim.Session — exactly what sim.Run executes — and localises
+// the first divergence when it is not. Both sides build and step
 // through the same Session code, so the harness isolates what the gang
-// adds (shared streams and prewarm plans, the lockstep barrier, member
-// parallelism); the golden fingerprints in internal/sim remain the
-// absolute reference for the results themselves. The unit, metamorphic
+// adds (the lockstep barrier and member parallelism); the golden
+// fingerprints in internal/sim remain the absolute reference for the
+// results themselves. The unit, metamorphic
 // and race tests across internal/sim and internal/campaign are built on
 // it, so "gang = solo" is frozen as an executable invariant rather than
 // a comment.
@@ -51,8 +51,8 @@ type DiffConfig struct {
 	Parallelism int
 }
 
-// DiffGang runs opts once as a gang and once as N independent width-1,
-// unshared sessions (sim.Open, the build sim.Run uses), comparing every
+// DiffGang runs opts once as a gang and once as N independent width-1
+// sessions (sim.Open, the build sim.Run uses), comparing every
 // member's observable state at every chunk boundary and the full
 // Results (Fingerprint) at the end. It returns nil when the gang is
 // bit-identical to solo, and otherwise an error

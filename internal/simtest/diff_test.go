@@ -10,7 +10,8 @@ import (
 )
 
 // sweep builds the policy-sweep gang shape for one workload: shared
-// (workload, seed), the four paper policies — maximal stream sharing.
+// (workload, seed), the four paper policies — identical streams in
+// every member.
 func sweep(t *testing.T, name string, seed, warmup, cycles uint64) []sim.Options {
 	t.Helper()
 	w, ok := workload.ByName(name)

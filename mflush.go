@@ -102,9 +102,9 @@ func Run(opt Options) (*Result, error) { return sim.Run(opt) }
 // zero: the steppable, observable form of Run.
 func Open(opt Options) (*Session, error) { return sim.Open(opt) }
 
-// OpenGang starts a lockstep gang of sessions, one per Options, sharing
-// instruction streams and prewarm plans across members where the inputs
-// coincide. Results are bit-identical to opening each member solo.
+// OpenGang starts a lockstep gang of sessions, one per Options, stepped
+// together across goroutines. Results are bit-identical to opening each
+// member solo.
 func OpenGang(opts []Options) (*GangSession, error) { return sim.OpenGang(opts) }
 
 // RunGang executes a gang to completion: warm-up, measurement reset and
