@@ -34,7 +34,7 @@ type Cache struct {
 	// order[bank*sets+set] is the set's recency list: nibble i holds the
 	// way that is i-th most recently used, over the set's valid ways.
 	// Nibbles past the valid ways are never consulted. 4-bit nibbles are
-	// why a set has at most maxAssoc ways.
+	// why a set has at most config.MaxAssoc ways.
 	order []uint64
 	// lines is the one allocation tags and order share, kept for Release.
 	lines   []uint64
@@ -43,19 +43,14 @@ type Cache struct {
 	inserts uint64
 }
 
-// maxAssoc is the largest associativity a Cache supports: one 64-bit
-// recency word per set holds up to 16 four-bit way numbers.
-// config.CacheGeom's validation enforces the same bound.
-const maxAssoc = 16
-
 // New constructs a cache from its geometry.
 func New(geom config.CacheGeom) *Cache {
 	sets := geom.Sets()
 	if sets < 1 {
 		panic(fmt.Sprintf("cache: geometry %+v yields no sets", geom))
 	}
-	if geom.Assoc > maxAssoc {
-		panic(fmt.Sprintf("cache: %d-way sets exceed the %d-way limit", geom.Assoc, maxAssoc))
+	if geom.Assoc > config.MaxAssoc {
+		panic(fmt.Sprintf("cache: %d-way sets exceed the %d-way limit", geom.Assoc, config.MaxAssoc))
 	}
 	lineBits := uint(0)
 	for 1<<lineBits < geom.LineBytes {

@@ -221,14 +221,17 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// MaxAssoc is the largest cache associativity the simulator supports:
+// internal/cache keeps each set's LRU order as 4-bit way numbers in one
+// 64-bit word, which holds 16 of them.
+const MaxAssoc = 16
+
 func (g CacheGeom) validate() error {
 	switch {
 	case g.SizeBytes <= 0 || g.LineBytes <= 0 || g.Assoc <= 0 || g.Banks <= 0:
 		return fmt.Errorf("non-positive geometry %+v", g)
-	case g.Assoc > 16:
-		// The cache keeps each set's LRU order as 4-bit way numbers in
-		// one 64-bit word.
-		return fmt.Errorf("associativity %d exceeds the 16-way limit", g.Assoc)
+	case g.Assoc > MaxAssoc:
+		return fmt.Errorf("associativity %d exceeds the %d-way limit", g.Assoc, MaxAssoc)
 	case g.LineBytes&(g.LineBytes-1) != 0:
 		return fmt.Errorf("line size %d not a power of two", g.LineBytes)
 	case g.Banks&(g.Banks-1) != 0:
