@@ -44,8 +44,6 @@ func run() error {
 	cycles := flag.Uint64("cycles", 200000, "measured cycles per simulation")
 	warmup := flag.Uint64("warmup", 300000, "warm-up cycles per simulation")
 	jobs := flag.Int("jobs", 0, "parallel simulations (0: GOMAXPROCS)")
-	gang := flag.Int("gang", 0,
-		"lockstep gang width: batch up to this many compatible jobs (same workload, window and tweak) into one shared-input gang simulation (0 or 1: solo)")
 	out := flag.String("out", "sweep", "output directory (results.jsonl, aggregate.csv, aggregate.json)")
 	resume := flag.Bool("resume", false, "continue an interrupted campaign from OUT/results.jsonl")
 	quiet := flag.Bool("q", false, "suppress per-job progress on stderr")
@@ -82,7 +80,7 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	sched := &campaign.Scheduler{Workers: *jobs, GangWidth: *gang}
+	sched := &campaign.Scheduler{Workers: *jobs}
 	if !*quiet {
 		sched.OnProgress = func(p campaign.Progress) {
 			status := ""

@@ -51,8 +51,6 @@ func run() error {
 	coordinator := flag.String("coordinator", "http://127.0.0.1:8080", "mflushd base URL (must run with -cluster)")
 	name := flag.String("name", defaultName(), "worker label in fleet listings")
 	capacity := flag.Int("capacity", runtime.GOMAXPROCS(0), "parallel simulations (and lease batch size)")
-	gang := flag.Int("gang", 0,
-		"lockstep gang width: batch up to this many compatible leased jobs (same workload, window and tweak) into one shared-input gang simulation (0 or 1: solo)")
 	leaseWait := flag.Duration("lease-wait", 2*time.Second, "long-poll duration when the job queue is empty")
 	quiet := flag.Bool("quiet", false, "suppress per-job logging")
 	metricsAddr := flag.String("metrics-addr", "",
@@ -65,7 +63,6 @@ func run() error {
 		Base:      *coordinator,
 		Name:      *name,
 		Capacity:  *capacity,
-		GangWidth: *gang,
 		LeaseWait: *leaseWait,
 	}
 	if !*quiet {

@@ -3,9 +3,8 @@
 // sizes and process restarts is the repository's foundational invariant
 // — every golden fingerprint, frozen job key and differential gang test
 // assumes it — and the cheapest place to enforce it is at the source
-// level: no wall-clock reads, no global math/rand, no goroutines
-// outside the audited gang barrier, and no map iteration whose order
-// can escape into results.
+// level: no wall-clock reads, no global math/rand, no goroutines, and
+// no map iteration whose order can escape into results.
 package determinism
 
 import (
@@ -46,7 +45,7 @@ var keyFiles = []string{"campaign.go", "gang.go", "trace.go", "wire.go"}
 // Analyzer is the determinism check.
 var Analyzer = &analysis.Analyzer{
 	Name:  "determinism",
-	Doc:   "forbid wall-clock, global math/rand, escaping map iteration order and unaudited goroutines in the simulator core",
+	Doc:   "forbid wall-clock, global math/rand, escaping map iteration order and goroutines in the simulator core",
 	Match: analysis.MatchFiles("repro/internal/campaign", keyFiles, analysis.MatchPackages(CorePackages...)),
 	Run:   run,
 }
@@ -83,14 +82,10 @@ var sortFuncs = map[string]bool{
 
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
-		filename := pass.Fset.Position(file.Pos()).Filename
-		barrier := pass.Facts.GangBarrierFiles[filename]
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				if !barrier {
-					pass.Reportf(n.Pos(), "go statement outside a //mflush:gang-barrier-file; simulator-core concurrency belongs behind the audited gang barrier")
-				}
+				pass.Reportf(n.Pos(), "go statement in simulator core: a simulation runs on its caller's goroutine; parallelism belongs to the campaign scheduler")
 			case *ast.CallExpr:
 				checkCall(pass, n)
 			case *ast.RangeStmt:

@@ -1,6 +1,6 @@
 // Package a exercises the determinism analyzer: wall-clock reads,
-// global math/rand, crypto/rand, goroutines outside the gang barrier,
-// and map iterations whose order escapes.
+// global math/rand, crypto/rand, goroutines, and map iterations whose
+// order escapes.
 package a
 
 import (
@@ -37,7 +37,7 @@ func cryptoRand(b []byte) {
 }
 
 func spawn() {
-	go func() {}() // want `go statement outside a //mflush:gang-barrier-file`
+	go func() {}() // want `go statement in simulator core`
 }
 
 func escapesPrint(m map[string]int) {

@@ -33,9 +33,6 @@ const (
 	// MarkKeyedIgnore on a struct field: excluded from key material on
 	// purpose (labels, display names).
 	MarkKeyedIgnore = "keyed-ignore"
-	// MarkGangBarrier anywhere in a file's comments: `go` statements are
-	// allowed in this file (the deterministic gang barrier).
-	MarkGangBarrier = "gang-barrier-file"
 	// MarkOrderOK on a range statement: this map iteration's order is
 	// genuinely irrelevant; suppress the determinism finding.
 	MarkOrderOK = "order-ok"
@@ -69,10 +66,9 @@ type Mark struct {
 // validated; everything else must sit on the node kind its entry in
 // nodeMarks says).
 var stmtMarks = map[string]bool{
-	MarkGangBarrier: true,
-	MarkOrderOK:     true,
-	MarkCold:        true,
-	MarkLocksOK:     true,
+	MarkOrderOK: true,
+	MarkCold:    true,
+	MarkLocksOK: true,
 }
 
 // declaration-level marks and the node kind each attaches to.
@@ -155,8 +151,6 @@ type Facts struct {
 	Keyed map[string]*KeyedStruct
 	// GuardedBy maps "TypeID.Field" to the guarding mutex field name.
 	GuardedBy map[string]string
-	// GangBarrierFiles holds base filenames carrying gang-barrier-file.
-	GangBarrierFiles map[string]bool
 	// Strays are the annotations that failed to bind anywhere.
 	Strays []Stray
 }
@@ -164,11 +158,10 @@ type Facts struct {
 // NewFacts returns an empty table.
 func NewFacts() *Facts {
 	return &Facts{
-		Hotpath:          make(map[string]bool),
-		HotpathOK:        make(map[string]bool),
-		Keyed:            make(map[string]*KeyedStruct),
-		GuardedBy:        make(map[string]string),
-		GangBarrierFiles: make(map[string]bool),
+		Hotpath:   make(map[string]bool),
+		HotpathOK: make(map[string]bool),
+		Keyed:     make(map[string]*KeyedStruct),
+		GuardedBy: make(map[string]string),
 	}
 }
 
@@ -261,9 +254,6 @@ func (f *Facts) scanFile(fset *token.FileSet, file *ast.File, info *types.Info) 
 			}
 			switch {
 			case stmtMarks[mk.Name]:
-				if mk.Name == MarkGangBarrier {
-					f.GangBarrierFiles[fset.Position(file.Pos()).Filename] = true
-				}
 			case declMarks[mk.Name] != "":
 				f.Strays = append(f.Strays, Stray{
 					Pos: c.Pos(),

@@ -12,6 +12,9 @@ func hot() {}
 //mflush:hotpth // want `unknown annotation //mflush:hotpth \(known: `
 func typo() {}
 
+//mflush:gang-barrier-file // want `unknown annotation //mflush:gang-barrier-file \(known: `
+func retired() {}
+
 //mflush:hotpath // want `annotation //mflush:hotpath is not attached to a function the analyzers recognize`
 type NotAFunc struct{}
 

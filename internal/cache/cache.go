@@ -73,7 +73,7 @@ func New(geom config.CacheGeom) *Cache {
 // linePools recycles the tag-and-order arrays of released caches, one
 // sync.Pool per array length. A sweep finishes machines and builds new
 // ones back to back, and the L2's arrays are most of a machine's memory:
-// handing them on keeps every gang start from allocating megabytes
+// handing them on keeps every machine start from allocating megabytes
 // afresh, which would otherwise land in whatever garbage-collection cycle
 // is marking at the time and inflate the next heap target.
 var linePools sync.Map // int -> *sync.Pool of *[]uint64

@@ -86,10 +86,9 @@ func (c *Cache) Do(ctx context.Context, j Job) (rec Record, hit bool, err error)
 	}
 	if f, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
-		// Note: in a shared-scheduler pool this wait holds the caller's
-		// worker slot while the leader (which always acquired its own
-		// slot first, so there is no deadlock) finishes — idle capacity
-		// traded for simplicity.
+		// Note: this wait holds one of the caller's pool workers while
+		// the leader (running on its own caller's pool, so there is no
+		// deadlock) finishes — idle capacity traded for simplicity.
 		if err := c.await(ctx, f); err != nil {
 			return Record{}, false, err
 		}
@@ -157,8 +156,8 @@ func (c *Cache) Contains(j Job) bool {
 // Lookup returns the completed record for j without executing or
 // waiting for anything: it consults memory and the store but never
 // joins an in-flight run. Counts as a cache hit when it succeeds.
-// Schedulers use it to serve already-cached jobs before competing for
-// simulation slots, so a fully-cached campaign costs no queueing.
+// Schedulers use it to serve already-cached jobs before their worker
+// pool, so a fully-cached campaign costs no queueing.
 func (c *Cache) Lookup(j Job) (Record, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -294,12 +294,12 @@ func TestCacheRelabelsTweak(t *testing.T) {
 func TestRunCachedSharedScheduler(t *testing.T) {
 	r := simtest.New()
 	c := NewCache(nil, simulate(r.Run))
-	sched := NewShared(4)
+	sched := &Scheduler{Workers: 4}
 	jobs := testJobs(t, 1, 2, 3)
 
-	// Two concurrent identical campaigns on the shared scheduler: every
-	// job must simulate exactly once, and both must see identical records
-	// in job order.
+	// Two concurrent identical campaigns on one scheduler and cache, as a
+	// daemon runs them: every job must simulate exactly once, and both
+	// must see identical records in job order.
 	var wg sync.WaitGroup
 	out := make([][]Record, 2)
 	errs := make([]error, 2)
@@ -366,19 +366,19 @@ func TestRunCachedCancellation(t *testing.T) {
 }
 
 // TestRunCachedServesHitsWithoutSlots: a fully-cached campaign must
-// complete even while every shared simulation slot is occupied — cache
-// hits are resolved before slot acquisition, not queued behind
+// complete even while a simulation on the same scheduler and cache is
+// blocked — cache hits are resolved before the pool, not queued behind
 // long-running simulations.
 func TestRunCachedServesHitsWithoutSlots(t *testing.T) {
 	r := simtest.New()
 	c := NewCache(nil, simulate(r.Run))
-	sched := NewShared(1)
+	sched := &Scheduler{Workers: 1}
 	cachedJobs := testJobs(t, 1)
 	if _, err := sched.RunCached(context.Background(), cachedJobs, c, nil); err != nil {
 		t.Fatal(err)
 	}
 
-	// Occupy the only slot with a gated simulation of a different job.
+	// Block a gated simulation of a different job.
 	r.Gate = make(chan struct{})
 	blockerJobs, err := Spec{
 		Workloads: []string{"2W3"}, Policies: []string{"ICOUNT"}, Cycles: 1000,
@@ -395,7 +395,7 @@ func TestRunCachedServesHitsWithoutSlots(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The cached campaign completes while the slot is still held.
+	// The cached campaign completes while that simulation is blocked.
 	done := make(chan struct{})
 	var recs []Record
 	go func() {
@@ -405,7 +405,7 @@ func TestRunCachedServesHitsWithoutSlots(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("fully-cached campaign blocked behind a busy simulation slot")
+		t.Fatal("fully-cached campaign blocked behind a running simulation")
 	}
 	if err != nil {
 		t.Fatal(err)

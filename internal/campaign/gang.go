@@ -3,14 +3,15 @@ package campaign
 import "fmt"
 
 // Gang batching groups campaign jobs into lockstep sim.GangSession
-// batches. A batch must share one lockstep window and one machine point
-// — workload, cycle budget, warm-up, sampling interval and tweak content
-// — while members differ freely in policy and seed: exactly the shape a
-// spec's cartesian expansion produces in long runs (Jobs orders
-// workload-major, then policy, then tweak, then seed). Batching changes
-// only how jobs execute, never what they are: job keys, record contents
-// and store/wire forms are untouched, which the grouping fuzz target and
-// the cache interplay tests enforce.
+// batches; only Scheduler.GangWidth asks for it. A batch must share one
+// lockstep window and one machine point — workload, cycle budget,
+// warm-up, sampling interval and tweak content — while members differ
+// freely in policy and seed: exactly the shape a spec's cartesian
+// expansion produces in long runs (Jobs orders workload-major, then
+// policy, then tweak, then seed). Batching changes only how jobs
+// execute, never what they are: job keys, record contents and
+// store/wire forms are untouched, which the grouping fuzz target and the
+// scheduler bit-identity tests enforce.
 
 // GangKey names the lockstep batch a job is compatible with. Jobs with
 // equal gang keys may run as members of one GangSession; the key spans

@@ -42,31 +42,14 @@ type Scheduler struct {
 	// share one GangRunner call. Below 2 every group is a single job, and
 	// a width-1 group — also any job with no compatible sibling — runs
 	// through Runner. Records, job keys and store contents are
-	// byte-identical at every width (test-enforced).
+	// byte-identical at every width (test-enforced). A gang steps its
+	// members one after another, so a width above 1 adds no parallelism;
+	// no command sets it.
 	GangWidth int
 	// GangRunner executes one lockstep batch; nil means sim.RunGang.
 	GangRunner func([]sim.Options) ([]*sim.Result, error)
 	// OnProgress, when set, is called serially after every job.
 	OnProgress func(Progress)
-
-	// slots, when non-nil (NewShared), bounds total concurrency across
-	// every concurrent Run/RunCached call on this scheduler, so a daemon
-	// serving many campaigns at once never exceeds one machine-wide
-	// parallelism budget.
-	slots chan struct{}
-}
-
-// NewShared returns a scheduler whose total parallelism across all
-// concurrent Run and RunCached calls is bounded by workers (<= 0:
-// GOMAXPROCS) — the shape a long-running daemon needs, where each
-// client campaign runs in its own goroutine but simulations compete for
-// one shared slot pool. A plain Scheduler value bounds each call
-// independently instead.
-func NewShared(workers int) *Scheduler {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Scheduler{Workers: workers, slots: make(chan struct{}, workers)}
 }
 
 // Run executes jobs, returning one record per job in job order. Jobs
@@ -136,7 +119,7 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job, store *Store) ([]Record
 	// exactly one group) and read after the pool drains, so it needs no
 	// lock.
 	jobErrs := make([]error, len(jobs))
-	gerrs := runPool(ctx, workers, s.slots, len(groups), groupIdx, func(g int) error {
+	gerrs := runPool(ctx, workers, len(groups), groupIdx, func(g int) error {
 		members := groups[g]
 		gjobs := make([]Job, len(members))
 		for k, pi := range members {
@@ -235,8 +218,8 @@ func NewRecord(j Job, res *sim.Result) Record {
 // RunCached call on the same cache) is served without a fresh
 // simulation and reported with Progress.Cached set. onProgress, when
 // non-nil, is called serially after every job — per call, unlike the
-// scheduler-wide OnProgress, because a shared scheduler runs many
-// campaigns at once and each needs its own progress stream. Cancelling
+// scheduler-wide OnProgress, because a daemon runs many campaigns at
+// once on one scheduler and each needs its own progress stream. Cancelling
 // ctx stops scheduling new jobs; in-flight simulations finish (and are
 // persisted by the cache) and RunCached returns ctx.Err() unless a
 // simulation failed first.
@@ -252,10 +235,10 @@ func (s *Scheduler) RunCached(ctx context.Context, jobs []Job, cache *Cache, onP
 		}
 	})
 
-	// Serve completed cache entries up front, before competing for
-	// worker or shared-simulation slots: a fully-cached campaign
-	// completes instantly even while every slot is busy simulating.
-	// In-flight joins still go through the pool (they must wait anyway).
+	// Serve completed cache entries up front, before the pool: a
+	// fully-cached campaign completes instantly even while every
+	// simulation slot is busy. In-flight joins still go through the pool
+	// (they must wait anyway).
 	var pending []int
 	for i, j := range jobs {
 		if rec, ok := cache.Lookup(j); ok {
@@ -265,7 +248,7 @@ func (s *Scheduler) RunCached(ctx context.Context, jobs []Job, cache *Cache, onP
 		}
 		pending = append(pending, i)
 	}
-	errs := runPool(ctx, workers, s.slots, len(jobs), pending, func(i int) error {
+	errs := runPool(ctx, workers, len(jobs), pending, func(i int) error {
 		j := jobs[i]
 		rec, hit, err := cache.Do(ctx, j)
 		if err != nil {
@@ -335,7 +318,7 @@ func RunAll(ctx context.Context, opts []sim.Options) ([]*sim.Result, error) {
 	for i := range all {
 		all[i] = i
 	}
-	errs := runPool(ctx, runtime.GOMAXPROCS(0), nil, len(opts), all, func(i int) error {
+	errs := runPool(ctx, runtime.GOMAXPROCS(0), len(opts), all, func(i int) error {
 		var err error
 		results[i], err = sim.Run(opts[i])
 		return err
@@ -352,10 +335,8 @@ func RunAll(ctx context.Context, opts []sim.Options) ([]*sim.Result, error) {
 // runPool is the shared bounded worker pool: it executes fn(i) for each
 // listed index on workers goroutines and returns n per-index errors.
 // Once ctx is cancelled, indices not yet started record ctx.Err()
-// without running fn; work already in flight finishes. When slots is
-// non-nil (a shared scheduler), each fn call additionally holds one slot
-// for its duration, bounding total parallelism across concurrent pools.
-func runPool(ctx context.Context, workers int, slots chan struct{}, n int, indices []int, fn func(int) error) []error {
+// without running fn; work already in flight finishes.
+func runPool(ctx context.Context, workers, n int, indices []int, fn func(int) error) []error {
 	errs := make([]error, n)
 	// More goroutines than work items would just park on the closed
 	// channel; the clamp matters in daemon cluster mode, where the pool
@@ -375,18 +356,7 @@ func runPool(ctx context.Context, workers int, slots chan struct{}, n int, indic
 					errs[i] = err
 					continue
 				}
-				if slots != nil {
-					select {
-					case slots <- struct{}{}:
-					case <-ctx.Done():
-						errs[i] = ctx.Err()
-						continue
-					}
-				}
 				errs[i] = fn(i)
-				if slots != nil {
-					<-slots
-				}
 			}
 		}()
 	}

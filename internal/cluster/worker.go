@@ -32,16 +32,6 @@ type Worker struct {
 	// Runner executes one simulation; nil means sim.Run. Tests inject
 	// counting or blocking runners.
 	Runner func(sim.Options) (*sim.Result, error)
-	// GangWidth only sets the width of the execution groups each lease
-	// is split into (campaign.GangGroups): up to that many gang-compatible
-	// jobs (equal campaign GangKey: one workload, window and machine
-	// point) share one GangRunner call on one goroutine. Below 2 every
-	// group is a single job, and a width-1 group runs through Runner.
-	// Records posted back are byte-identical at every width
-	// (test-enforced).
-	GangWidth int
-	// GangRunner executes one lockstep batch; nil means sim.RunGang.
-	GangRunner func([]sim.Options) ([]*sim.Result, error)
 	// Client issues the HTTP calls; nil means http.DefaultClient.
 	Client *http.Client
 	// LeaseWait is the long-poll duration for an empty queue (<= 0: 2s).
@@ -252,59 +242,34 @@ func (w *Worker) Run(ctx context.Context) error {
 		post(o)
 	}
 	// start dispatches one lease's worth of wires. Each wire is decoded
-	// and key-checked once; one that fails is posted as a JobFailure
-	// straight away. The rest run in gang groups (singletons below
-	// GangWidth 2), one goroutine per group running campaign.RunGroup and
-	// posting one outcome per member. A group's wall-clock — trace load
-	// included — is shared by its members, so it is attributed evenly to
-	// keep the per-job rate metrics meaningful.
+	// and key-checked; one that fails is posted as a JobFailure straight
+	// away. Every other job runs campaign.RunGroup on its own goroutine.
 	start := func(wires []campaign.WireJob) {
-		var keys []string
-		var jobs []campaign.Job
 		for _, wire := range wires {
+			inflight++
+			w.m.inflight.Set(float64(inflight))
 			j, err := wire.Job()
 			if err == nil && j.Key() != wire.Key {
 				err = fmt.Errorf("cluster: job key mismatch (worker and coordinator builds differ?): computed %s, leased %s", j.Key(), wire.Key)
 			}
 			if err != nil {
-				inflight++ // finish books it like any other outcome
 				finish(failed(wire.Key, err))
 				continue
 			}
-			keys = append(keys, wire.Key)
-			jobs = append(jobs, j)
-		}
-		for _, group := range campaign.GangGroups(jobs, w.GangWidth) {
-			gkeys := make([]string, len(group))
-			gjobs := make([]campaign.Job, len(group))
-			for k, i := range group {
-				gkeys[k], gjobs[k] = keys[i], jobs[i]
-			}
-			if len(group) > 1 {
-				w.logf("gang of %d (%s ...)", len(group), gkeys[0])
-			}
-			inflight += len(group)
-			w.m.inflight.Set(float64(inflight))
 			go func() {
 				began := time.Now()
-				recs, err := campaign.RunGroup(gjobs, w.Runner, w.GangRunner)
+				recs, err := campaign.RunGroup([]campaign.Job{j}, w.Runner, nil)
 				if err != nil {
-					// The group fails together (see RunGroup): a trace
-					// missing or drifted on this worker's filesystem fails
-					// every member before simulating.
-					for _, key := range gkeys {
-						results <- failed(key, err)
-					}
+					// A trace missing or drifted on this worker's
+					// filesystem fails the job before simulating.
+					results <- failed(wire.Key, err)
 					return
 				}
-				secs := time.Since(began).Seconds() / float64(len(gjobs))
-				for k, j := range gjobs {
-					results <- outcome{
-						rec:    recs[k],
-						key:    gkeys[k],
-						cycles: float64(j.Cycles + j.Warmup),
-						secs:   secs,
-					}
+				results <- outcome{
+					rec:    recs[0],
+					key:    wire.Key,
+					cycles: float64(j.Cycles + j.Warmup),
+					secs:   time.Since(began).Seconds(),
 				}
 			}()
 		}

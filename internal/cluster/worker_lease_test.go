@@ -15,13 +15,12 @@ import (
 	"repro/internal/simtest"
 )
 
-// TestWorkerGangLeaseRejectsKeyMismatch leases a gang-batching worker
-// three wires at once: two gang-compatible jobs and one whose Key was
-// tampered with. The tampered wire must come back as a JobFailure naming
-// the key mismatch without ever reaching a runner, while the other two
-// run as one width-2 GangRunner call and post records byte-identical to
-// solo sim.Run.
-func TestWorkerGangLeaseRejectsKeyMismatch(t *testing.T) {
+// TestWorkerLeaseRejectsKeyMismatch leases a worker three wires at
+// once, one of them with a tampered Key. The tampered wire must come
+// back as a JobFailure naming the key mismatch without ever reaching the
+// runner, while the other two each run through one Runner call and post
+// records byte-identical to solo sim.Run.
+func TestWorkerLeaseRejectsKeyMismatch(t *testing.T) {
 	jobs, err := campaign.Spec{
 		Workloads: []string{"2W1"},
 		Policies:  []string{"ICOUNT", "MFLUSH", "FLUSH-S30"},
@@ -73,21 +72,14 @@ func TestWorkerGangLeaseRejectsKeyMismatch(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	var batches []int
-	soloCalls := 0
+	var ran []string
 	w := &Worker{
-		Base: ts.URL, Capacity: len(lease), GangWidth: 2, LeaseWait: 10 * time.Millisecond,
+		Base: ts.URL, Capacity: len(lease), LeaseWait: 10 * time.Millisecond,
 		Runner: func(o sim.Options) (*sim.Result, error) {
 			mu.Lock()
-			soloCalls++
+			ran = append(ran, o.Policy.String())
 			mu.Unlock()
 			return sim.Run(o)
-		},
-		GangRunner: func(opts []sim.Options) ([]*sim.Result, error) {
-			mu.Lock()
-			batches = append(batches, len(opts))
-			mu.Unlock()
-			return sim.RunGang(opts)
 		},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -113,8 +105,8 @@ func TestWorkerGangLeaseRejectsKeyMismatch(t *testing.T) {
 		!strings.Contains(posted.Failures[0].Error, "key mismatch") {
 		t.Errorf("failures = %+v, want one key-mismatch failure for %s", posted.Failures, tampered.Key)
 	}
-	if len(batches) != 1 || batches[0] != 2 || soloCalls != 0 {
-		t.Errorf("runner calls: gang batches %v + %d solo, want [2] + 0", batches, soloCalls)
+	if len(ran) != 2 {
+		t.Errorf("runner ran %v, want the two untampered jobs only", ran)
 	}
 	want := map[string]string{}
 	for _, j := range jobs[:2] {
@@ -130,7 +122,7 @@ func TestWorkerGangLeaseRejectsKeyMismatch(t *testing.T) {
 	}
 	for _, rec := range posted.Records {
 		if b, _ := json.Marshal(rec); string(b) != want[rec.Key] {
-			t.Errorf("record %s differs from solo sim.Run\n gang: %s\n solo: %s", rec.Key, b, want[rec.Key])
+			t.Errorf("record %s differs from solo sim.Run\n worker: %s\n solo: %s", rec.Key, b, want[rec.Key])
 		}
 	}
 }

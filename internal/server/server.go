@@ -124,15 +124,15 @@ func New(cfg Config) *Server {
 	}
 	// Every cache miss goes through the router: to the fleet when live
 	// workers exist (cluster mode), otherwise to a local simulation
-	// bounded by Workers — with no coordinator that is every job. The
-	// scheduler pool is sized for the admission queue rather than the
-	// core count, since a dispatch parked on a remote worker is a cheap
-	// wait and local simulations are bounded inside the router, not by
-	// pool goroutines.
+	// bounded by Workers — with no coordinator that is every job. Each
+	// campaign's scheduler pool is sized for the admission queue rather
+	// than the core count: admission already caps uncached jobs at
+	// maxQueued, a dispatch parked on a remote worker is a cheap wait,
+	// and the router's slots are the one bound on local simulations.
 	router := cluster.NewRouter(cfg.Cluster, cfg.Workers, cfg.Runner)
 	router.OnSample = s.samples.publish
 	s.cache = campaign.NewCache(cfg.Store, router.Run)
-	s.sched = campaign.NewShared(maxQueued)
+	s.sched = &campaign.Scheduler{Workers: maxQueued}
 	if cfg.Cluster != nil {
 		// A durable coordinator may have replayed an interrupted
 		// campaign from its WAL; rebind that work to this incarnation

@@ -1,66 +1,40 @@
 package sim
 
-import (
-	"context"
-	"fmt"
-	"runtime"
-	"sync"
-)
-
-// This file is the audited home of simulator-core concurrency: the gang
-// chunk loop fans members across worker goroutines behind deterministic
-// barriers, and the determinism analyzer forbids `go` statements in
-// every other core file.
-//
-//mflush:gang-barrier-file
+import "fmt"
 
 // GangSession runs N member simulations — variants of one study, such as
 // a policy sweep over a shared (workload, seed) — in lockstep: every
-// member advances through the same cycle window together, one chunk at a
-// time. The chunk loop fans members out across goroutines behind
-// deterministic barriers, so a gang's aggregate simulated cycles per
-// second grows with the cores available. Every member's observable
-// output is bit-identical to a solo Session over the same Options — the
-// invariant internal/simtest (DiffGang) exists to enforce.
+// member advances through the same cycle window together. Every member's
+// observable output is bit-identical to a solo Session over the same
+// Options — the invariant internal/simtest (DiffGang) exists to enforce.
 //
 // A gang is N Sessions: each member is an ordinary Session built exactly
 // as Open builds it, and every per-member call delegates to it, so
 // Session.Step is the only stepping code. Members share nothing; each
-// synthesises its own instruction streams.
+// synthesises its own instruction streams. Step runs the members one
+// after another on the caller's goroutine, so a gang is no faster than
+// its members run alone; parallelism across jobs is the campaign
+// scheduler's.
 //
-// Lifecycle mirrors Session, widened: OpenGang -> (Step | StepContext |
-// Snapshot | Observe | ResetMeasurement | FinishMember)* -> Finish.
-// Drive a gang from one goroutine; the parallelism inside Step is the
-// session's own, invisible to callers, and results are independent of
-// both SetParallelism and GOMAXPROCS (test-enforced).
+// Lifecycle mirrors Session, widened: OpenGang -> (Step | Snapshot |
+// Observe | ResetMeasurement | FinishMember)* -> Finish.
 type GangSession struct {
 	members []*Session
 	results []*Result
 
-	cycle    uint64
-	parallel int
-	// active is the scratch list of open members, rebuilt each Step.
-	active []*Session
+	cycle uint64
 }
-
-// gangStride is the internal lockstep chunk: members run this many
-// cycles between barriers. Barriers are where cancellation is observed,
-// so the stride bounds cancellation latency. Results never depend on it
-// (chunking is invariant, test-enforced).
-const gangStride = 2048
 
 // OpenGang builds one machine per member, each exactly as Open builds
 // it, and returns the gang positioned at cycle zero. Members may differ
-// in any Options field. The gang's internal parallelism defaults to
-// min(GOMAXPROCS, width); SetParallelism overrides it.
+// in any Options field.
 func OpenGang(opts []Options) (*GangSession, error) {
 	if len(opts) == 0 {
 		return nil, fmt.Errorf("sim: gang needs at least one member")
 	}
 	g := &GangSession{
-		members:  make([]*Session, len(opts)),
-		results:  make([]*Result, len(opts)),
-		parallel: min(runtime.GOMAXPROCS(0), len(opts)),
+		members: make([]*Session, len(opts)),
+		results: make([]*Result, len(opts)),
 	}
 	for m, opt := range opts {
 		chip, err := buildChip(opt)
@@ -102,79 +76,22 @@ func (g *GangSession) Cycle() uint64 { return g.cycle }
 // MeasuredCycles returns member m's current measurement-window length.
 func (g *GangSession) MeasuredCycles(m int) uint64 { return g.members[m].MeasuredCycles() }
 
-// Parallelism returns the goroutine budget Step spreads members over.
-func (g *GangSession) Parallelism() int { return g.parallel }
-
-// SetParallelism bounds the goroutines Step uses (clamped to [1, width]).
-// Results are independent of the setting — members are independent
-// machines — so this is purely a throughput knob. Call it between Steps,
-// not during one.
-func (g *GangSession) SetParallelism(n int) {
-	g.parallel = max(1, min(n, len(g.members)))
-}
-
-// Step advances every open member by n cycles in lockstep, firing each
-// member's due probes after each of its cycles. Probe functions run on
-// the goroutine stepping their member: probes of different members may
-// fire concurrently with each other (never with probes of their own
-// member), so a probe must touch only its own member's state — the
-// Sample it receives and data private to that member.
+// Step advances every open member by n cycles, one member after another
+// on the caller's goroutine, firing each member's due probes after each
+// of its cycles. Members are independent machines, so the order they
+// are stepped in never shows in their output (test-enforced).
 func (g *GangSession) Step(n uint64) {
-	// Background contexts never cancel, so the error is impossible.
-	_, _ = g.StepContext(context.Background(), n)
-}
-
-// StepContext is Step with cooperative cancellation: it checks ctx at
-// every internal chunk barrier and returns the cycles actually stepped
-// together with ctx's error when cancelled early. All open members
-// always stop at the same lockstep cycle, so a cancelled gang is still
-// consistent — stepping it again (or finishing it) behaves exactly as
-// if the original Step had been issued in smaller chunks.
-func (g *GangSession) StepContext(ctx context.Context, n uint64) (uint64, error) {
-	g.active = g.active[:0]
+	open := false
 	for _, s := range g.members {
 		if !s.finished {
-			g.active = append(g.active, s)
+			s.Step(n)
+			open = true
 		}
 	}
-	if len(g.active) == 0 {
+	if !open {
 		panic("sim: Step on a finished gang session")
 	}
-	var done uint64
-	for done < n {
-		if err := ctx.Err(); err != nil {
-			return done, err
-		}
-		c := min(n-done, gangStride)
-		g.runChunk(c)
-		done += c
-	}
-	return done, nil
-}
-
-// runChunk steps every open member's Session by c cycles, striding
-// members across the parallelism budget, then waits for all of them (the
-// deterministic barrier).
-func (g *GangSession) runChunk(c uint64) {
-	act := g.active
-	if p := min(g.parallel, len(act)); p > 1 {
-		var wg sync.WaitGroup
-		for w := 0; w < p; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for k := w; k < len(act); k += p {
-					act[k].Step(c)
-				}
-			}(w)
-		}
-		wg.Wait()
-	} else {
-		for _, s := range act {
-			s.Step(c)
-		}
-	}
-	g.cycle += c
+	g.cycle += n
 }
 
 // ResetMeasurement restarts every open member's measurement window at
@@ -195,8 +112,8 @@ func (g *GangSession) ResetMeasurement() {
 func (g *GangSession) Snapshot(m int) *Sample { return g.members[m].Snapshot() }
 
 // Observe registers a probe for member m; see Probe for the firing
-// invariants and Step for the gang's concurrency contract. Probes may
-// be added to any unfinished member at any point before it finishes.
+// invariants. Probes may be added to any unfinished member at any point
+// before it finishes.
 func (g *GangSession) Observe(m int, p Probe) error {
 	if m < 0 || m >= len(g.members) {
 		return fmt.Errorf("sim: gang has no member %d", m)

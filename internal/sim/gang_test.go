@@ -1,11 +1,8 @@
 package sim
 
 import (
-	"context"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/workload"
 )
@@ -136,101 +133,6 @@ func TestGangFinishMemberMidRun(t *testing.T) {
 	}
 }
 
-// TestGangStepContextCancel cancels a gang mid-step (from a member probe,
-// so the cancellation lands while member goroutines are running) and
-// proves the gang stops at a consistent lockstep barrier: resuming the
-// remaining cycles yields results bit-identical to an uninterrupted run.
-func TestGangStepContextCancel(t *testing.T) {
-	const warmup, cycles = 2000, 14000
-	opts := gangOptions(t, "2W1", 3, warmup, cycles)
-
-	g, err := OpenGang(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	// The probe fires on member 0's stepping goroutine; cancelling there
-	// is observed at the next chunk barrier.
-	if err := g.Observe(0, Probe{Every: 3000, Fn: func(*Sample) { cancel() }}); err != nil {
-		t.Fatal(err)
-	}
-	g.Step(warmup)
-	g.ResetMeasurement()
-
-	done, err := g.StepContext(ctx, cycles)
-	if err != context.Canceled {
-		t.Fatalf("StepContext error = %v, want context.Canceled", err)
-	}
-	if done == 0 || done >= cycles {
-		t.Fatalf("cancelled StepContext stepped %d of %d cycles, want a strict prefix", done, cycles)
-	}
-	for m := range opts {
-		if got := g.MeasuredCycles(m); got != done {
-			t.Fatalf("member %d at measured cycle %d after cancellation, gang stepped %d — lockstep broken", m, got, done)
-		}
-	}
-	g.Step(cycles - done) // resume
-	results, err := g.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for m, o := range opts {
-		solo, err := Run(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g, s := fingerprint(results[m]), fingerprint(solo); g != s {
-			t.Errorf("member %d diverged after cancel+resume\n gang: %s\n solo: %s", m, g, s)
-		}
-	}
-
-	// A pre-cancelled context steps nothing.
-	g2, err := OpenGang(opts[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	cancel2()
-	if n, err := g2.StepContext(ctx2, 100); n != 0 || err != context.Canceled {
-		t.Fatalf("pre-cancelled StepContext = (%d, %v), want (0, Canceled)", n, err)
-	}
-}
-
-// TestGangNoGoroutineLeak steps and finishes gangs at every parallelism
-// level and checks the process returns to its baseline goroutine count:
-// the chunk barriers must not strand workers, including when members
-// leave mid-gang.
-func TestGangNoGoroutineLeak(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	opts := gangOptions(t, "2W1", 9, 0, 8000)
-	for p := 1; p <= len(opts); p++ {
-		g, err := OpenGang(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.SetParallelism(p)
-		g.Step(3000)
-		if _, err := g.FinishMember(2); err != nil {
-			t.Fatal(err)
-		}
-		g.Step(5000)
-		if _, err := g.Finish(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Worker goroutines exit after the barrier releases them; give the
-	// scheduler a moment before declaring a leak.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline {
-			return
-		} else if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d running, baseline %d", n, baseline)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestGangLifecycleErrors pins the gang's error surface: invalid opens,
 // out-of-range members, double finishes, stepping a closed gang.
 func TestGangLifecycleErrors(t *testing.T) {
@@ -285,29 +187,4 @@ func TestGangLifecycleErrors(t *testing.T) {
 		}
 	}()
 	g.Step(1)
-}
-
-// TestGangParallelismClamps pins SetParallelism's clamping and the
-// OpenGang default.
-func TestGangParallelismClamps(t *testing.T) {
-	opts := gangOptions(t, "2W1", 1, 0, 1000)
-	g, err := OpenGang(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runtime.GOMAXPROCS(0)
-	if want > len(opts) {
-		want = len(opts)
-	}
-	if got := g.Parallelism(); got != want {
-		t.Errorf("default parallelism = %d, want min(GOMAXPROCS, width) = %d", got, want)
-	}
-	g.SetParallelism(0)
-	if got := g.Parallelism(); got != 1 {
-		t.Errorf("SetParallelism(0) -> %d, want clamp to 1", got)
-	}
-	g.SetParallelism(99)
-	if got := g.Parallelism(); got != len(opts) {
-		t.Errorf("SetParallelism(99) -> %d, want clamp to width %d", got, len(opts))
-	}
 }

@@ -133,7 +133,7 @@ func (s *Session) Snapshot() *Sample {
 
 // refreshSample fills s.sample from the chip, reusing its slices and
 // the totals scratch. Each gang member is its own Session, so members
-// stepping concurrently never share a buffer.
+// never share a buffer.
 //
 //mflush:hotpath
 func (s *Session) refreshSample() {

@@ -4,7 +4,7 @@
 // width-1 sim.Session — exactly what sim.Run executes — and localises
 // the first divergence when it is not. Both sides build and step
 // through the same Session code, so the harness isolates what the gang
-// adds (the lockstep barrier and member parallelism); the golden
+// adds (lockstep stepping and member bookkeeping); the golden
 // fingerprints in internal/sim remain the absolute reference for the
 // results themselves. The unit, metamorphic
 // and race tests across internal/sim and internal/campaign are built on
@@ -45,10 +45,6 @@ type DiffConfig struct {
 	// first boundary it is visible, not at the end. Zero steps each
 	// window in one chunk (divergences then localise only per window).
 	Chunk uint64
-	// Parallelism overrides the gang's internal goroutine budget
-	// (0: the gang's default). Differential runs across parallelism
-	// levels are how GOMAXPROCS-independence is enforced.
-	Parallelism int
 }
 
 // DiffGang runs opts once as a gang and once as N independent width-1
@@ -86,9 +82,6 @@ func DiffGang(opts []sim.Options, cfg DiffConfig) error {
 	gang, err := sim.OpenGang(opts)
 	if err != nil {
 		return fmt.Errorf("simtest: %w", err)
-	}
-	if cfg.Parallelism > 0 {
-		gang.SetParallelism(cfg.Parallelism)
 	}
 
 	step := func(n uint64) error {

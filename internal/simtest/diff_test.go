@@ -1,7 +1,6 @@
 package simtest
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -91,25 +90,6 @@ func TestDiffGangChunks(t *testing.T) {
 		if err := DiffGang(opts, DiffConfig{Chunk: c}); err != nil {
 			t.Errorf("chunk %d: %v", c, err)
 		}
-	}
-}
-
-// TestDiffGangParallelism proves results are independent of the gang's
-// internal goroutine budget and of GOMAXPROCS: serial execution on one
-// processor must be bit-identical to maximal fan-out.
-func TestDiffGangParallelism(t *testing.T) {
-	levels := []int{1, 2, runtime.NumCPU()}
-	for _, p := range levels {
-		opts := sweep(t, "4W2", 7, 1000, 6000)
-		if err := DiffGang(opts, DiffConfig{Chunk: 2048, Parallelism: p}); err != nil {
-			t.Errorf("parallelism %d: %v", p, err)
-		}
-	}
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	opts := sweep(t, "4W2", 7, 1000, 6000)
-	if err := DiffGang(opts, DiffConfig{Chunk: 2048, Parallelism: runtime.NumCPU()}); err != nil {
-		t.Errorf("GOMAXPROCS=1: %v", err)
 	}
 }
 

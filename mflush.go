@@ -53,9 +53,8 @@ type SamplePoint = sim.SamplePoint
 // sim.Probe for the firing and no-mutation invariants.
 type Probe = sim.Probe
 
-// GangSession steps N variant simulations in lockstep over shared
-// immutable inputs, bit-identical to N solo Sessions. See
-// sim.GangSession.
+// GangSession steps N independent variant simulations in lockstep,
+// bit-identical to N solo Sessions. See sim.GangSession.
 type GangSession = sim.GangSession
 
 // Recorder collects a probe's firings into a SamplePoint time series.
@@ -103,8 +102,8 @@ func Run(opt Options) (*Result, error) { return sim.Run(opt) }
 func Open(opt Options) (*Session, error) { return sim.Open(opt) }
 
 // OpenGang starts a lockstep gang of sessions, one per Options, stepped
-// together across goroutines. Results are bit-identical to opening each
-// member solo.
+// one after another on the caller's goroutine. Results are bit-identical
+// to opening each member solo.
 func OpenGang(opts []Options) (*GangSession, error) { return sim.OpenGang(opts) }
 
 // RunGang executes a gang to completion: warm-up, measurement reset and
