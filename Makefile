@@ -53,6 +53,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzScenarioBinary -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzScenarioJSONL -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzCacheLRU -fuzztime 10s ./internal/cache
+	$(GO) test -run '^$$' -fuzz FuzzTLB -fuzztime 10s ./internal/cache
 
 # Crash matrix: build the real mflushd with fault injection compiled in
 # (-tags faultpoint), SIGKILL it at each WAL/lease faultpoint mid-

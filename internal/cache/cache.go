@@ -334,13 +334,18 @@ func (m *MSHR) Full() bool { return m.live >= len(m.entries) }
 func (m *MSHR) Capacity() int { return len(m.entries) }
 
 // TLB is a fully-associative translation buffer with LRU replacement over
-// page numbers.
+// page numbers. Each resident page holds a slot; a slot's stamp is the
+// access clock of its last use, so a hit writes one array element and
+// the victim of a full TLB is the slot with the least stamp (stamps are
+// unique, so the victim is too).
 type TLB struct {
-	capacity int
-	stamp    map[uint64]uint64
-	clock    uint64
-	hits     uint64
-	misses   uint64
+	slot   map[uint64]int // page -> index into pages and stamps
+	pages  []uint64
+	stamps []uint64
+	last   int // slot of the most recent access
+	clock  uint64
+	hits   uint64
+	misses uint64
 }
 
 // NewTLB returns a TLB with the given entry count.
@@ -348,31 +353,45 @@ func NewTLB(capacity int) *TLB {
 	if capacity <= 0 {
 		panic("cache: TLB capacity must be positive")
 	}
-	return &TLB{capacity: capacity, stamp: make(map[uint64]uint64, capacity)}
+	return &TLB{
+		slot:   make(map[uint64]int, capacity),
+		pages:  make([]uint64, 0, capacity),
+		stamps: make([]uint64, 0, capacity),
+	}
 }
 
 // Access looks up a page number, inserting it on miss (hardware-walked
 // TLB). It returns true on hit.
 func (t *TLB) Access(page uint64) bool {
 	t.clock++
-	if _, ok := t.stamp[page]; ok {
-		t.stamp[page] = t.clock
+	i, ok := t.last, t.last < len(t.pages) && t.pages[t.last] == page
+	if !ok {
+		i, ok = t.slot[page]
+	}
+	if ok {
+		t.stamps[i] = t.clock
+		t.last = i
 		t.hits++
 		return true
 	}
 	t.misses++
-	if len(t.stamp) >= t.capacity {
-		var lruPage uint64
-		lru := ^uint64(0)
-		for p, s := range t.stamp {
-			if s < lru {
-				lru = s
-				lruPage = p
+	if len(t.pages) < cap(t.pages) {
+		i = len(t.pages)
+		t.pages = append(t.pages, page)
+		t.stamps = append(t.stamps, t.clock)
+	} else {
+		i = 0
+		for j, s := range t.stamps {
+			if s < t.stamps[i] {
+				i = j
 			}
 		}
-		delete(t.stamp, lruPage)
+		delete(t.slot, t.pages[i])
+		t.pages[i] = page
+		t.stamps[i] = t.clock
 	}
-	t.stamp[page] = t.clock
+	t.slot[page] = i
+	t.last = i
 	return false
 }
 

@@ -462,9 +462,91 @@ func TestTLBCapacityBound(t *testing.T) {
 	for p := uint64(0); p < 100; p++ {
 		tlb.Access(p)
 	}
-	if len(tlb.stamp) > 8 {
-		t.Fatalf("TLB holds %d entries, capacity 8", len(tlb.stamp))
+	if len(tlb.slot) > 8 || len(tlb.pages) > 8 {
+		t.Fatalf("TLB holds %d entries (%d slots), capacity 8", len(tlb.slot), len(tlb.pages))
 	}
+}
+
+// stampTLB is the reference TLB the slot arrays must reproduce: a map
+// from page to last-use stamp, evicting the least-recent stamp.
+type stampTLB struct {
+	capacity int
+	stamp    map[uint64]uint64
+	clock    uint64
+}
+
+func (m *stampTLB) access(page uint64) bool {
+	m.clock++
+	if _, ok := m.stamp[page]; ok {
+		m.stamp[page] = m.clock
+		return true
+	}
+	if len(m.stamp) >= m.capacity {
+		var lruPage uint64
+		lru := ^uint64(0)
+		for p, s := range m.stamp {
+			if s < lru {
+				lru, lruPage = s, p
+			}
+		}
+		delete(m.stamp, lruPage)
+	}
+	m.stamp[page] = m.clock
+	return false
+}
+
+// tlbCapacities are the sizes the equivalence checks cover: one entry,
+// two, a small TLB, and the machine's 512.
+var tlbCapacities = []int{1, 2, 8, 512}
+
+// tlbCheck drives both TLBs over pages and reports the first access
+// whose hit or miss differs.
+func tlbCheck(capacity int, pages []uint64) string {
+	tlb, m := NewTLB(capacity), &stampTLB{capacity: capacity, stamp: map[uint64]uint64{}}
+	for i, p := range pages {
+		if got, want := tlb.Access(p), m.access(p); got != want {
+			return fmt.Sprintf("capacity %d, access %d (page %d): hit=%t, model %t", capacity, i, p, got, want)
+		}
+	}
+	return ""
+}
+
+// TestTLBMatchesStampModel: random page sequences, drawn from pools of
+// half to three times the capacity so both hits and evictions happen,
+// give the same hit or miss on every access as the stamp model.
+func TestTLBMatchesStampModel(t *testing.T) {
+	for _, capacity := range tlbCapacities {
+		r := rng.New(uint64(capacity))
+		for _, pool := range []int{capacity/2 + 1, capacity + 1, 3 * capacity} {
+			pages := make([]uint64, 20*capacity+200)
+			for i := range pages {
+				pages[i] = uint64(r.Intn(pool))
+			}
+			if msg := tlbCheck(capacity, pages); msg != "" {
+				t.Fatal(msg)
+			}
+		}
+	}
+}
+
+// FuzzTLB drives the TLB and the stamp model with the same pages: the
+// first byte picks the capacity, each later byte is a page.
+func FuzzTLB(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 2, 1})
+	f.Add([]byte{1, 1, 2, 1, 3, 2, 1, 3})
+	f.Add([]byte{2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 9, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		pages := make([]uint64, len(data)-1)
+		for i, b := range data[1:] {
+			pages[i] = uint64(b)
+		}
+		if msg := tlbCheck(tlbCapacities[int(data[0])%len(tlbCapacities)], pages); msg != "" {
+			t.Fatal(msg)
+		}
+	})
 }
 
 func TestConstructorPanics(t *testing.T) {

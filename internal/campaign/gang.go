@@ -2,19 +2,19 @@ package campaign
 
 import "fmt"
 
-// Gang batching groups campaign jobs into lockstep sim.GangSession
-// batches; only Scheduler.GangWidth asks for it. A batch must share one
-// lockstep window and one machine point — workload, cycle budget,
-// warm-up, sampling interval and tweak content — while members differ
-// freely in policy and seed: exactly the shape a spec's cartesian
-// expansion produces in long runs (Jobs orders workload-major, then
-// policy, then tweak, then seed). Batching changes only how jobs
-// execute, never what they are: job keys, record contents and
-// store/wire forms are untouched, which the grouping fuzz target and the
-// scheduler bit-identity tests enforce.
+// Gang batching groups campaign jobs into batches that one GangRunner
+// call (sim.RunGang by default) executes; only Scheduler.GangWidth asks
+// for it. A batch must share one cycle window and one machine point —
+// workload, cycle budget, warm-up, sampling interval and tweak content —
+// while members differ freely in policy and seed: exactly the shape a
+// spec's cartesian expansion produces in long runs (Jobs orders
+// workload-major, then policy, then tweak, then seed). Batching changes
+// only how jobs execute, never what they are: job keys, record contents
+// and store/wire forms are untouched, which the grouping fuzz target and
+// the scheduler bit-identity tests enforce.
 
-// GangKey names the lockstep batch a job is compatible with. Jobs with
-// equal gang keys may run as members of one GangSession; the key spans
+// GangKey names the gang batch a job is compatible with. Jobs with
+// equal gang keys may run as members of one gang; the key spans
 // everything members must share (window, workload, machine point) and
 // deliberately omits what they may vary (policy, seed). Trace jobs key
 // on their content digest (Job.workloadID), so they batch only with

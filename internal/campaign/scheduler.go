@@ -42,11 +42,12 @@ type Scheduler struct {
 	// share one GangRunner call. Below 2 every group is a single job, and
 	// a width-1 group — also any job with no compatible sibling — runs
 	// through Runner. Records, job keys and store contents are
-	// byte-identical at every width (test-enforced). A gang steps its
-	// members one after another, so a width above 1 adds no parallelism;
-	// no command sets it.
+	// byte-identical at every width (test-enforced). sim.RunGang runs
+	// its members one after another, each to completion, so a width
+	// above 1 adds no parallelism and holds no extra machine; no command
+	// sets it.
 	GangWidth int
-	// GangRunner executes one lockstep batch; nil means sim.RunGang.
+	// GangRunner executes one batch; nil means sim.RunGang.
 	GangRunner func([]sim.Options) ([]*sim.Result, error)
 	// OnProgress, when set, is called serially after every job.
 	OnProgress func(Progress)
@@ -161,13 +162,13 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job, store *Store) ([]Record
 
 // RunGroup executes one execution group (GangGroups) and returns one
 // record per job, in order. A lone job runs through run (nil: sim.Run);
-// a wider group runs as one lockstep gang through gang (nil:
-// sim.RunGang). This is the one path that turns jobs into records — the
-// scheduler, cluster workers and the router's local fallback all go
-// through it. An options failure or a lockstep error fails the whole
-// group: members share one GangKey, hence one trace file, so a trace
-// that will not load or verify hits them all, and a lockstep failure
-// comes before any member's result exists.
+// a wider group runs through gang (nil: sim.RunGang, which runs the
+// members one at a time). This is the one path that turns jobs into
+// records — the scheduler, cluster workers and the router's local
+// fallback all go through it. An options failure or any member's
+// failure fails the whole group: members share one GangKey, hence one
+// trace file, so a trace that will not load or verify hits them all,
+// and a gang runner returns no results when a member fails.
 func RunGroup(jobs []Job, run func(sim.Options) (*sim.Result, error), gang func([]sim.Options) ([]*sim.Result, error)) ([]Record, error) {
 	opts := make([]sim.Options, len(jobs))
 	for k, j := range jobs {

@@ -14,7 +14,9 @@ import "fmt"
 // synthesises its own instruction streams. Step runs the members one
 // after another on the caller's goroutine, so a gang is no faster than
 // its members run alone; parallelism across jobs is the campaign
-// scheduler's.
+// scheduler's. A gang keeps every member's machine alive until it
+// finishes, so it is for lockstep observation (simtest.DiffGang);
+// RunGang runs its members one at a time without it.
 //
 // Lifecycle mirrors Session, widened: OpenGang -> (Step | Snapshot |
 // Observe | ResetMeasurement | FinishMember)* -> Finish.
@@ -155,10 +157,12 @@ func (g *GangSession) Finish() ([]*Result, error) {
 	return g.results, firstErr
 }
 
-// RunGang executes one simulation per member to completion in lockstep,
-// bit-identical to running each member alone (test-enforced); Run is
-// RunGang of width 1. All members must share one cycle budget and
-// warm-up length (gang batching groups jobs that way).
+// RunGang executes one simulation per member through Run, in member
+// order, so a gang holds one machine at a time: member m's chip is
+// finished and its L2 arrays are back in the pool before member m+1's
+// is built. Each Result is bit-identical to Run's (test-enforced). All
+// members must share one cycle budget and warm-up length (gang batching
+// groups jobs that way).
 func RunGang(opts []Options) ([]*Result, error) {
 	if len(opts) == 0 {
 		return nil, fmt.Errorf("sim: empty gang")
@@ -172,35 +176,13 @@ func RunGang(opts []Options) ([]*Result, error) {
 				i, o.Cycles, o.Warmup, opts[0].Cycles, opts[0].Warmup)
 		}
 	}
-	g, err := OpenGang(opts)
-	if err != nil {
-		return nil, err
-	}
-	if w := opts[0].Warmup; w > 0 {
-		g.Step(w)
-		g.ResetMeasurement()
-	}
-	recs := make([]*Recorder, len(opts))
+	results := make([]*Result, len(opts))
 	for m, o := range opts {
-		if o.Interval > 0 {
-			// Registered after warm-up so each member's series covers
-			// exactly the measured window, firing at measured cycles
-			// Interval, 2*Interval, ...
-			recs[m] = &Recorder{OnPoint: o.OnSample}
-			if err := g.Observe(m, recs[m].Probe(o.Interval)); err != nil {
-				return nil, err
-			}
+		res, err := Run(o)
+		if err != nil {
+			return nil, memberErr(len(opts), m, err)
 		}
-	}
-	g.Step(opts[0].Cycles)
-	results, err := g.Finish()
-	if err != nil {
-		return nil, err
-	}
-	for m, rec := range recs {
-		if rec != nil {
-			results[m].Samples = rec.Points
-		}
+		results[m] = res
 	}
 	return results, nil
 }

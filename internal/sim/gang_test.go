@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/workload"
 )
 
@@ -72,6 +75,33 @@ func TestRunGangSameSeedBitIdentity(t *testing.T) {
 		}
 		if g, s := fingerprint(results[m]), fingerprint(solo); g != s {
 			t.Errorf("member %d (%s): gang diverged from solo\n gang: %s\n solo: %s", m, o.Policy, g, s)
+		}
+	}
+}
+
+// TestRunGangBuildsMembersInTurn: RunGang builds member m+1's machine
+// (its Tweak runs at build) only after member m has taken its last
+// interval sample, so a gang never holds two machines at once.
+func TestRunGangBuildsMembersInTurn(t *testing.T) {
+	opts := gangOptions(t, "2W1", 3, 1000, 2000)
+	var log []string
+	for m := range opts {
+		opts[m].Interval = 500
+		opts[m].Tweak = func(*config.Config) { log = append(log, fmt.Sprintf("tweak %d", m)) }
+		opts[m].OnSample = func(SamplePoint) { log = append(log, fmt.Sprintf("sample %d", m)) }
+	}
+	if _, err := RunGang(opts); err != nil {
+		t.Fatal(err)
+	}
+	for m := 0; m+1 < len(opts); m++ {
+		lastSample := -1
+		for i, e := range log {
+			if e == fmt.Sprintf("sample %d", m) {
+				lastSample = i
+			}
+		}
+		if lastSample < 0 || slices.Index(log, fmt.Sprintf("tweak %d", m+1)) < lastSample {
+			t.Fatalf("member %d built before member %d finished sampling; call log: %v", m+1, m, log)
 		}
 	}
 }
@@ -150,6 +180,15 @@ func TestGangLifecycleErrors(t *testing.T) {
 	}
 	if _, err := RunGang(mixed); err == nil || !strings.Contains(err.Error(), "lockstep window") {
 		t.Errorf("RunGang with mixed budgets: err = %v, want lockstep-window error", err)
+	}
+
+	bad := []Options{
+		{Workload: w, Policy: SpecICOUNT, Cycles: 1000},
+		{Workload: w, Policy: SpecMFLUSH, Cycles: 1000},
+		{Workload: w, Policy: SpecFlushS(0), Cycles: 1000},
+	}
+	if res, err := RunGang(bad); err == nil || !strings.HasPrefix(err.Error(), "sim: gang member 2: ") || res != nil {
+		t.Errorf("RunGang with a zero-trigger FLUSH-S member 2: results %v, err = %v; want nil results and a member-2 error", res, err)
 	}
 
 	g, err := OpenGang([]Options{{Workload: w, Policy: SpecICOUNT, Cycles: 1000}})

@@ -17,11 +17,11 @@ import (
 //
 // Lifecycle: Open -> (Step | Snapshot | Observe | ResetMeasurement)* ->
 // Finish. A session is not safe for concurrent use; drive it from one
-// goroutine. Run (a width-1 RunGang) drives its lone member Session
-// Open -> Step(Warmup) -> ResetMeasurement -> Step(Cycles) -> Finish, so
-// stepping a session in any chunking reproduces Run bit-for-bit
-// (test-enforced). Session.Step is the simulator's only stepping code:
-// every gang member is a Session too.
+// goroutine. Run drives a Session Open -> Step(Warmup) ->
+// ResetMeasurement -> Step(Cycles) -> Finish, so stepping a session in
+// any chunking reproduces Run bit-for-bit (test-enforced). Session.Step
+// is the simulator's only stepping code: RunGang runs each member
+// through Run, and every GangSession member is a Session too.
 type Session struct {
 	opt  Options
 	chip *cmp.Chip

@@ -228,16 +228,43 @@ func (r *Result) Summary() Summary {
 	}
 }
 
-// Run executes one simulation to completion: RunGang of width 1, whose
-// lone member is a Session driven Open, Step(Warmup), ResetMeasurement,
-// Step(Cycles), Finish. Its output is bit-identical to the pre-Session
-// one-shot driver (test-enforced with golden fingerprints).
+// Run executes one simulation to completion: a Session driven Open,
+// Step(Warmup), ResetMeasurement, Step(Cycles), Finish, with a Recorder
+// observing the measured window when opt.Interval is positive. It is
+// the one run-to-completion driver; RunGang calls it once per member.
+// Its output is bit-identical to the pre-Session one-shot driver
+// (test-enforced with golden fingerprints).
 func Run(opt Options) (*Result, error) {
-	results, err := RunGang([]Options{opt})
+	if opt.Cycles == 0 {
+		return nil, fmt.Errorf("sim: zero cycle budget")
+	}
+	s, err := Open(opt)
 	if err != nil {
 		return nil, err
 	}
-	return results[0], nil
+	if opt.Warmup > 0 {
+		s.Step(opt.Warmup)
+		s.ResetMeasurement()
+	}
+	var rec *Recorder
+	if opt.Interval > 0 {
+		// Registered after warm-up so the series covers exactly the
+		// measured window, firing at measured cycles Interval,
+		// 2*Interval, ...
+		rec = &Recorder{OnPoint: opt.OnSample}
+		if err := s.Observe(rec.Probe(opt.Interval)); err != nil {
+			return nil, err
+		}
+	}
+	s.Step(opt.Cycles)
+	res, err := s.Finish()
+	if err != nil {
+		return nil, err
+	}
+	if rec != nil {
+		res.Samples = rec.Points
+	}
+	return res, nil
 }
 
 // buildChip assembles the machine, workload sources and policies for one

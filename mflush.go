@@ -102,13 +102,15 @@ func Run(opt Options) (*Result, error) { return sim.Run(opt) }
 func Open(opt Options) (*Session, error) { return sim.Open(opt) }
 
 // OpenGang starts a lockstep gang of sessions, one per Options, stepped
-// one after another on the caller's goroutine. Results are bit-identical
-// to opening each member solo.
+// one after another on the caller's goroutine, for observing variants
+// side by side. It builds every member's machine up front. Results are
+// bit-identical to opening each member solo.
 func OpenGang(opts []Options) (*GangSession, error) { return sim.OpenGang(opts) }
 
-// RunGang executes a gang to completion: warm-up, measurement reset and
-// cycle budget applied to all members in lockstep, returning one Result
-// per member — each bit-identical to what Run would have produced.
+// RunGang executes a gang to completion by running each member through
+// Run in turn, so only one member's machine is alive at a time. It
+// returns one Result per member, each bit-identical to what Run would
+// have produced. All members must share one cycle budget and warm-up.
 func RunGang(opts []Options) ([]*Result, error) { return sim.RunGang(opts) }
 
 // Speedup returns a's throughput gain over b as a fraction.
