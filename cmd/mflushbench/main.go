@@ -44,17 +44,9 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mflushbench", flag.ContinueOnError)
 	fig := fs.Int("fig", 0, "figure to regenerate (1-11); 0 runs all")
 	ablate := fs.Bool("ablations", false, "run the design-choice ablations instead of the figures")
-	warmup := fs.Uint64("warmup", experiments.Default.Warmup, "warm-up cycles (excluded from measurement)")
-	cycles := fs.Uint64("cycles", experiments.Default.Cycles, "measured cycles per simulation")
-	seed := fs.Uint64("seed", experiments.Default.Seed, "workload synthesis seed")
-	quick := fs.Bool("quick", false, "use the reduced quick configuration")
-	if err := fs.Parse(args); err != nil {
+	cfg, err := parseScale(fs, args)
+	if err != nil {
 		return err
-	}
-
-	cfg := experiments.Config{Warmup: *warmup, Cycles: *cycles, Seed: *seed}
-	if *quick {
-		cfg = experiments.Quick
 	}
 	if *ablate {
 		if err := ablations(out, cfg); err != nil {
@@ -86,6 +78,34 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out)
 	}
 	return nil
+}
+
+// parseScale adds the scale flags to fs, parses args and returns the
+// Config they select: experiments.Quick under -quick, else Default, with
+// any -warmup, -cycles or -seed given explicitly taking precedence.
+func parseScale(fs *flag.FlagSet, args []string) (experiments.Config, error) {
+	warmup := fs.Uint64("warmup", experiments.Default.Warmup, "warm-up cycles (excluded from measurement)")
+	cycles := fs.Uint64("cycles", experiments.Default.Cycles, "measured cycles per simulation")
+	seed := fs.Uint64("seed", experiments.Default.Seed, "workload synthesis seed")
+	quick := fs.Bool("quick", false, "default to the reduced quick configuration")
+	if err := fs.Parse(args); err != nil {
+		return experiments.Config{}, err
+	}
+	cfg := experiments.Default
+	if *quick {
+		cfg = experiments.Quick
+	}
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "warmup":
+			cfg.Warmup = *warmup
+		case "cycles":
+			cfg.Cycles = *cycles
+		case "seed":
+			cfg.Seed = *seed
+		}
+	})
+	return cfg, nil
 }
 
 func header(out io.Writer, title string) {

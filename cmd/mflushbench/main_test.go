@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // TestOutputGolden pins mflushbench's complete output — every figure,
@@ -46,5 +49,27 @@ func TestRunRejectsUnknownFigure(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Errorf("rejected figure wrote output: %q", out.String())
+	}
+}
+
+// TestParseScale: -quick only lowers the defaults, so -warmup, -cycles
+// and -seed given explicitly still win.
+func TestParseScale(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want experiments.Config
+	}{
+		{nil, experiments.Default},
+		{[]string{"-quick"}, experiments.Quick},
+		{[]string{"-quick", "-seed", "3"}, experiments.Config{Warmup: 60000, Cycles: 60000, Seed: 3}},
+		{[]string{"-quick", "-cycles", "5000"}, experiments.Config{Warmup: 60000, Cycles: 5000, Seed: 1}},
+	} {
+		cfg, err := parseScale(flag.NewFlagSet("mflushbench", flag.ContinueOnError), c.args)
+		if err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if cfg != c.want {
+			t.Errorf("%v: config %+v, want %+v", c.args, cfg, c.want)
+		}
 	}
 }

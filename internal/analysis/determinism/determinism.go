@@ -1,7 +1,7 @@
 // Package determinism forbids the sources of run-to-run nondeterminism
 // in the simulator core. Bit-identical replay across gang widths, chunk
 // sizes and process restarts is the repository's foundational invariant
-// — every golden fingerprint, frozen job key and differential gang test
+// — every golden fingerprint, frozen job key and gang-versus-solo test
 // assumes it — and the cheapest place to enforce it is at the source
 // level: no wall-clock reads, no global math/rand, no goroutines, and
 // no map iteration whose order can escape into results.

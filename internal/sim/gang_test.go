@@ -106,65 +106,65 @@ func TestRunGangBuildsMembersInTurn(t *testing.T) {
 	}
 }
 
-// TestGangFinishMemberMidRun finishes one member halfway through the
-// measured window while the rest keep stepping, and proves that (a) the
-// early member's Result equals a solo session finished at the same
-// point, and (b) the surviving members are byte-identical to solo full
-// runs — early departure must not perturb the lockstep.
-func TestGangFinishMemberMidRun(t *testing.T) {
-	const warmup, half = 4000, 6000
-	opts := gangOptions(t, "2W3", 5, warmup, 2*half)
-
+// TestOpenGangMatchesRun: a GangSession stepped the way the benchmark's
+// traced gang runner drives it — warm-up, reset, the measured window in
+// uneven chunks, Finish — returns each member's Run result bit for bit.
+func TestOpenGangMatchesRun(t *testing.T) {
+	const warmup = 4000
+	opts := gangOptions(t, "2W3", 5, warmup, 12000)
 	g, err := OpenGang(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Step(warmup)
 	g.ResetMeasurement()
-	g.Step(half)
-	early, err := g.FinishMember(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Open() != len(opts)-1 {
-		t.Fatalf("Open() = %d after FinishMember, want %d", g.Open(), len(opts)-1)
-	}
-	g.Step(half)
+	g.Step(5000)
+	g.Step(7000)
 	results, err := g.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[1] != early {
-		t.Errorf("Finish returned a different Result for the early member")
-	}
-
-	soloHalf, err := Open(opts[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	soloHalf.Step(warmup)
-	soloHalf.ResetMeasurement()
-	soloHalf.Step(half)
-	wantEarly, err := soloHalf.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, s := fingerprint(early), fingerprint(wantEarly); g != s {
-		t.Errorf("early-finished member diverged from solo half-run\n gang: %s\n solo: %s", g, s)
-	}
-	for _, m := range []int{0, 2, 3} {
-		solo, err := Run(opts[m])
+	for m, o := range opts {
+		solo, err := Run(o)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("solo member %d: %v", m, err)
 		}
 		if g, s := fingerprint(results[m]), fingerprint(solo); g != s {
-			t.Errorf("member %d diverged from solo after sibling left early\n gang: %s\n solo: %s", m, g, s)
+			t.Errorf("member %d (%s): gang diverged from solo\n gang: %s\n solo: %s", m, o.Policy, g, s)
 		}
 	}
 }
 
-// TestGangLifecycleErrors pins the gang's error surface: invalid opens,
-// out-of-range members, double finishes, stepping a closed gang.
+// TestGangMemberPermutation: member order is immaterial — running the
+// same variant set in permuted orders yields each variant the same
+// bytes, so gang grouping upstream may order jobs freely.
+func TestGangMemberPermutation(t *testing.T) {
+	opts := gangOptions(t, "2W1", 4, 1000, 6000)
+	base, err := RunGang(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, perm := range [][]int{{3, 2, 1, 0}, {1, 3, 0, 2}, {2, 0, 3, 1}} {
+		shuffled := make([]Options, len(opts))
+		for i, j := range perm {
+			shuffled[i] = opts[j]
+		}
+		results, err := RunGang(shuffled)
+		if err != nil {
+			t.Fatalf("permutation %v: %v", perm, err)
+		}
+		for i, j := range perm {
+			if g, w := fingerprint(results[i]), fingerprint(base[j]); g != w {
+				t.Errorf("permutation %v: member %d (policy %s) diverged from unpermuted run\n got: %s\nwant: %s",
+					perm, i, shuffled[i].Policy, g, w)
+			}
+		}
+	}
+}
+
+// TestGangLifecycleErrors pins the gang's error surface: empty gangs,
+// mixed windows, a failing member, finishing an empty window, double
+// finishes, stepping a closed gang.
 func TestGangLifecycleErrors(t *testing.T) {
 	if _, err := OpenGang(nil); err == nil {
 		t.Error("OpenGang(nil) succeeded, want error")
@@ -191,38 +191,26 @@ func TestGangLifecycleErrors(t *testing.T) {
 		t.Errorf("RunGang with a zero-trigger FLUSH-S member 2: results %v, err = %v; want nil results and a member-2 error", res, err)
 	}
 
-	g, err := OpenGang([]Options{{Workload: w, Policy: SpecICOUNT, Cycles: 1000}})
+	g, err := OpenGang([]Options{
+		{Workload: w, Policy: SpecICOUNT, Cycles: 1000},
+		{Workload: w, Policy: SpecMFLUSH, Cycles: 1000},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Observe(1, Probe{Every: 1, Fn: func(*Sample) {}}); err == nil {
-		t.Error("Observe(out-of-range) succeeded, want error")
-	}
-	if err := g.Observe(0, Probe{Every: 0, Fn: func(*Sample) {}}); err == nil {
-		t.Error("Observe with zero period succeeded, want error")
-	}
-	if err := g.Observe(0, Probe{Every: 1}); err == nil {
-		t.Error("Observe with nil Fn succeeded, want error")
-	}
-	if _, err := g.FinishMember(-1); err == nil {
-		t.Error("FinishMember(-1) succeeded, want error")
-	}
-	if _, err := g.FinishMember(0); err == nil {
-		t.Error("FinishMember with empty window succeeded, want error")
+	if _, err := g.Finish(); err == nil || !strings.HasPrefix(err.Error(), "sim: gang member 0: ") {
+		t.Errorf("Finish with an empty window: err = %v, want a member-0 error", err)
 	}
 	g.Step(1000)
-	if _, err := g.FinishMember(0); err != nil {
+	if _, err := g.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.FinishMember(0); err == nil {
-		t.Error("double FinishMember succeeded, want error")
-	}
-	if err := g.Observe(0, Probe{Every: 1, Fn: func(*Sample) {}}); err == nil {
-		t.Error("Observe on finished member succeeded, want error")
+	if _, err := g.Finish(); err == nil {
+		t.Error("second Finish succeeded, want error")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Step on a fully finished gang did not panic")
+			t.Error("Step on a finished gang did not panic")
 		}
 	}()
 	g.Step(1)

@@ -20,8 +20,7 @@ import (
 // goroutine. Run drives a Session Open -> Step(Warmup) ->
 // ResetMeasurement -> Step(Cycles) -> Finish, so stepping a session in
 // any chunking reproduces Run bit-for-bit (test-enforced). Session.Step
-// is the simulator's only stepping code: RunGang runs each member
-// through Run, and every GangSession member is a Session too.
+// is the simulator's only stepping code.
 type Session struct {
 	opt  Options
 	chip *cmp.Chip
@@ -54,13 +53,7 @@ func Open(opt Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSession(opt, chip), nil
-}
-
-// newSession wraps a built chip in a session at cycle zero — how Open
-// and every gang member start.
-func newSession(opt Options, chip *cmp.Chip) *Session {
-	return &Session{opt: opt, chip: chip, mflush: mflushPolicies(chip)}
+	return &Session{opt: opt, chip: chip, mflush: mflushPolicies(chip)}, nil
 }
 
 // mflushPolicies returns the per-core MFLUSH policies, or nil when any
@@ -132,8 +125,7 @@ func (s *Session) Snapshot() *Sample {
 }
 
 // refreshSample fills s.sample from the chip, reusing its slices and
-// the totals scratch. Each gang member is its own Session, so members
-// never share a buffer.
+// the totals scratch.
 //
 //mflush:hotpath
 func (s *Session) refreshSample() {

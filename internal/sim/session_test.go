@@ -58,22 +58,10 @@ func tinyQueues(c *config.Config) {
 // farMemoryTraces records four threads for a two-core replay, stamping a
 // far-memory miss-latency override onto every third load of two of them.
 func farMemoryTraces(t *testing.T) [][]isa.Inst {
-	overrides := func(tr []isa.Inst, lat uint32) []isa.Inst {
-		loads := 0
-		for i := range tr {
-			if tr[i].Class == isa.ClassLoad {
-				loads++
-				if loads%3 == 0 {
-					tr[i].MissLatency = lat
-				}
-			}
-		}
-		return tr
-	}
 	return [][]isa.Inst{
-		overrides(record(t, "mcf", 5, 1<<34, 30000), 900),
+		overrideMisses(record(t, "mcf", 5, 1<<34, 30000), 900),
 		record(t, "gzip", 6, 2<<34, 30000),
-		overrides(record(t, "art", 7, 3<<34, 30000), 1500),
+		overrideMisses(record(t, "art", 7, 3<<34, 30000), 1500),
 		record(t, "vpr", 8, 4<<34, 30000),
 	}
 }

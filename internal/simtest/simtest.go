@@ -1,16 +1,6 @@
-// Package simtest is the simulator's test harness toolkit, shared by
-// the sim, campaign and server test suites. It has two halves:
-//
-//   - Runner, a fake sim.Run: deterministic results without simulating,
-//     per-job invocation counts, and hooks to hold runs in flight or
-//     fail them.
-//   - DiffGang and Fingerprint (diff.go), the differential harness that
-//     proves a lockstep gang (sim.GangSession) is observationally
-//     bit-identical to N width-1 sessions — what sim.Run
-//     executes — localising the first divergence. Both sides step
-//     through Session.Step, so the golden fingerprints in internal/sim
-//     remain the absolute reference for what either side computes.
-//
+// Package simtest holds test helpers for the campaign, server, cluster
+// and crash suites: Runner, a fake sim.Run (deterministic results,
+// per-job invocation counts, hooks to hold or fail runs), and WaitFor.
 // Production code must not import it.
 package simtest
 
@@ -84,24 +74,6 @@ func (r *Runner) Run(o sim.Options) (*sim.Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// RunGang is the Runner's sim.RunGang analogue, for injection where a
-// scheduler or worker takes a GangRunner: each member counts as one Run
-// invocation (Gate/Fail included).
-func (r *Runner) RunGang(opts []sim.Options) ([]*sim.Result, error) {
-	if len(opts) == 0 {
-		return nil, errors.New("simtest: empty gang")
-	}
-	results := make([]*sim.Result, len(opts))
-	for i, o := range opts {
-		res, err := r.Run(o)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = res
-	}
-	return results, nil
 }
 
 // Total returns the number of simulator invocations so far.

@@ -53,10 +53,6 @@ type SamplePoint = sim.SamplePoint
 // sim.Probe for the firing and no-mutation invariants.
 type Probe = sim.Probe
 
-// GangSession steps N independent variant simulations in lockstep,
-// bit-identical to N solo Sessions. See sim.GangSession.
-type GangSession = sim.GangSession
-
 // Recorder collects a probe's firings into a SamplePoint time series.
 // See sim.Recorder.
 type Recorder = sim.Recorder
@@ -100,18 +96,6 @@ func Run(opt Options) (*Result, error) { return sim.Run(opt) }
 // Open starts an incremental simulation session positioned at cycle
 // zero: the steppable, observable form of Run.
 func Open(opt Options) (*Session, error) { return sim.Open(opt) }
-
-// OpenGang starts a lockstep gang of sessions, one per Options, stepped
-// one after another on the caller's goroutine, for observing variants
-// side by side. It builds every member's machine up front. Results are
-// bit-identical to opening each member solo.
-func OpenGang(opts []Options) (*GangSession, error) { return sim.OpenGang(opts) }
-
-// RunGang executes a gang to completion by running each member through
-// Run in turn, so only one member's machine is alive at a time. It
-// returns one Result per member, each bit-identical to what Run would
-// have produced. All members must share one cycle budget and warm-up.
-func RunGang(opts []Options) ([]*Result, error) { return sim.RunGang(opts) }
 
 // Speedup returns a's throughput gain over b as a fraction.
 func Speedup(a, b *Result) float64 { return sim.Speedup(a, b) }
