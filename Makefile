@@ -54,6 +54,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzScenarioJSONL -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzCacheLRU -fuzztime 10s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzTLB -fuzztime 10s ./internal/cache
+	$(GO) test -run '^$$' -fuzz FuzzSleep -fuzztime 10s ./internal/cmp
 
 # Crash matrix: build the real mflushd with fault injection compiled in
 # (-tags faultpoint), SIGKILL it at each WAL/lease faultpoint mid-

@@ -8,6 +8,8 @@
 // paper analyses (the other being L2 bank port conflicts).
 package bus
 
+import "math"
+
 // Bus is a one-direction channel carrying payloads of type T. Use two
 // instances for a request/response pair. The zero value is not usable;
 // construct with New.
@@ -67,6 +69,18 @@ func (b *Bus[T]) Tick(now uint64) []T {
 	}
 	b.out = out
 	return out
+}
+
+// NextEvent returns the earliest cycle at or after now at which Tick would
+// grant or deliver a transfer, or math.MaxUint64 when the bus is empty.
+func (b *Bus[T]) NextEvent(now uint64) uint64 {
+	switch {
+	case b.queue.len() > 0:
+		return now
+	case b.inFlight.len() > 0:
+		return max(b.inFlight.peek().deliver, now)
+	}
+	return math.MaxUint64
 }
 
 // Pending returns the number of transfers queued or in flight.

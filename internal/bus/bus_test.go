@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -92,6 +93,32 @@ func TestPending(t *testing.T) {
 	}
 	if b.Pending() != 0 {
 		t.Fatalf("pending after drain = %d", b.Pending())
+	}
+}
+
+func TestNextEvent(t *testing.T) {
+	b := New[int](5, 1)
+	if got := b.NextEvent(0); got != math.MaxUint64 {
+		t.Fatalf("empty bus next event = %d", got)
+	}
+	b.Push(0, 1)
+	b.Push(0, 2)
+	if got := b.NextEvent(0); got != 0 {
+		t.Fatalf("queued transfer next event = %d, want 0", got)
+	}
+	b.Tick(0)
+	if got := b.NextEvent(1); got != 1 { // the second grant
+		t.Fatalf("next event after one grant = %d, want 1", got)
+	}
+	b.Tick(1)
+	if got := b.NextEvent(2); got != 5 { // the first delivery
+		t.Fatalf("next event with both in flight = %d, want 5", got)
+	}
+	for now := uint64(2); now <= 6; now++ {
+		b.Tick(now)
+	}
+	if got := b.NextEvent(7); got != math.MaxUint64 {
+		t.Fatalf("drained bus next event = %d", got)
 	}
 }
 

@@ -1,10 +1,20 @@
 // Package cmp assembles the chip multiprocessor: N SMT cores (from
 // internal/pipeline) sharing one banked L2 system (internal/mem) over the
-// shared bus, advanced in lock-step one cycle at a time.
+// shared bus.
+//
+// The chip is stepped to an event horizon rather than in lock-step: a
+// core whose tick changed nothing sleeps until its next event
+// (pipeline.Core.Advance), the L2 ticks only when one of its events is
+// due (mem.L2System.Due), and when every core sleeps and the L2 has
+// nothing due the clock jumps to the earliest wake-up. Every skipped
+// tick would have changed nothing but per-cycle counters, which the
+// cores charge in bulk, so the simulation is bit-identical to ticking
+// every component on every cycle.
 package cmp
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/config"
 	"repro/internal/mem"
@@ -19,6 +29,9 @@ type Chip struct {
 	l2    *mem.L2System
 	cores []*pipeline.Core
 	now   uint64
+	// lockstep ticks the L2 and every core on every cycle: the reference
+	// the event-horizon stepping is tested against (tests only).
+	lockstep bool
 }
 
 // New builds a chip. policies supplies one IFetch policy per core (cores
@@ -41,29 +54,65 @@ func New(cfg config.Config, policies []policy.Policy,
 	return ch, nil
 }
 
-// Tick advances the whole chip one cycle: the shared system first (its
-// responses reach the cores this cycle), then every core.
+// Tick advances the whole chip one cycle and settles the sleeping cores,
+// so every counter is exact when it returns.
 //
 //mflush:hotpath-ok
 func (ch *Chip) Tick() {
-	for _, r := range ch.l2.Tick(ch.now) {
-		ch.cores[r.CoreID].HandleResponse(r, ch.now)
-	}
-	for _, r := range ch.l2.DrainMissDetected() {
-		ch.cores[r.CoreID].HandleL2MissDetected(r, ch.now)
-	}
-	for _, c := range ch.cores {
-		c.Tick(ch.now)
-	}
-	ch.now++
+	ch.step()
+	ch.settle()
 }
 
-// Run advances the chip by the given number of cycles.
+// Run advances the chip by the given number of cycles. Whenever no
+// component can act before some later cycle, the clock jumps there, but
+// never past the end of the run; the sleeping cores are settled before
+// Run returns.
 //
 //mflush:hotpath-ok
 func (ch *Chip) Run(cycles uint64) {
-	for i := uint64(0); i < cycles; i++ {
-		ch.Tick()
+	end := ch.now + cycles
+	for ch.now < end {
+		if next := ch.step(); next > ch.now {
+			ch.now = min(next, end)
+		}
+	}
+	ch.settle()
+}
+
+// step advances the chip one cycle: the shared system first (its
+// responses reach the cores this cycle), then every core. It returns the
+// earliest cycle at which any of them can act next, which is at most the
+// new current cycle unless every core sleeps and the L2 has nothing due.
+func (ch *Chip) step() uint64 {
+	now := ch.now
+	if ch.lockstep || now >= ch.l2.Due() {
+		for _, r := range ch.l2.Tick(now) {
+			ch.cores[r.CoreID].HandleResponse(r, now)
+		}
+		for _, r := range ch.l2.DrainMissDetected() {
+			ch.cores[r.CoreID].HandleL2MissDetected(r, now)
+		}
+	}
+	ch.now++
+	if ch.lockstep {
+		for _, c := range ch.cores {
+			c.Tick(now)
+		}
+		return ch.now
+	}
+	next := uint64(math.MaxUint64)
+	for _, c := range ch.cores {
+		c.Advance(now)
+		next = min(next, c.WakeAt())
+	}
+	// Read after the cores: their submissions make the L2 due.
+	return min(next, ch.l2.Due())
+}
+
+// settle charges every sleeping core for the cycles it has slept through.
+func (ch *Chip) settle() {
+	for _, c := range ch.cores {
+		c.Settle(ch.now)
 	}
 }
 

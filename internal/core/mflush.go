@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/config"
 	"repro/internal/policy"
@@ -172,11 +173,14 @@ type MFLUSH struct {
 	loads [][]trackedLoad
 	out   []policy.Directive
 
-	// Telemetry.
+	// Telemetry. lastFlushes and lastStalls count the flush and stall
+	// directives of the last Tick, which Skip repeats.
 	predictions uint64
 	updates     uint64
 	flushes     uint64
 	preventive  uint64
+	lastFlushes uint64
+	lastStalls  uint64
 }
 
 type trackedLoad struct {
@@ -256,6 +260,7 @@ func (m *MFLUSH) drop(li *policy.LoadInfo) {
 // the Preventive State (fetch stall); otherwise normal fetch.
 func (m *MFLUSH) Tick(now uint64) []policy.Directive {
 	m.out = m.out[:0]
+	m.lastFlushes, m.lastStalls = 0, 0
 	susp := uint64(m.env.Suspicious())
 	for tid := range m.loads {
 		act := policy.ActNone
@@ -273,16 +278,44 @@ func (m *MFLUSH) Tick(now uint64) []policy.Directive {
 		}
 		switch act {
 		case policy.ActFlush:
-			m.flushes++
+			m.lastFlushes++
 			m.out = append(m.out, policy.Directive{Tid: tid, Action: policy.ActFlush, Load: offender})
 		case policy.ActStall:
-			m.preventive++
+			m.lastStalls++
 			m.out = append(m.out, policy.Directive{Tid: tid, Action: policy.ActStall})
 		default:
 			m.out = append(m.out, policy.Directive{Tid: tid, Action: policy.ActNone})
 		}
 	}
+	m.flushes += m.lastFlushes
+	m.preventive += m.lastStalls
 	return m.out
+}
+
+// NextEvent implements policy.Policy: a thread's directive changes when
+// one of its loads passes the suspicious threshold or its Barrier.
+func (m *MFLUSH) NextEvent(now uint64) uint64 {
+	next := uint64(math.MaxUint64)
+	susp := uint64(m.env.Suspicious())
+	for _, loads := range m.loads {
+		for i := range loads {
+			if at := loads[i].li.IssuedAt + susp + 1; at > now && at < next {
+				next = at
+			}
+			if at := loads[i].barrier + 1; at > now && at < next {
+				next = at
+			}
+		}
+	}
+	return next
+}
+
+// Skip implements policy.Policy: each skipped cycle repeats the last
+// Tick's flush and preventive-state directives, so the telemetry counts
+// them as Tick would have.
+func (m *MFLUSH) Skip(n uint64) {
+	m.flushes += n * m.lastFlushes
+	m.preventive += n * m.lastStalls
 }
 
 // Telemetry returns internal event counts: latency predictions made, MCReg

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -261,6 +262,39 @@ func TestMFLUSHTelemetry(t *testing.T) {
 	preds, updates, flushes, _ := m.Telemetry()
 	if preds != 1 || updates != 1 || flushes != 1 {
 		t.Fatalf("telemetry = %d/%d/%d, want 1/1/1", preds, updates, flushes)
+	}
+}
+
+func TestMFLUSHNextEventAndSkip(t *testing.T) {
+	cfg := config.Default(4)
+	m := NewMFLUSH(&cfg)
+	env := m.Env()
+	if got := m.NextEvent(0); got != math.MaxUint64 {
+		t.Fatalf("no loads: next event %d", got)
+	}
+	li := &policy.LoadInfo{Tid: 1, IssuedAt: 10, Bank: 2}
+	m.OnL1Miss(li, 10)
+	susp := uint64(10 + env.Suspicious() + 1)
+	barrier := uint64(10 + env.Barrier(env.Min) + 1)
+	if got := m.NextEvent(10); got != susp {
+		t.Fatalf("next event %d, want the suspicious crossing %d", got, susp)
+	}
+	if got := m.NextEvent(susp); got != barrier {
+		t.Fatalf("next event %d, want the Barrier crossing %d", got, barrier)
+	}
+	if got := m.NextEvent(barrier); got != math.MaxUint64 {
+		t.Fatalf("past the Barrier: next event %d", got)
+	}
+	// Skipped cycles repeat the last Tick's directives in the telemetry.
+	m.Tick(susp)
+	m.Skip(5)
+	if _, _, flushes, prev := m.Telemetry(); flushes != 0 || prev != 6 {
+		t.Fatalf("after stall tick + 5 skipped: flushes %d preventive %d, want 0/6", flushes, prev)
+	}
+	m.Tick(barrier)
+	m.Skip(3)
+	if _, _, flushes, prev := m.Telemetry(); flushes != 4 || prev != 6 {
+		t.Fatalf("after flush tick + 3 skipped: flushes %d preventive %d, want 4/6", flushes, prev)
 	}
 }
 

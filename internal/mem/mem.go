@@ -17,6 +17,8 @@
 package mem
 
 import (
+	"math"
+
 	"repro/internal/bus"
 	"repro/internal/cache"
 	"repro/internal/config"
@@ -115,6 +117,11 @@ type L2System struct {
 	missDetected []*Request
 	missSpare    []*Request
 
+	// due is the earliest cycle at which Tick can act: NextEvent as of
+	// the end of the last Tick, lowered by Submit. Callers skip the
+	// Ticks before it (see Due).
+	due uint64
+
 	// Measurements.
 	hitLatency  *stats.Histogram // load-issue to response, L2 hits only
 	missLatency *stats.Histogram
@@ -174,6 +181,40 @@ func (s *L2System) Submit(r *Request, now uint64) {
 	r.Bank = s.BankOf(r.Addr)
 	s.counters.Bump(cL2Requests, 1)
 	s.req.Push(now, r)
+	s.due = min(s.due, now)
+}
+
+// Due returns the earliest cycle at which Tick can act. Every Tick before
+// it returns no responses, reports no misses and changes no state, so a
+// caller may skip those Ticks; Submit makes the system due at once.
+func (s *L2System) Due() uint64 { return s.due }
+
+// NextEvent returns the earliest cycle at or after now at which Tick would
+// act, given that every earlier cycle has been ticked: a queued bus
+// transfer, a waiting bank operation or a pending memory read act at now;
+// bus deliveries, memory completions and bank operations at their due
+// cycles. It returns math.MaxUint64 when nothing is in flight.
+func (s *L2System) NextEvent(now uint64) uint64 {
+	if s.memPending.len() > 0 {
+		return now
+	}
+	next := min(s.req.NextEvent(now), s.resp.NextEvent(now))
+	if s.memInFlight.len() > 0 {
+		next = min(next, s.memInFlight.peek().doneAt)
+	}
+	for _, t := range s.memFar {
+		next = min(next, t.doneAt)
+	}
+	for b := range s.banks {
+		bank := &s.banks[b]
+		switch {
+		case bank.busy:
+			next = min(next, bank.doneAt)
+		case bank.queue.len() > 0:
+			return now
+		}
+	}
+	return max(next, now)
 }
 
 // Tick advances the shared system one cycle and returns the requests whose
@@ -264,6 +305,7 @@ func (s *L2System) Tick(now uint64) []*Request {
 			s.missLatency.Add(lat)
 		}
 	}
+	s.due = s.NextEvent(now + 1)
 	return done
 }
 
@@ -278,18 +320,7 @@ func (s *L2System) DrainMissDetected() []*Request {
 }
 
 // Drain reports whether any transaction is still in flight.
-func (s *L2System) Drain() bool {
-	if s.req.Pending() > 0 || s.resp.Pending() > 0 ||
-		s.memPending.len() > 0 || s.memInFlight.len() > 0 || len(s.memFar) > 0 {
-		return true
-	}
-	for b := range s.banks {
-		if s.banks[b].busy || s.banks[b].queue.len() > 0 {
-			return true
-		}
-	}
-	return false
-}
+func (s *L2System) Drain() bool { return s.NextEvent(0) != math.MaxUint64 }
 
 // ResetStats discards accumulated measurements (histograms and counters)
 // while preserving cache and queue state — used to exclude warm-up from

@@ -22,7 +22,8 @@ const frontQCapacity = 32
 const mshrRetryDelay = 4
 
 // wheelSize bounds the execution completion horizon (longest fixed
-// execution latency plus L1 hit time).
+// execution latency plus L1 hit time). It is the width of the wheel's
+// occupancy word, Core.wheelBusy.
 const wheelSize = 64
 
 // depsCap is the initial wakeup-list capacity of a new uop. Producers
@@ -98,6 +99,8 @@ type Core struct {
 	slotLoads   [][]*policy.LoadInfo
 
 	wheel [wheelSize][]*UOp
+	// wheelBusy has bit i set iff wheel[i] is non-empty.
+	wheelBusy uint64
 
 	// pendingSubmits delays L2 requests by the L1 tag-check time, so the
 	// minimum load-issue-to-L2-hit latency matches the configured L1
@@ -117,6 +120,17 @@ type Core struct {
 	fetchOrder  []int
 	renameBlock []bool
 	replayTmp   []isa.Inst
+
+	// Event-horizon sleep (see Advance). A sleeping core has wakeAt > 0
+	// and has charged the cycles before sleptFrom to its counters.
+	// probing marks that the last tick was idle and the current one, due
+	// to repeat it, is measured against probeBase. idleDelta is what one
+	// idle tick adds to the counters.
+	wakeAt    uint64
+	sleptFrom uint64
+	probing   bool
+	probeBase []uint64
+	idleDelta []stats.Delta
 }
 
 type delayedSubmit struct {
@@ -303,8 +317,12 @@ func (c *Core) allocLoadInfo() *policy.LoadInfo {
 
 // HandleResponse consumes one shared-L2 response addressed to this core.
 // The request is recycled here: every request this core issues comes back
-// exactly once as a response.
+// exactly once as a response. A response wakes a sleeping core, except a
+// store fill's: it only fills the L1 data cache, which no idle tick reads.
 func (c *Core) HandleResponse(r *mem.Request, now uint64) {
+	if !r.NoWake {
+		c.wake(now)
+	}
 	switch {
 	case r.IsInstr:
 		c.l1i.Fill(r.Addr)
@@ -367,6 +385,7 @@ func (c *Core) HandleL2MissDetected(r *mem.Request, now uint64) {
 	if entry == nil {
 		return
 	}
+	c.wake(now)
 	for _, li := range c.slotLoads[entry.Slot()] {
 		if !li.Resolved {
 			c.pol.OnL2MissDetected(li, now)
@@ -380,7 +399,9 @@ func (c *Core) submitDelayed(req *mem.Request, now uint64) {
 	c.pendingSubmits = append(c.pendingSubmits, delayedSubmit{req: req, at: now + uint64(c.cfg.L1Latency)})
 }
 
-func (c *Core) flushSubmits(now uint64) {
+// flushSubmits hands the L2 every request whose L1 tag-check delay has
+// elapsed, and reports whether there was one.
+func (c *Core) flushSubmits(now uint64) bool {
 	kept := c.pendingSubmits[:0]
 	for _, d := range c.pendingSubmits {
 		if d.at <= now {
@@ -389,25 +410,141 @@ func (c *Core) flushSubmits(now uint64) {
 			kept = append(kept, d)
 		}
 	}
+	acted := len(kept) < len(c.pendingSubmits)
 	c.pendingSubmits = kept
+	return acted
 }
 
-// Tick advances the core one cycle. Stages run in reverse pipeline order
-// so a result produced this cycle is consumed no earlier than the next.
-func (c *Core) Tick(now uint64) {
-	c.flushSubmits(now)
-	c.commitStage(now)
-	c.writebackStage(now)
-	c.issueStage(now)
-	c.renameStage(now)
-	c.policyStage(now)
-	c.fetchStage(now)
+// Tick advances the core one cycle, whether or not it sleeps (the
+// lock-step form of Advance).
+func (c *Core) Tick(now uint64) { c.tick(now) }
+
+// tick runs the stages for one cycle, in reverse pipeline order so a
+// result produced this cycle is consumed no earlier than the next. It
+// reports whether any stage acted: changed any state beyond bumping a
+// counter. A tick that did not act only bumps the counters of the
+// conditions that blocked it.
+func (c *Core) tick(now uint64) bool {
+	submitted := c.flushSubmits(now)
+	committed := c.commitStage(now)
+	wrote := c.writebackStage(now)
+	issued := c.issueStage(now)
+	renamed := c.renameStage(now)
+	directed := c.policyStage(now)
+	fetched := c.fetchStage(now)
+	return submitted || committed || wrote || issued || renamed || directed || fetched
+}
+
+// Advance is Tick under event-horizon stepping: it skips every cycle the
+// core sleeps through. After a tick that did not act, nothing changes
+// until the core's next event (nextEvent) unless the L2 delivers a
+// response or a miss signal, which wake the core (wake). So the next tick
+// repeats the idle one exactly. If the event leaves at least one cycle to
+// sleep after it, that tick runs as a probe that measures what one idle
+// tick adds to the counters, and the core then sleeps until the event. Settle and wake
+// charge the slept cycles to the counters and the policy, so every
+// counter reads as if the core had ticked on each of them.
+func (c *Core) Advance(now uint64) {
+	if c.wakeAt != 0 {
+		if now < c.wakeAt {
+			return
+		}
+		c.wake(now)
+	}
+	if c.tick(now) {
+		c.probing = false
+		return
+	}
+	next := c.nextEvent(now)
+	if c.probing {
+		c.idleDelta = c.stats.AppendDeltas(c.idleDelta[:0], c.probeBase)
+		c.probing = false
+		c.wakeAt = next
+		c.sleptFrom = now + 1
+		return
+	}
+	if next > now+2 {
+		c.probeBase = c.stats.AppendValues(c.probeBase[:0])
+		c.probing = true
+	}
+}
+
+// WakeAt returns the cycle a sleeping core next ticks, or 0 when it is
+// awake.
+func (c *Core) WakeAt() uint64 { return c.wakeAt }
+
+// Settle charges the cycles a sleeping core has slept through before now
+// to its counters (each as the idle tick measured by the probe) and to
+// its policy (policy.Policy.Skip). The core keeps sleeping. Counters read
+// exact values only on a settled core.
+func (c *Core) Settle(now uint64) {
+	if c.wakeAt == 0 || now <= c.sleptFrom {
+		return
+	}
+	k := now - c.sleptFrom
+	for _, d := range c.idleDelta {
+		c.stats.Bump(d.ID, k*d.N)
+	}
+	c.pol.Skip(k)
+	c.sleptFrom = now
+}
+
+// wake ends a sleep (charging it up to now) or abandons a probe: an
+// outside event may make the next tick act, or bump a counter, which the
+// probe would misread as idle.
+func (c *Core) wake(now uint64) {
+	if c.wakeAt != 0 {
+		c.Settle(now)
+		c.wakeAt = 0
+	}
+	c.probing = false
+}
+
+// nextEvent returns the earliest cycle after now at which tick could act,
+// given that tick(now) did not and nothing outside the core intervenes:
+// a delayed L2 submission falls due, a wheel slot completes, a ready uop
+// leaves its retry delay, a front-end queue head reaches rename, a fetch
+// stall ends, or the policy's directives change. Anything else that
+// blocks an idle tick (a full queue, ROB or register file, an
+// outstanding miss or icache fill, a flush) clears only when some tick
+// acts or the L2 wakes the core. math.MaxUint64 means only the L2 can.
+func (c *Core) nextEvent(now uint64) uint64 {
+	next := c.pol.NextEvent(now)
+	for _, d := range c.pendingSubmits {
+		next = min(next, d.at)
+	}
+	// Rotate the slot of now+1 to bit 0: the lowest set bit is then the
+	// distance to the next busy slot.
+	if busy := bits.RotateLeft64(c.wheelBusy, -int((now+1)%wheelSize)); busy != 0 {
+		next = min(next, now+1+uint64(bits.TrailingZeros64(busy)))
+	}
+	next = c.intQ.nextRetry(next, c.cfg.Core.IntUnits)
+	next = c.fpQ.nextRetry(next, c.cfg.Core.FPUnits)
+	next = c.lsQ.nextRetry(next, c.cfg.Core.LSUnits)
+	for _, t := range c.threads {
+		if u := t.frontQ.front(); u != nil {
+			if at := c.renameReadyAt(u); at > now {
+				next = min(next, at)
+			}
+		}
+		if t.icacheWait == nil && t.fetchStallUntil > now {
+			next = min(next, t.fetchStallUntil)
+		}
+	}
+	return next
+}
+
+// renameReadyAt is the cycle the front-end pipe delivers u to rename.
+func (c *Core) renameReadyAt(u *UOp) uint64 {
+	return u.FetchedAt + uint64(c.cfg.Core.FrontEndStages)
 }
 
 // ---- commit ----
 
-func (c *Core) commitStage(now uint64) {
-	budget := c.cfg.Core.CommitWidth
+// commitStage retires ready ROB heads and reports whether it retired any.
+func (c *Core) commitStage(now uint64) bool {
+	width := c.cfg.Core.CommitWidth
+	budget := width
 	n := len(c.threads)
 	idx := int(now) % n
 	for i := 0; i < n && budget > 0; i++ {
@@ -439,7 +576,6 @@ func (c *Core) commitStage(now uint64) {
 				c.heldPRegs[u.Tid]--
 				u.HasPReg = false
 			}
-			u.Committed = true
 			t.committed++
 			budget--
 			c.energy.OnCommit()
@@ -453,6 +589,7 @@ func (c *Core) commitStage(now uint64) {
 			c.freeUOp(u)
 		}
 	}
+	return budget < width
 }
 
 // commitStore performs the store's cache write at retirement; misses
@@ -475,10 +612,13 @@ func (c *Core) commitStore(u *UOp, now uint64) {
 
 // ---- writeback ----
 
-func (c *Core) writebackStage(now uint64) {
+// writebackStage drains this cycle's wheel slot and reports whether it
+// held any uop.
+func (c *Core) writebackStage(now uint64) bool {
 	slot := int(now % wheelSize)
 	uops := c.wheel[slot]
 	c.wheel[slot] = uops[:0]
+	c.wheelBusy &^= 1 << slot
 	for _, u := range uops {
 		// Clear wheel residence per uop as it is processed: a branch
 		// earlier in this slot may squash a uop later in it, and that
@@ -493,6 +633,7 @@ func (c *Core) writebackStage(now uint64) {
 			c.resolveControl(u, now)
 		}
 	}
+	return len(uops) > 0
 }
 
 // markExecuted completes a uop: the result is produced, and each consumer
@@ -500,7 +641,6 @@ func (c *Core) writebackStage(now uint64) {
 // physical register is held to commit.
 func (c *Core) markExecuted(u *UOp, now uint64) {
 	u.Executed = true
-	u.DoneAt = now
 	for _, r := range u.deps {
 		d := r.live()
 		if d == nil || d.Squashed {
@@ -543,10 +683,12 @@ func (c *Core) resolveControl(u *UOp, now uint64) {
 
 // ---- issue ----
 
-func (c *Core) issueStage(now uint64) {
-	c.issueFrom(c.intQ, c.cfg.Core.IntUnits, now)
-	c.issueFrom(c.fpQ, c.cfg.Core.FPUnits, now)
-	c.issueFrom(c.lsQ, c.cfg.Core.LSUnits, now)
+// issueStage reports whether any uop attempted to issue.
+func (c *Core) issueStage(now uint64) bool {
+	i := c.issueFrom(c.intQ, c.cfg.Core.IntUnits, now)
+	f := c.issueFrom(c.fpQ, c.cfg.Core.FPUnits, now)
+	m := c.issueFrom(c.lsQ, c.cfg.Core.LSUnits, now)
+	return i || f || m
 }
 
 // issueFrom offers q's ready uops, oldest first, to up to units execution
@@ -555,11 +697,13 @@ func (c *Core) issueStage(now uint64) {
 // delay (DTLB walk, full MSHR file) is skipped without spending a unit.
 // Every attempt spends one, even one that leaves the uop queued behind a
 // new retry delay. An issue clears the uop's bit in q.ready, not in the
-// copied word being walked, so removal during the walk is safe.
-func (c *Core) issueFrom(q *queue, units int, now uint64) {
+// copied word being walked, so removal during the walk is safe. It
+// reports whether it spent a unit.
+func (c *Core) issueFrom(q *queue, units int, now uint64) bool {
 	if units == 0 {
-		return
+		return false
 	}
+	left := units
 	for w, word := range q.ready {
 		for ; word != 0; word &= word - 1 {
 			u := q.slots[w<<6|bits.TrailingZeros64(word)]
@@ -571,24 +715,26 @@ func (c *Core) issueFrom(q *queue, units int, now uint64) {
 			} else {
 				c.issueALU(q, u, now)
 			}
-			if units--; units == 0 {
-				return
+			if left--; left == 0 {
+				return true
 			}
 		}
 	}
+	return left < units
 }
 
 func (c *Core) issueALU(q *queue, u *UOp, now uint64) {
 	q.remove(u)
 	c.threads[u.Tid].icount--
 	u.Issued = true
-	u.IssuedAt = now
 	c.schedule(u, now+uint64(u.Inst.Class.ExecLatency()))
 }
 
 func (c *Core) schedule(u *UOp, at uint64) {
 	u.InWheel = true
-	c.wheel[int(at%wheelSize)] = append(c.wheel[int(at%wheelSize)], u)
+	slot := at % wheelSize
+	c.wheel[slot] = append(c.wheel[slot], u)
+	c.wheelBusy |= 1 << slot
 }
 
 func (c *Core) issueMem(u *UOp, now uint64) {
@@ -609,7 +755,6 @@ func (c *Core) issueMem(u *UOp, now uint64) {
 		c.lsQ.remove(u)
 		c.threads[u.Tid].icount--
 		u.Issued = true
-		u.IssuedAt = now
 		c.schedule(u, now+1)
 		return
 	}
@@ -619,7 +764,6 @@ func (c *Core) issueMem(u *UOp, now uint64) {
 		c.lsQ.remove(u)
 		c.threads[u.Tid].icount--
 		u.Issued = true
-		u.IssuedAt = now
 		c.schedule(u, now+uint64(c.cfg.L1Latency))
 		return
 	}
@@ -637,7 +781,6 @@ func (c *Core) issueMem(u *UOp, now uint64) {
 	c.lsQ.remove(u)
 	c.threads[u.Tid].icount--
 	u.Issued = true
-	u.IssuedAt = now
 	u.WaitingMem = true
 	c.slotWaiters[slot] = append(c.slotWaiters[slot], u)
 
@@ -670,8 +813,10 @@ func (c *Core) issueMem(u *UOp, now uint64) {
 
 // ---- rename ----
 
-func (c *Core) renameStage(now uint64) {
-	budget := c.cfg.Core.RenameWidth
+// renameStage reports whether it renamed any uop.
+func (c *Core) renameStage(now uint64) bool {
+	width := c.cfg.Core.RenameWidth
+	budget := width
 	n := len(c.threads)
 	start := int(now) % n
 	blocked := c.renameBlock
@@ -691,7 +836,7 @@ func (c *Core) renameStage(now uint64) {
 			}
 			t := c.threads[idx]
 			u := t.frontQ.front()
-			if u == nil || u.RenameReadyAt > now {
+			if u == nil || c.renameReadyAt(u) > now {
 				blocked[idx] = true
 				continue
 			}
@@ -704,9 +849,10 @@ func (c *Core) renameStage(now uint64) {
 			progressed = true
 		}
 		if !progressed {
-			return
+			break
 		}
 	}
+	return budget < width
 }
 
 func (c *Core) queueFor(class isa.Class) *queue {
@@ -771,14 +917,19 @@ func waitOn(prod uopRef, u *UOp) {
 
 // ---- policy ----
 
-func (c *Core) policyStage(now uint64) {
+// policyStage applies the policy's directives and reports whether any
+// changed a thread's state.
+func (c *Core) policyStage(now uint64) bool {
+	acted := false
 	for _, d := range c.pol.Tick(now) {
 		t := c.threads[d.Tid]
 		switch d.Action {
 		case policy.ActNone:
+			acted = acted || t.policyStalled
 			t.policyStalled = false
 		case policy.ActStall:
 			if !t.flushStalled {
+				acted = acted || !t.policyStalled
 				t.policyStalled = true
 				c.stats.Bump(cPolicyStallCycles, 1)
 			}
@@ -787,8 +938,10 @@ func (c *Core) policyStage(now uint64) {
 				break
 			}
 			c.doFlush(t, d.Load, now)
+			acted = true
 		}
 	}
+	return acted
 }
 
 // doFlush applies the FLUSH response action: squash everything younger
@@ -896,7 +1049,9 @@ func (c *Core) undoUop(t *thread, u *UOp, forFlush bool, replay *[]isa.Inst, now
 
 // ---- fetch ----
 
-func (c *Core) fetchStage(now uint64) {
+// fetchStage reports whether any thread got past canFetch: fetching then
+// always changes state (a fetched uop, an icache miss or an ITLB stall).
+func (c *Core) fetchStage(now uint64) bool {
 	// ICOUNT ordering: fetchable threads by ascending in-flight count.
 	order := c.fetchOrder[:0]
 	for i := range c.threads {
@@ -916,20 +1071,23 @@ func (c *Core) fetchStage(now uint64) {
 
 	width := c.cfg.Core.FetchWidth
 	threadsUsed := 0
+	acted := false
 	for _, idx := range order {
 		if width == 0 || threadsUsed == c.cfg.Core.FetchThreads {
-			return
+			break
 		}
 		t := c.threads[idx]
 		if !c.canFetch(t, now) {
 			continue
 		}
+		acted = true
 		n := c.fetchThread(t, now, width)
 		if n > 0 {
 			width -= n
 			threadsUsed++
 		}
 	}
+	return acted
 }
 
 func (c *Core) canFetch(t *thread, now uint64) bool {
@@ -1021,7 +1179,6 @@ func (c *Core) fetchThread(t *thread, now uint64, max int) int {
 		u.Tid = t.id
 		u.WrongPath = t.wrongPath
 		u.FetchedAt = now
-		u.RenameReadyAt = now + uint64(c.cfg.Core.FrontEndStages)
 		t.consumeInst()
 		t.seq++
 		u.Seq = t.seq
@@ -1177,6 +1334,7 @@ func (c *Core) pendingProducers(u *UOp) int {
 // counters, per-thread commit/fetch counts) without touching
 // microarchitectural state. Used to exclude warm-up cycles.
 func (c *Core) ResetMeasurement() {
+	c.probing = false // its counter reading is gone
 	c.energy = energy.Account{}
 	c.stats = stats.Set{}
 	for _, t := range c.threads {

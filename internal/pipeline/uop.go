@@ -29,10 +29,9 @@ type UOp struct {
 	// mispredicted branch: they execute but never commit.
 	WrongPath bool
 
-	// FetchedAt stamps fetch; RenameReadyAt is when the front-end pipe
-	// delivers the instruction to rename.
-	FetchedAt     uint64
-	RenameReadyAt uint64
+	// FetchedAt stamps fetch; the front-end pipe delivers the
+	// instruction to rename FrontEndStages cycles later.
+	FetchedAt uint64
 
 	// waitSrc counts the source producers that had not executed when the
 	// uop was renamed and have not executed since; the uop may issue only
@@ -58,12 +57,8 @@ type UOp struct {
 	qIdx int32
 
 	Issued   bool
-	IssuedAt uint64
 	Executed bool
-	DoneAt   uint64
-
-	Squashed  bool
-	Committed bool
+	Squashed bool
 
 	// Control-flow state.
 	MispredictedBranch bool // resolution must squash and redirect
@@ -308,6 +303,20 @@ func (q *queue) checkReady() error {
 		}
 	}
 	return nil
+}
+
+// nextRetry returns the earliest of next and the retry cycles of q's ready
+// uops, if q has execution units to issue them on.
+func (q *queue) nextRetry(next uint64, units int) uint64 {
+	if units == 0 {
+		return next
+	}
+	for w, word := range q.ready {
+		for ; word != 0; word &= word - 1 {
+			next = min(next, q.slots[w<<6|bits.TrailingZeros64(word)].RetryAt)
+		}
+	}
+	return next
 }
 
 // scan calls f on each entry in age order until f returns false.

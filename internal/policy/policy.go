@@ -10,7 +10,10 @@
 // taxonomy.
 package policy
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // LoadInfo is the policy-visible state of one outstanding long-latency
 // load. The pipeline allocates one per load that misses the L1 data cache
@@ -89,7 +92,12 @@ type Directive struct {
 }
 
 // Policy is consulted by one core's pipeline. Implementations must be
-// deterministic and cheap: Tick runs every cycle.
+// deterministic and cheap: Tick runs on every cycle the core is awake.
+//
+// A core whose last tick changed nothing sleeps until its next event
+// (pipeline.Core.Advance), so Tick is not called on the cycles it sleeps
+// through. NextEvent bounds that sleep from the policy's side, and Skip
+// accounts for the missed calls.
 type Policy interface {
 	// OnL1Miss is called when a load misses the L1 data cache and
 	// enters the shared hierarchy.
@@ -104,6 +112,14 @@ type Policy interface {
 	// Tick returns the directives for this cycle. Returning no
 	// directive for a thread means ActNone.
 	Tick(now uint64) []Directive
+	// NextEvent returns the earliest cycle after now at which Tick could
+	// return directives different from Tick(now)'s, given no On* call in
+	// between; math.MaxUint64 if only an On* call can change them.
+	NextEvent(now uint64) uint64
+	// Skip accounts for n consecutive cycles on which Tick was not
+	// called because the core slept. Each would have returned the
+	// directives of the last Tick call.
+	Skip(n uint64)
 }
 
 // tracker is the shared bookkeeping for load-aware policies: the set of
@@ -128,6 +144,20 @@ func (t *tracker) remove(li *LoadInfo) {
 			return
 		}
 	}
+}
+
+// nextPast returns the earliest cycle after now at which a tracked load
+// will have been outstanding for more than trigger cycles.
+func (t *tracker) nextPast(now, trigger uint64) uint64 {
+	next := uint64(math.MaxUint64)
+	for _, loads := range t.loads {
+		for _, li := range loads {
+			if at := li.IssuedAt + trigger + 1; at > now && at < next {
+				next = at
+			}
+		}
+	}
+	return next
 }
 
 // oldest returns the earliest-issued outstanding load for tid, or nil.
@@ -159,6 +189,12 @@ func (*ICOUNT) OnSquash(*LoadInfo) {}
 
 // Tick implements Policy.
 func (*ICOUNT) Tick(uint64) []Directive { return nil }
+
+// NextEvent implements Policy: ICOUNT never directs anything.
+func (*ICOUNT) NextEvent(uint64) uint64 { return math.MaxUint64 }
+
+// Skip implements Policy.
+func (*ICOUNT) Skip(uint64) {}
 
 // Flush implements the FLUSH response action with either the speculative
 // delay-after-issue Detection Moment (Trigger > 0: FLUSH-S<Trigger>) or
@@ -218,6 +254,18 @@ func (f *Flush) Tick(now uint64) []Directive {
 	return f.out
 }
 
+// NextEvent implements Policy: FLUSH-S directives change when a load
+// passes the trigger; FLUSH-NS directives change only on the miss signal.
+func (f *Flush) NextEvent(now uint64) uint64 {
+	if f.nonSpec {
+		return math.MaxUint64
+	}
+	return f.tr.nextPast(now, f.trigger)
+}
+
+// Skip implements Policy.
+func (*Flush) Skip(uint64) {}
+
 // Stall implements the STALL response action: a thread with a load past
 // the trigger stops fetching (keeping its resources) until it resolves.
 type Stall struct {
@@ -261,6 +309,13 @@ func (s *Stall) Tick(now uint64) []Directive {
 	}
 	return s.out
 }
+
+// NextEvent implements Policy: directives change when a load passes the
+// trigger.
+func (s *Stall) NextEvent(now uint64) uint64 { return s.tr.nextPast(now, s.trigger) }
+
+// Skip implements Policy.
+func (*Stall) Skip(uint64) {}
 
 // Outstanding returns the number of tracked loads for tid; exposed for the
 // pipeline's consistency checks and tests.

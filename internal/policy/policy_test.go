@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"testing"
 )
 
@@ -142,5 +143,33 @@ func TestActionString(t *testing.T) {
 	}
 	if Action(9).String() == "" {
 		t.Fatal("unknown action should still render")
+	}
+}
+
+func TestNextEvent(t *testing.T) {
+	li := &LoadInfo{Tid: 1, IssuedAt: 100}
+	for _, p := range []Policy{NewFlushS(2, 30), NewStall(2, 30)} {
+		if got := p.NextEvent(100); got != math.MaxUint64 {
+			t.Fatalf("%T with no loads: next event %d", p, got)
+		}
+		p.OnL1Miss(li, 100)
+		if got := p.NextEvent(100); got != 131 {
+			t.Fatalf("%T: next event %d, want 131 (first cycle past the trigger)", p, got)
+		}
+		if got := p.NextEvent(131); got != math.MaxUint64 {
+			t.Fatalf("%T past the trigger: next event %d", p, got)
+		}
+		if d, _ := findDirective(p.Tick(130), 1); d.Action != ActNone {
+			t.Fatalf("%T: directive %v before the next event", p, d.Action)
+		}
+		if d, _ := findDirective(p.Tick(131), 1); d.Action == ActNone {
+			t.Fatalf("%T: no directive at the next event", p)
+		}
+	}
+	for _, p := range []Policy{NewICOUNT(), NewFlushNS(2)} {
+		p.OnL1Miss(li, 100)
+		if got := p.NextEvent(100); got != math.MaxUint64 {
+			t.Fatalf("%T is event-driven, but next event %d", p, got)
+		}
 	}
 }

@@ -221,6 +221,33 @@ type Set struct {
 	vals  map[string]uint64
 }
 
+// Delta is the growth of one registered counter between two readings.
+type Delta struct {
+	ID CounterID
+	N  uint64
+}
+
+// AppendValues appends the registered counters' values, indexed by
+// CounterID, to dst and returns the extended slice: a reading for
+// AppendDeltas that allocates nothing once dst has capacity.
+func (s *Set) AppendValues(dst []uint64) []uint64 { return append(dst, s.dense...) }
+
+// AppendDeltas appends the growth of every registered counter that grew
+// since base, an AppendValues reading of the same set, to dst and returns
+// the extended slice.
+func (s *Set) AppendDeltas(dst []Delta, base []uint64) []Delta {
+	for id, v := range s.dense {
+		var b uint64
+		if id < len(base) {
+			b = base[id]
+		}
+		if v != b {
+			dst = append(dst, Delta{ID: CounterID(id), N: v - b})
+		}
+	}
+	return dst
+}
+
 // Bump adds delta to the registered counter. This is the hot-path
 // increment: one bounds check and one add once the array is grown.
 func (s *Set) Bump(id CounterID, delta uint64) {

@@ -184,6 +184,23 @@ func TestSetMerge(t *testing.T) {
 	}
 }
 
+func TestSetAppendDeltas(t *testing.T) {
+	a := MustRegister("test.deltas.a")
+	var s Set
+	s.Bump(a, 5)
+	base := s.AppendValues(nil)
+	b := MustRegister("test.deltas.b") // beyond the reading
+	s.Bump(a, 2)
+	s.Bump(b, 3)
+	got := s.AppendDeltas(nil, base)
+	if len(got) != 2 || got[0] != (Delta{ID: a, N: 2}) || got[1] != (Delta{ID: b, N: 3}) {
+		t.Fatalf("deltas = %v, want a+2 b+3", got)
+	}
+	if d := s.AppendDeltas(nil, s.AppendValues(nil)); len(d) != 0 {
+		t.Fatalf("deltas against a fresh reading = %v", d)
+	}
+}
+
 func TestSetString(t *testing.T) {
 	var s Set
 	s.Inc("zeta", 1)
