@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test shorttest racetest vet lint benchtest perfpin docscheck metricscheck fuzzsmoke crashtest
+.PHONY: build test shorttest coretest racetest vet lint benchtest perfpin docscheck metricscheck fuzzsmoke crashtest
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,14 @@ test:
 
 shorttest:
 	$(GO) test -short ./...
+
+# The simulator core's tests without -short: -short skips the chunked-
+# stepping bit-identity tests (TestSessionChunkedBitIdentity,
+# TestReplaySessionMatchesRun), so this is the run that proves event-
+# horizon stepping reproduces Run in any chunking. Mirrors the CI
+# "Test simulator core (full)" step.
+coretest:
+	$(GO) test -count=1 ./internal/sim ./internal/pipeline ./internal/cmp ./internal/mem ./internal/policy ./internal/core
 
 # The end-to-end benchmark (bench/mflushperf) is its own Go module, so
 # the root `go test ./...` never builds it; vet and test it in place so

@@ -74,7 +74,9 @@ func (p *Perceptron) output(pc uint64) int32 {
 func (p *Perceptron) Predict(pc uint64) bool { return p.output(pc) >= 0 }
 
 // Update trains the predictor with the actual outcome and shifts the
-// outcome into the global history. Call it at branch resolution.
+// outcome into the global history. Call it at branch resolution: the
+// history holds resolved outcomes only, so a squash of wrong-path
+// branches leaves nothing to restore.
 func (p *Perceptron) Update(pc uint64, taken bool) {
 	y := p.output(pc)
 	predicted := y >= 0
@@ -104,14 +106,6 @@ func (p *Perceptron) Update(pc uint64, taken bool) {
 		p.history |= 1
 	}
 }
-
-// HistorySnapshot returns the current global history register, used to
-// checkpoint/restore across squashes.
-func (p *Perceptron) HistorySnapshot() uint64 { return p.history }
-
-// RestoreHistory rewinds the global history to a snapshot (used when
-// squashing wrong-path branches).
-func (p *Perceptron) RestoreHistory(h uint64) { p.history = h }
 
 func sat(v int16) int16 {
 	if v > weightLimit {

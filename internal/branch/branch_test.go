@@ -89,19 +89,6 @@ func TestPerceptronWeightsSaturate(t *testing.T) {
 	}
 }
 
-func TestPerceptronHistoryRestore(t *testing.T) {
-	p := NewPerceptron(16, 8)
-	p.Update(0x10, true)
-	p.Update(0x10, false)
-	snap := p.HistorySnapshot()
-	p.Update(0x10, true)
-	p.Update(0x10, true)
-	p.RestoreHistory(snap)
-	if p.HistorySnapshot() != snap {
-		t.Fatal("history restore failed")
-	}
-}
-
 func TestPerceptronConstructorPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewPerceptron(0, 8) },

@@ -16,8 +16,8 @@ import "math"
 type Bus[T any] struct {
 	delay    int
 	perCycle int
-	queue    fifo[item[T]]
-	inFlight fifo[item[T]]
+	queue    FIFO[item[T]]
+	inFlight FIFO[item[T]]
 	// out is the delivery buffer reused across Ticks.
 	out []T
 
@@ -45,8 +45,8 @@ func New[T any](delay, perCycle int) *Bus[T] {
 // unbounded, with back-pressure expressed through delivery latency (the
 // requesters' MSHRs bound the number of outstanding requests in practice).
 func (b *Bus[T]) Push(now uint64, payload T) {
-	b.queue.push(item[T]{payload: payload, enqueued: now})
-	if n := b.queue.len(); n > b.maxQueue {
+	b.queue.Push(item[T]{payload: payload, enqueued: now})
+	if n := b.queue.Len(); n > b.maxQueue {
 		b.maxQueue = n
 	}
 }
@@ -56,16 +56,16 @@ func (b *Bus[T]) Push(now uint64, payload T) {
 // Call exactly once per cycle with a monotonically increasing now. The
 // returned slice is reused by the next Tick: consume it before then.
 func (b *Bus[T]) Tick(now uint64) []T {
-	for granted := 0; granted < b.perCycle && b.queue.len() > 0; granted++ {
-		it := b.queue.pop()
+	for granted := 0; granted < b.perCycle && b.queue.Len() > 0; granted++ {
+		it := b.queue.Pop()
 		it.deliver = now + uint64(b.delay)
 		b.waitSum += now - it.enqueued
 		b.transfers++
-		b.inFlight.push(it)
+		b.inFlight.Push(it)
 	}
 	out := b.out[:0]
-	for b.inFlight.len() > 0 && b.inFlight.peek().deliver <= now {
-		out = append(out, b.inFlight.pop().payload)
+	for b.inFlight.Len() > 0 && b.inFlight.Peek().deliver <= now {
+		out = append(out, b.inFlight.Pop().payload)
 	}
 	b.out = out
 	return out
@@ -75,16 +75,16 @@ func (b *Bus[T]) Tick(now uint64) []T {
 // grant or deliver a transfer, or math.MaxUint64 when the bus is empty.
 func (b *Bus[T]) NextEvent(now uint64) uint64 {
 	switch {
-	case b.queue.len() > 0:
+	case b.queue.Len() > 0:
 		return now
-	case b.inFlight.len() > 0:
-		return max(b.inFlight.peek().deliver, now)
+	case b.inFlight.Len() > 0:
+		return max(b.inFlight.Peek().deliver, now)
 	}
 	return math.MaxUint64
 }
 
 // Pending returns the number of transfers queued or in flight.
-func (b *Bus[T]) Pending() int { return b.queue.len() + b.inFlight.len() }
+func (b *Bus[T]) Pending() int { return b.queue.Len() + b.inFlight.Len() }
 
 // Stats returns the number of granted transfers, the average grant queue
 // wait in cycles, and the maximum queue depth observed.
@@ -95,19 +95,26 @@ func (b *Bus[T]) Stats() (transfers uint64, avgWait float64, maxQueue int) {
 	return b.transfers, float64(b.waitSum) / float64(b.transfers), b.maxQueue
 }
 
-// fifo is a slice-backed queue with amortised O(1) operations.
-type fifo[T any] struct {
+// FIFO is a slice-backed queue with amortised O(1) operations. The zero
+// value is an empty queue. It stores values unboxed, so the bus and the
+// L2 system's bank and memory queues share it on the hot path.
+type FIFO[T any] struct {
 	buf  []T
 	head int
 }
 
-func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+// Len returns the number of queued values.
+func (f *FIFO[T]) Len() int { return len(f.buf) - f.head }
 
-func (f *fifo[T]) push(v T) { f.buf = append(f.buf, v) }
+// Push appends v at the tail.
+func (f *FIFO[T]) Push(v T) { f.buf = append(f.buf, v) }
 
-func (f *fifo[T]) peek() T { return f.buf[f.head] }
+// Peek returns the head value without removing it; the queue must not be
+// empty.
+func (f *FIFO[T]) Peek() T { return f.buf[f.head] }
 
-func (f *fifo[T]) pop() T {
+// Pop removes and returns the head value; the queue must not be empty.
+func (f *FIFO[T]) Pop() T {
 	v := f.buf[f.head]
 	var zero T
 	f.buf[f.head] = zero

@@ -176,10 +176,10 @@ func TestConservationProperty(t *testing.T) {
 }
 
 func TestFIFOCompaction(t *testing.T) {
-	var f fifo[int]
+	var f FIFO[int]
 	for i := 0; i < 10000; i++ {
-		f.push(i)
-		if got := f.pop(); got != i {
+		f.Push(i)
+		if got := f.Pop(); got != i {
 			t.Fatalf("pop = %d, want %d", got, i)
 		}
 	}

@@ -302,20 +302,9 @@ func (m *MSHR) Allocate(line uint64) (e *MSHREntry, merged, ok bool) {
 	return e, false, true
 }
 
-// Free releases the entry for line when its fill completes, returning the
-// number of waiters that were blocked on it. Freeing an absent line
-// panics: it indicates double-completion.
-func (m *MSHR) Free(line uint64) int {
-	e := m.Lookup(line)
-	if e == nil {
-		panic(fmt.Sprintf("cache: MSHR free of absent line %#x", line))
-	}
-	m.FreeEntry(e)
-	return e.Waiters
-}
-
-// FreeEntry releases an entry the caller already holds (from Lookup or
-// Allocate), avoiding Free's re-scan. Freeing a dead entry panics.
+// FreeEntry releases an entry the caller holds (from Lookup or Allocate)
+// when its fill completes. Freeing a dead entry panics: it indicates
+// double-completion.
 func (m *MSHR) FreeEntry(e *MSHREntry) {
 	if !e.valid {
 		panic(fmt.Sprintf("cache: MSHR double free of line %#x", e.Line))

@@ -371,9 +371,7 @@ func TestMSHRAllocateMergeFree(t *testing.T) {
 	if m.InUse() != 1 {
 		t.Fatalf("in use = %d, want 1", m.InUse())
 	}
-	if w := m.Free(100); w != 2 {
-		t.Fatalf("freed waiters = %d, want 2", w)
-	}
+	m.FreeEntry(e1)
 	if m.InUse() != 0 {
 		t.Fatal("entry not freed")
 	}
@@ -401,7 +399,10 @@ func TestMSHRFreeAbsentPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewMSHR(1).Free(42)
+	m := NewMSHR(1)
+	e, _, _ := m.Allocate(42)
+	m.FreeEntry(e)
+	m.FreeEntry(e)
 }
 
 func TestMSHRProperty(t *testing.T) {
@@ -417,8 +418,9 @@ func TestMSHRProperty(t *testing.T) {
 				if _, _, ok := m.Allocate(line); ok {
 					allocated++
 				}
-			} else if m.Lookup(line) != nil {
-				freedWaiters += m.Free(line)
+			} else if e := m.Lookup(line); e != nil {
+				freedWaiters += e.Waiters
+				m.FreeEntry(e)
 			}
 			if m.InUse() > m.Capacity() {
 				return false

@@ -54,15 +54,6 @@ func New(cfg config.Config, policies []policy.Policy,
 	return ch, nil
 }
 
-// Tick advances the whole chip one cycle and settles the sleeping cores,
-// so every counter is exact when it returns.
-//
-//mflush:hotpath-ok
-func (ch *Chip) Tick() {
-	ch.step()
-	ch.settle()
-}
-
 // Run advances the chip by the given number of cycles. Whenever no
 // component can act before some later cycle, the clock jumps there, but
 // never past the end of the run; the sleeping cores are settled before

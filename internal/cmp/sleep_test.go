@@ -25,7 +25,7 @@ var sleepPolicies = []struct {
 	{"FLUSH-S30", func(cfg *config.Config) policy.Policy { return policy.NewFlushS(cfg.Core.ThreadsPerCore, 30) }},
 	{"FLUSH-NS", func(cfg *config.Config) policy.Policy { return policy.NewFlushNS(cfg.Core.ThreadsPerCore) }},
 	{"STALL-S30", func(cfg *config.Config) policy.Policy { return policy.NewStall(cfg.Core.ThreadsPerCore, 30) }},
-	{"MFLUSH", func(cfg *config.Config) policy.Policy { return core.NewMFLUSH(cfg) }},
+	{"MFLUSH", func(cfg *config.Config) policy.Policy { return core.NewMFLUSHHistory(cfg, 1) }},
 	{"MFLUSH-H4", func(cfg *config.Config) policy.Policy { return core.NewMFLUSHHistory(cfg, 4) }},
 }
 
@@ -152,9 +152,9 @@ func resetMeasurement(ch *Chip) {
 
 // compareSleep steps an event-horizon chip and a lock-step chip of the
 // same machine through a warm-up, a measurement reset and a measured
-// window, in chunks of chunk cycles (chunk 1 steps with Tick), and
-// fails at the first chunk boundary where any measurement differs, or
-// if the final histograms, energy accounts or invariants differ.
+// window, in chunks of chunk cycles, and fails at the first chunk
+// boundary where any measurement differs, or if the final histograms,
+// energy accounts or invariants differ.
 func compareSleep(t testing.TB, cores, pol int, seed uint64, tight bool, warmup, cycles, chunk uint64) {
 	t.Helper()
 	sleepy := sleepChip(t, cores, pol, seed, tight, false)
@@ -162,13 +162,8 @@ func compareSleep(t testing.TB, cores, pol int, seed uint64, tight bool, warmup,
 	step := func(n uint64) {
 		for n > 0 {
 			k := min(n, chunk)
-			if k == 1 {
-				sleepy.Tick()
-				ref.Tick()
-			} else {
-				sleepy.Run(k)
-				ref.Run(k)
-			}
+			sleepy.Run(k)
+			ref.Run(k)
 			n -= k
 			if a, b := readSleepState(sleepy), readSleepState(ref); !equalSleepState(a, b) {
 				t.Fatalf("cycle %d: event-horizon chip diverged from lock-step:\n sleep %+v\n  lock %+v", b.now, a, b)

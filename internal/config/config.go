@@ -175,9 +175,6 @@ func (c *Config) MaxL2Latency() int {
 	return c.Mem.L1MissLatency + c.Mem.MainMemoryLatency
 }
 
-// TotalThreads is the number of hardware contexts on the chip.
-func (c *Config) TotalThreads() int { return c.Cores * c.Core.ThreadsPerCore }
-
 // Validate reports the first structural problem with the configuration, or
 // nil if it is usable.
 func (c *Config) Validate() error {

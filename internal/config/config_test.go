@@ -85,13 +85,6 @@ func TestMinMaxL2Latency(t *testing.T) {
 	}
 }
 
-func TestTotalThreads(t *testing.T) {
-	c := Default(3)
-	if got := c.TotalThreads(); got != 6 {
-		t.Errorf("TotalThreads = %d, want 6", got)
-	}
-}
-
 func TestValidateRejectsBadConfigs(t *testing.T) {
 	mutations := []struct {
 		name string

@@ -88,19 +88,9 @@ func (f *MCRegFile) Update(bank, latency int) {
 // Banks returns the number of banks tracked.
 func (f *MCRegFile) Banks() int { return len(f.histories) }
 
-// Snapshot returns the newest value per bank (for reports and tests).
-func (f *MCRegFile) Snapshot() []uint8 {
-	out := make([]uint8, len(f.histories))
-	for b, h := range f.histories {
-		out[b] = h[0]
-	}
-	return out
-}
-
 // AppendSnapshot appends the newest value per bank to dst and returns the
-// extended slice. It is the allocation-free form of Snapshot for per-
-// interval samplers: pass dst[:0] of a reused buffer to refresh it in
-// place.
+// extended slice. Per-interval samplers pass dst[:0] of a reused buffer
+// to refresh it in place without allocating.
 //
 //mflush:hotpath-ok
 func (f *MCRegFile) AppendSnapshot(dst []uint8) []uint8 {
@@ -188,14 +178,10 @@ type trackedLoad struct {
 	barrier uint64
 }
 
-// NewMFLUSH builds the policy for one core of the given machine. The MCReg
+// NewMFLUSHHistory builds the policy for one core of the given machine
+// with historyLen MCReg entries per bank: 1 is the published design,
+// deeper histories the paper's optional configuration. The MCReg
 // registers start at MIN, the uncontended L2 hit latency.
-func NewMFLUSH(cfg *config.Config) *MFLUSH {
-	return NewMFLUSHHistory(cfg, 1)
-}
-
-// NewMFLUSHHistory builds MFLUSH with a deeper MCReg history (the paper's
-// optional configuration; historyLen 1 is the published design).
 func NewMFLUSHHistory(cfg *config.Config, historyLen int) *MFLUSH {
 	env := EnvironmentFor(cfg)
 	return &MFLUSH{

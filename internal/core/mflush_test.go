@@ -56,7 +56,7 @@ func TestMCRegHistoryMaxReduction(t *testing.T) {
 func TestMCRegSnapshotAndPanics(t *testing.T) {
 	f := NewMCRegFile(2, 1, 7)
 	f.Update(1, 99)
-	snap := f.Snapshot()
+	snap := f.AppendSnapshot(nil)
 	if snap[0] != 7 || snap[1] != 99 {
 		t.Fatalf("snapshot = %v", snap)
 	}
@@ -122,7 +122,7 @@ func TestBarrierFormulaAndClamps(t *testing.T) {
 
 func TestMFLUSHPreventiveThenFlush(t *testing.T) {
 	cfg := config.Default(4)
-	m := NewMFLUSH(&cfg)
+	m := NewMFLUSHHistory(&cfg, 1)
 	env := m.Env()
 	li := &policy.LoadInfo{Tid: 0, IssuedAt: 0, Bank: 1}
 	m.OnL1Miss(li, 0)
@@ -147,7 +147,7 @@ func TestMFLUSHPreventiveThenFlush(t *testing.T) {
 
 func TestMFLUSHReleasesOnResolve(t *testing.T) {
 	cfg := config.Default(4)
-	m := NewMFLUSH(&cfg)
+	m := NewMFLUSHHistory(&cfg, 1)
 	env := m.Env()
 	li := &policy.LoadInfo{Tid: 0, IssuedAt: 0, Bank: 0}
 	m.OnL1Miss(li, 0)
@@ -169,7 +169,7 @@ func TestMFLUSHReleasesOnResolve(t *testing.T) {
 
 func TestMFLUSHTrainsMCRegOnHits(t *testing.T) {
 	cfg := config.Default(2)
-	m := NewMFLUSH(&cfg)
+	m := NewMFLUSHHistory(&cfg, 1)
 	li := &policy.LoadInfo{Tid: 0, IssuedAt: 100, Bank: 3}
 	m.OnL1Miss(li, 100)
 	li.Resolved, li.L2Hit, li.ResolvedAt = true, true, 160
@@ -192,7 +192,7 @@ func TestMFLUSHTrainsMCRegOnHits(t *testing.T) {
 
 func TestMFLUSHSkipsTrainingOnMissesAndTLB(t *testing.T) {
 	cfg := config.Default(2)
-	m := NewMFLUSH(&cfg)
+	m := NewMFLUSHHistory(&cfg, 1)
 	before := m.MCReg().Predict(0)
 
 	miss := &policy.LoadInfo{Tid: 0, IssuedAt: 0, Bank: 0}
@@ -217,7 +217,7 @@ func TestMFLUSHIgnoresDetectedMissSignal(t *testing.T) {
 	// miss signal must not trigger an early flush (that would degrade it
 	// to FLUSH-NS behaviour and forfeit the energy advantage).
 	cfg := config.Default(4)
-	m := NewMFLUSH(&cfg)
+	m := NewMFLUSHHistory(&cfg, 1)
 	env := m.Env()
 	li := &policy.LoadInfo{Tid: 1, IssuedAt: 0, Bank: 2}
 	m.OnL1Miss(li, 0)
@@ -239,7 +239,7 @@ func TestMFLUSHIgnoresDetectedMissSignal(t *testing.T) {
 
 func TestMFLUSHSquashDropsTracking(t *testing.T) {
 	cfg := config.Default(2)
-	m := NewMFLUSH(&cfg)
+	m := NewMFLUSHHistory(&cfg, 1)
 	li := &policy.LoadInfo{Tid: 0, IssuedAt: 0, Bank: 0}
 	m.OnL1Miss(li, 0)
 	m.OnSquash(li)
@@ -253,7 +253,7 @@ func TestMFLUSHSquashDropsTracking(t *testing.T) {
 
 func TestMFLUSHTelemetry(t *testing.T) {
 	cfg := config.Default(2)
-	m := NewMFLUSH(&cfg)
+	m := NewMFLUSHHistory(&cfg, 1)
 	li := &policy.LoadInfo{Tid: 0, IssuedAt: 0, Bank: 0}
 	m.OnL1Miss(li, 0)
 	m.Tick(uint64(m.Env().Max + m.Env().MT + 10)) // past max barrier: flush
@@ -267,7 +267,7 @@ func TestMFLUSHTelemetry(t *testing.T) {
 
 func TestMFLUSHNextEventAndSkip(t *testing.T) {
 	cfg := config.Default(4)
-	m := NewMFLUSH(&cfg)
+	m := NewMFLUSHHistory(&cfg, 1)
 	env := m.Env()
 	if got := m.NextEvent(0); got != math.MaxUint64 {
 		t.Fatalf("no loads: next event %d", got)

@@ -99,8 +99,8 @@ type L2System struct {
 	banks []bankState
 
 	// Main memory: bounded issue bandwidth, fixed service latency.
-	memPending  fifoReq
-	memInFlight fifoTimed
+	memPending  bus.FIFO[*Request]
+	memInFlight bus.FIFO[timedReq]
 	memStarts   int
 	// memFar holds in-flight misses with a per-request MissLatency
 	// override. They cannot share memInFlight: that FIFO's drain peeks
@@ -144,7 +144,7 @@ type bankOp struct {
 }
 
 type bankState struct {
-	queue   fifoOp
+	queue   bus.FIFO[bankOp]
 	current bankOp
 	busy    bool
 	doneAt  uint64
@@ -195,12 +195,12 @@ func (s *L2System) Due() uint64 { return s.due }
 // bus deliveries, memory completions and bank operations at their due
 // cycles. It returns math.MaxUint64 when nothing is in flight.
 func (s *L2System) NextEvent(now uint64) uint64 {
-	if s.memPending.len() > 0 {
+	if s.memPending.Len() > 0 {
 		return now
 	}
 	next := min(s.req.NextEvent(now), s.resp.NextEvent(now))
-	if s.memInFlight.len() > 0 {
-		next = min(next, s.memInFlight.peek().doneAt)
+	if s.memInFlight.Len() > 0 {
+		next = min(next, s.memInFlight.Peek().doneAt)
 	}
 	for _, t := range s.memFar {
 		next = min(next, t.doneAt)
@@ -210,7 +210,7 @@ func (s *L2System) NextEvent(now uint64) uint64 {
 		switch {
 		case bank.busy:
 			next = min(next, bank.doneAt)
-		case bank.queue.len() > 0:
+		case bank.queue.Len() > 0:
 			return now
 		}
 	}
@@ -222,19 +222,19 @@ func (s *L2System) NextEvent(now uint64) uint64 {
 func (s *L2System) Tick(now uint64) []*Request {
 	// 1. Requests arriving over the bus enter their bank queue.
 	for _, r := range s.req.Tick(now) {
-		s.banks[r.Bank].queue.push(bankOp{req: r})
+		s.banks[r.Bank].queue.Push(bankOp{req: r})
 	}
 
 	// 2. Memory completions re-enter their bank for the line fill.
-	for s.memInFlight.len() > 0 && s.memInFlight.peek().doneAt <= now {
-		r := s.memInFlight.pop().req
-		s.banks[r.Bank].queue.push(bankOp{req: r, fill: true})
+	for s.memInFlight.Len() > 0 && s.memInFlight.Peek().doneAt <= now {
+		r := s.memInFlight.Pop().req
+		s.banks[r.Bank].queue.Push(bankOp{req: r, fill: true})
 	}
 	if len(s.memFar) > 0 {
 		kept := s.memFar[:0]
 		for _, t := range s.memFar {
 			if t.doneAt <= now {
-				s.banks[t.req.Bank].queue.push(bankOp{req: t.req, fill: true})
+				s.banks[t.req.Bank].queue.Push(bankOp{req: t.req, fill: true})
 			} else {
 				kept = append(kept, t)
 			}
@@ -264,12 +264,12 @@ func (s *L2System) Tick(now uint64) []*Request {
 				} else {
 					s.counters.Bump(cL2Misses, 1)
 					s.missDetected = append(s.missDetected, op.req)
-					s.memPending.push(op.req)
+					s.memPending.Push(op.req)
 				}
 			}
 		}
-		if !bank.busy && bank.queue.len() > 0 {
-			bank.current = bank.queue.pop()
+		if !bank.busy && bank.queue.Len() > 0 {
+			bank.current = bank.queue.Pop()
 			bank.busy = true
 			occ := s.cfg.Mem.L2.Latency
 			if bank.current.fill && s.cfg.Mem.L2FillOccupancy > 0 {
@@ -281,12 +281,12 @@ func (s *L2System) Tick(now uint64) []*Request {
 	}
 
 	// 4. Main memory begins a bounded number of new services.
-	for i := 0; i < s.memStarts && s.memPending.len() > 0; i++ {
-		r := s.memPending.pop()
+	for i := 0; i < s.memStarts && s.memPending.Len() > 0; i++ {
+		r := s.memPending.Pop()
 		if r.MissLatency > 0 {
 			s.memFar = append(s.memFar, timedReq{req: r, doneAt: now + uint64(r.MissLatency)})
 		} else {
-			s.memInFlight.push(timedReq{req: r, doneAt: now + uint64(s.cfg.Mem.MainMemoryLatency)})
+			s.memInFlight.Push(timedReq{req: r, doneAt: now + uint64(s.cfg.Mem.MainMemoryLatency)})
 		}
 		s.counters.Bump(cMemReads, 1)
 	}
@@ -349,82 +349,7 @@ func (s *L2System) Cache() *cache.Cache { return s.l2 }
 // system will not be ticked again; counters and histograms stay readable.
 func (s *L2System) Release() { s.l2.Release() }
 
-// MinHitLatency returns the no-contention request latency through the
-// system measured from submission: bus + bank + bus.
-func (s *L2System) MinHitLatency() int {
-	return 2*s.cfg.Mem.BusDelay + s.cfg.Mem.L2.Latency
-}
-
-// Queue helpers: small typed FIFOs (avoiding interface boxing in the hot
-// path).
-
-type fifoOp struct {
-	buf  []bankOp
-	head int
-}
-
-func (f *fifoOp) len() int { return len(f.buf) - f.head }
-func (f *fifoOp) push(v bankOp) {
-	f.buf = append(f.buf, v)
-}
-func (f *fifoOp) pop() bankOp {
-	v := f.buf[f.head]
-	f.buf[f.head] = bankOp{}
-	f.head++
-	if f.head > 64 && f.head*2 > len(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		f.buf = f.buf[:n]
-		f.head = 0
-	}
-	return v
-}
-
-type fifoReq struct {
-	buf  []*Request
-	head int
-}
-
-func (f *fifoReq) len() int { return len(f.buf) - f.head }
-func (f *fifoReq) push(v *Request) {
-	f.buf = append(f.buf, v)
-}
-func (f *fifoReq) pop() *Request {
-	v := f.buf[f.head]
-	f.buf[f.head] = nil
-	f.head++
-	if f.head > 64 && f.head*2 > len(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		f.buf = f.buf[:n]
-		f.head = 0
-	}
-	return v
-}
-
 type timedReq struct {
 	req    *Request
 	doneAt uint64
-}
-
-type fifoTimed struct {
-	buf  []timedReq
-	head int
-}
-
-func (f *fifoTimed) len() int { return len(f.buf) - f.head }
-func (f *fifoTimed) peek() timedReq {
-	return f.buf[f.head]
-}
-func (f *fifoTimed) push(v timedReq) {
-	f.buf = append(f.buf, v)
-}
-func (f *fifoTimed) pop() timedReq {
-	v := f.buf[f.head]
-	f.buf[f.head] = timedReq{}
-	f.head++
-	if f.head > 64 && f.head*2 > len(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		f.buf = f.buf[:n]
-		f.head = 0
-	}
-	return v
 }

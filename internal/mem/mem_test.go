@@ -6,6 +6,12 @@ import (
 	"repro/internal/config"
 )
 
+// minHitLatency is the no-contention request latency through the system
+// measured from submission: bus + bank + bus.
+func minHitLatency(cfg config.Config) uint64 {
+	return uint64(2*cfg.Mem.BusDelay + cfg.Mem.L2.Latency)
+}
+
 // run drives the system until the given request completes or the cycle
 // budget runs out, returning the completion cycle.
 func run(t *testing.T, s *L2System, want *Request, budget uint64) uint64 {
@@ -46,8 +52,8 @@ func TestUncontendedMissThenHitLatency(t *testing.T) {
 	if !r2.L2Hit {
 		t.Fatal("warm access should hit in L2")
 	}
-	if got := done2 - done; got != uint64(s.MinHitLatency()) {
-		t.Fatalf("hit latency %d, want %d", got, s.MinHitLatency())
+	if got, want := done2-done, minHitLatency(cfg); got != want {
+		t.Fatalf("hit latency %d, want %d", got, want)
 	}
 }
 
@@ -221,7 +227,7 @@ func TestContentionRaisesHitLatency(t *testing.T) {
 	if h.Count() < 300 {
 		t.Fatalf("too few hits measured: %d", h.Count())
 	}
-	min := float64(s.MinHitLatency())
+	min := float64(minHitLatency(cfg))
 	if h.Mean() <= min {
 		t.Fatalf("mean hit latency %.1f not above uncontended %v under load", h.Mean(), min)
 	}

@@ -55,13 +55,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Fork returns a new generator whose stream is independent of r's future
-// output. It is used to give each thread/component its own stream so that
-// the order in which components draw numbers does not perturb one another.
-func (r *Rand) Fork() *Rand {
-	return New(r.Uint64())
-}
-
 // Intn returns a uniformly distributed integer in [0, n). It panics if
 // n <= 0.
 func (r *Rand) Intn(n int) int {

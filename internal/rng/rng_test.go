@@ -41,27 +41,6 @@ func TestZeroSeedValid(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
-	parent := New(7)
-	child := parent.Fork()
-	// The child stream should not be a shifted copy of the parent stream.
-	p := make([]uint64, 64)
-	c := make([]uint64, 64)
-	for i := range p {
-		p[i] = parent.Uint64()
-		c[i] = child.Uint64()
-	}
-	matches := 0
-	for i := range p {
-		if p[i] == c[i] {
-			matches++
-		}
-	}
-	if matches > 0 {
-		t.Fatalf("fork stream matches parent in %d positions", matches)
-	}
-}
-
 func TestIntnRange(t *testing.T) {
 	r := New(3)
 	if err := quick.Check(func(nRaw uint16) bool {

@@ -7,8 +7,9 @@ import "fmt"
 //
 // Probe invariants (ARCHITECTURE.md, "Session lifecycle"):
 //
-//   - Fn runs synchronously on the stepping goroutine, between two chip
-//     cycles — never concurrently with the simulation or other probes.
+//   - Fn runs synchronously on the stepping goroutine, between two
+//     chip.Run chunks with every core settled — never concurrently with
+//     the simulation or other probes.
 //   - Fn must only read the Sample; it must not mutate simulator state.
 //     Probes are observers: a session with probes steps the exact same
 //     machine states as one without, so results stay bit-identical.
@@ -51,16 +52,16 @@ func (s *Session) Observe(p Probe) error {
 	return nil
 }
 
-// tickProbes advances every countdown by one cycle and fires the due
-// probes. The sample is refreshed at most once per cycle, shared by all
-// probes firing on it.
+// fireProbes advances every countdown by the k cycles just run and fires
+// the probes that came due. The sample is refreshed at most once per
+// firing cycle, shared by all probes firing on it.
 //
 //mflush:hotpath
-func (s *Session) tickProbes() {
+func (s *Session) fireProbes(k uint64) {
 	refreshed := false
 	for i := range s.probes {
 		ps := &s.probes[i]
-		if ps.countdown--; ps.countdown > 0 {
+		if ps.countdown -= k; ps.countdown > 0 {
 			continue
 		}
 		ps.countdown = ps.p.Every

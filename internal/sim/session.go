@@ -71,28 +71,26 @@ func mflushPolicies(chip *cmp.Chip) []*core.MFLUSH {
 	return out
 }
 
-// Step advances the simulation by n cycles, firing due probes after each
-// cycle. With no probes registered it is exactly the chip's cycle loop;
-// probes add countdown bookkeeping but no allocation.
+// Step advances the simulation by n cycles. It runs the chip to the
+// nearer of the step's end and the next probe firing, fires the due
+// probes on the settled chip, and repeats; with no probes registered it
+// is one chip Run. Probes add no allocation.
 //
 //mflush:hotpath
 func (s *Session) Step(n uint64) {
 	if s.finished {
 		panic("sim: Step on a finished session")
 	}
-	if len(s.probes) == 0 {
-		s.chip.Run(n)
-		return
-	}
-	for i := uint64(0); i < n; i++ {
-		s.chip.Tick()
-		s.tickProbes()
+	for n > 0 {
+		k := n
+		for i := range s.probes {
+			k = min(k, s.probes[i].countdown)
+		}
+		s.chip.Run(k)
+		n -= k
+		s.fireProbes(k)
 	}
 }
-
-// Cycle returns the absolute cycle the session has reached (warm-up
-// included).
-func (s *Session) Cycle() uint64 { return s.chip.Now() }
 
 // MeasuredCycles returns the length of the current measurement window:
 // cycles stepped since the last ResetMeasurement (or since Open).

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -123,7 +124,10 @@ func TestSessionChunkedBitIdentity(t *testing.T) {
 		t.Skip("short mode: chunked grid skipped (TestRunMatchesGolden still covers Run)")
 	}
 	for _, c := range goldenCases {
-		for _, chunk := range []uint64{1, 7, 1000, 0} {
+		// The first chunk size's recordings are the reference every other
+		// chunking must reproduce point by point.
+		var wantWarm, wantMeasured []SamplePoint
+		for i, chunk := range []uint64{1, 7, 1000, 0} {
 			opt := c.options(t)
 			s, err := Open(opt)
 			if err != nil {
@@ -157,6 +161,16 @@ func TestSessionChunkedBitIdentity(t *testing.T) {
 			if last.MeasuredCycles == opt.Cycles && last.IPC != res.IPC {
 				t.Errorf("%s chunk=%d: final sample IPC %v != result IPC %v",
 					c.workload, chunk, last.IPC, res.IPC)
+			}
+			if i == 0 {
+				wantWarm, wantMeasured = warmRec.Points, rec.Points
+				continue
+			}
+			if !reflect.DeepEqual(warmRec.Points, wantWarm) {
+				t.Errorf("%s chunk=%d: warm-up recorder's points differ from chunk=1's", c.workload, chunk)
+			}
+			if !reflect.DeepEqual(rec.Points, wantMeasured) {
+				t.Errorf("%s chunk=%d: measured recorder's points differ from chunk=1's", c.workload, chunk)
 			}
 		}
 	}

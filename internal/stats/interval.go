@@ -18,9 +18,8 @@ func Variance(xs []float64) float64 {
 }
 
 // StdDev returns the sample standard deviation of xs. math.Sqrt is
-// correctly rounded per IEEE 754, so — unlike Log/Exp, which this package
-// hand-rolls — it is bit-identical across platforms and safe for
-// deterministic output.
+// correctly rounded per IEEE 754, so it is bit-identical across
+// platforms and safe for deterministic output.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // tTable holds two-sided 95% Student-t critical values for 1..30 degrees

@@ -194,8 +194,8 @@ func MustRegister(name string) CounterID {
 	return id
 }
 
-// idOf resolves a registered name under the read lock. Only the name-based
-// API pays this; Bump never touches the registry once the array is grown.
+// idOf resolves a registered name under the read lock. Only Get pays
+// this; Bump never touches the registry once the array is grown.
 func idOf(name string) (CounterID, bool) {
 	registryMu.RLock()
 	id, ok := registryIDs[name]
@@ -211,14 +211,11 @@ func nameOf(id int) string {
 	return n
 }
 
-// Set is a collection of named counters. The zero value is ready to use.
-// Counters registered through MustRegister live in a dense array indexed
-// by CounterID; names incremented only through Inc fall back to a map, so
-// the name-based reporting API keeps working for ad-hoc counters.
+// Set is a collection of registered counters. The zero value is ready
+// to use. Values live in a dense array indexed by CounterID; the names
+// MustRegister gave them serve only reporting (Get, All, String).
 type Set struct {
 	dense []uint64
-	order []string
-	vals  map[string]uint64
 }
 
 // Delta is the growth of one registered counter between two readings.
@@ -268,23 +265,6 @@ func (s *Set) growDense() {
 	s.dense = grown
 }
 
-// Inc adds delta to the named counter, creating it on first use.
-// Registered names route to their dense slot; Inc(name) and Bump(id) of
-// the same counter are interchangeable.
-func (s *Set) Inc(name string, delta uint64) {
-	if id, ok := idOf(name); ok {
-		s.Bump(id, delta)
-		return
-	}
-	if s.vals == nil {
-		s.vals = make(map[string]uint64)
-	}
-	if _, ok := s.vals[name]; !ok {
-		s.order = append(s.order, name)
-	}
-	s.vals[name] += delta
-}
-
 // Value returns the registered counter's value without consulting the
 // name registry: one bounds check and one array read, so samplers that
 // poll counters every few cycles pay no lock or hash.
@@ -295,28 +275,23 @@ func (s *Set) Value(id CounterID) uint64 {
 	return 0
 }
 
-// Get returns the counter value (zero if never incremented).
+// Get returns the registered counter's value (zero if never bumped or
+// not registered).
 func (s *Set) Get(name string) uint64 {
 	if id, ok := idOf(name); ok {
-		if int(id) < len(s.dense) {
-			return s.dense[id]
-		}
-		return 0
+		return s.Value(id)
 	}
-	return s.vals[name]
+	return 0
 }
 
-// All returns the counters: registered counters with non-zero values in
-// registration order, then ad-hoc counters in insertion order.
+// All returns the registered counters with non-zero values, in
+// registration order.
 func (s *Set) All() []Counter {
-	out := make([]Counter, 0, len(s.dense)+len(s.order))
+	out := make([]Counter, 0, len(s.dense))
 	for id, v := range s.dense {
 		if v != 0 {
 			out = append(out, Counter{Name: nameOf(id), Value: v})
 		}
-	}
-	for _, n := range s.order {
-		out = append(out, Counter{Name: n, Value: s.vals[n]})
 	}
 	return out
 }
@@ -328,9 +303,6 @@ func (s *Set) Merge(other *Set) {
 	}
 	for id, v := range other.dense {
 		s.dense[id] += v
-	}
-	for _, n := range other.order {
-		s.Inc(n, other.vals[n])
 	}
 }
 
@@ -355,81 +327,4 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs, which must all be positive.
-// Speedup ratios are conventionally aggregated geometrically.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	// Multiply with periodic renormalisation to avoid overflow.
-	prod := 1.0
-	n := 0
-	scale := 0 // power-of-2 exponent factored out
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeoMean needs positive inputs")
-		}
-		prod *= x
-		n++
-		for prod > 1e100 {
-			prod /= 1e100
-			scale += 100 // decimal exponent units of 1e100
-		}
-		for prod < 1e-100 {
-			prod *= 1e100
-			scale -= 100
-		}
-	}
-	// prod * 10^scale, take the n-th root: exp((ln prod + scale ln10)/n)
-	return expApprox((lnApprox(prod) + float64(scale)*2.302585092994046) / float64(n))
-}
-
-// lnApprox and expApprox mirror the helpers in internal/rng; duplicated here
-// (a dozen lines each) to keep stats dependency-free.
-func lnApprox(x float64) float64 {
-	if x <= 0 {
-		panic("stats: ln domain")
-	}
-	const ln2 = 0.6931471805599453
-	k := 0
-	for x > 1.5 {
-		x /= 2
-		k++
-	}
-	for x < 0.75 {
-		x *= 2
-		k--
-	}
-	t := (x - 1) / (x + 1)
-	t2 := t * t
-	sum, term := 0.0, t
-	for i := 1; i < 40; i += 2 {
-		sum += term / float64(i)
-		term *= t2
-	}
-	return 2*sum + float64(k)*ln2
-}
-
-func expApprox(y float64) float64 {
-	const ln2 = 0.6931471805599453
-	neg := y < 0
-	if neg {
-		y = -y
-	}
-	k := int(y / ln2)
-	r := y - float64(k)*ln2
-	term, sum := 1.0, 1.0
-	for i := 1; i < 20; i++ {
-		term *= r / float64(i)
-		sum += term
-	}
-	for i := 0; i < k; i++ {
-		sum *= 2
-	}
-	if neg {
-		return 1 / sum
-	}
-	return sum
 }

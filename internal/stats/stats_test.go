@@ -159,27 +159,38 @@ func TestHistogramPropertyTotals(t *testing.T) {
 	}
 }
 
+// Test-local registered counters, namespaced to the test. zeta is
+// registered before alpha so registration order and name order differ.
+var (
+	setA     = MustRegister("test.set.a")
+	setB     = MustRegister("test.set.b")
+	setX     = MustRegister("test.set.x")
+	setY     = MustRegister("test.set.y")
+	setZeta  = MustRegister("test.set.zeta")
+	setAlpha = MustRegister("test.set.alpha")
+)
+
 func TestSetCounters(t *testing.T) {
 	var s Set
-	s.Inc("a", 1)
-	s.Inc("b", 2)
-	s.Inc("a", 3)
-	if s.Get("a") != 4 || s.Get("b") != 2 || s.Get("missing") != 0 {
+	s.Bump(setA, 1)
+	s.Bump(setB, 2)
+	s.Bump(setA, 3)
+	if s.Get("test.set.a") != 4 || s.Get("test.set.b") != 2 || s.Get("missing") != 0 {
 		t.Fatalf("counter values wrong: %s", s.String())
 	}
 	all := s.All()
-	if len(all) != 2 || all[0].Name != "a" || all[1].Name != "b" {
+	if len(all) != 2 || all[0].Name != "test.set.a" || all[1].Name != "test.set.b" {
 		t.Fatalf("All() order wrong: %v", all)
 	}
 }
 
 func TestSetMerge(t *testing.T) {
 	var a, b Set
-	a.Inc("x", 1)
-	b.Inc("x", 2)
-	b.Inc("y", 5)
+	a.Bump(setX, 1)
+	b.Bump(setX, 2)
+	b.Bump(setY, 5)
 	a.Merge(&b)
-	if a.Get("x") != 3 || a.Get("y") != 5 {
+	if a.Get("test.set.x") != 3 || a.Get("test.set.y") != 5 {
 		t.Fatalf("merge wrong: %s", a.String())
 	}
 }
@@ -203,9 +214,9 @@ func TestSetAppendDeltas(t *testing.T) {
 
 func TestSetString(t *testing.T) {
 	var s Set
-	s.Inc("zeta", 1)
-	s.Inc("alpha", 2)
-	if got := s.String(); got != "alpha=2 zeta=1" {
+	s.Bump(setZeta, 1)
+	s.Bump(setAlpha, 2)
+	if got := s.String(); got != "test.set.alpha=2 test.set.zeta=1" {
 		t.Fatalf("String() = %q", got)
 	}
 }
@@ -217,27 +228,6 @@ func TestMean(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Fatalf("Mean = %v", got)
 	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if GeoMean(nil) != 0 {
-		t.Fatal("GeoMean(nil) != 0")
-	}
-	if got := GeoMean([]float64{4, 1}); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("GeoMean{4,1} = %v, want 2", got)
-	}
-	if got := GeoMean([]float64{2, 2, 2}); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("GeoMean{2,2,2} = %v", got)
-	}
-	// Large inputs must not overflow.
-	big := make([]float64, 1000)
-	for i := range big {
-		big[i] = 1e10
-	}
-	if got := GeoMean(big); math.Abs(got-1e10)/1e10 > 1e-6 {
-		t.Fatalf("GeoMean big = %v", got)
-	}
-	mustPanic(t, "non-positive", func() { GeoMean([]float64{1, 0}) })
 }
 
 func mustPanic(t *testing.T, name string, f func()) {

@@ -18,16 +18,15 @@ func TestMustRegisterIdempotent(t *testing.T) {
 	}
 }
 
-func TestBumpAndIncInterchangeable(t *testing.T) {
+func TestGetReadsBumpedSlot(t *testing.T) {
 	var s Set
 	s.Bump(tidA, 3)
-	s.Inc("test.typed.a", 2) // registered name routes to the same slot
+	s.Bump(tidA, 2)
 	if got := s.Get("test.typed.a"); got != 5 {
 		t.Fatalf("Get = %d, want 5", got)
 	}
-	s.Inc("test.typed.adhoc", 7) // unregistered names still work
-	if got := s.Get("test.typed.adhoc"); got != 7 {
-		t.Fatalf("ad-hoc Get = %d, want 7", got)
+	if got := s.Get("test.typed.unregistered"); got != 0 {
+		t.Fatalf("unregistered Get = %d, want 0", got)
 	}
 }
 
@@ -36,16 +35,12 @@ func TestTypedMerge(t *testing.T) {
 	a.Bump(tidA, 1)
 	b.Bump(tidA, 2)
 	b.Bump(tidB, 4)
-	b.Inc("test.typed.adhoc", 8)
 	a.Merge(&b)
 	if got := a.Get("test.typed.a"); got != 3 {
 		t.Fatalf("merged a = %d, want 3", got)
 	}
 	if got := a.Get("test.typed.b"); got != 4 {
 		t.Fatalf("merged b = %d, want 4", got)
-	}
-	if got := a.Get("test.typed.adhoc"); got != 8 {
-		t.Fatalf("merged ad-hoc = %d, want 8", got)
 	}
 }
 

@@ -45,8 +45,6 @@ type Generator struct {
 	// streams are the sequential access pointers for strided accesses.
 	streams   [numStreams]uint64
 	streamSel int
-
-	emitted uint64
 }
 
 type chainState struct {
@@ -180,14 +178,10 @@ func (g *Generator) Next(out *isa.Inst) {
 	g.pos = 0
 }
 
-// Emitted returns the number of instructions produced so far.
-func (g *Generator) Emitted() uint64 { return g.emitted }
-
 // Profile returns the generator's profile.
 func (g *Generator) Profile() Profile { return g.prof }
 
 func (g *Generator) emitBody(b *block, out *isa.Inst) {
-	g.emitted++
 	out.PC = b.start + uint64(g.pos)*4
 	out.Taken = false
 	out.Target = 0
@@ -273,7 +267,6 @@ func (g *Generator) advanceChain(c int, isLoad bool) isa.Reg {
 }
 
 func (g *Generator) emitTerminator(b *block, out *isa.Inst) {
-	g.emitted++
 	out.PC = b.start + uint64(b.length)*4
 	out.Addr = 0
 	out.MissLatency = 0
