@@ -14,10 +14,12 @@ shorttest:
 # The simulator core's tests without -short: -short skips the chunked-
 # stepping bit-identity tests (TestSessionChunkedBitIdentity,
 # TestReplaySessionMatchesRun), so this is the run that proves event-
-# horizon stepping reproduces Run in any chunking. Mirrors the CI
-# "Test simulator core (full)" step.
+# horizon stepping reproduces Run in any chunking. It also runs every
+# package with a component reset that machine reuse relies on, and their
+# TestResetMatchesNew. Mirrors the CI "Test simulator core (full)" step.
 coretest:
-	$(GO) test -count=1 ./internal/sim ./internal/pipeline ./internal/cmp ./internal/mem ./internal/policy ./internal/core
+	$(GO) test -count=1 ./internal/sim ./internal/pipeline ./internal/cmp ./internal/mem ./internal/policy ./internal/core \
+		./internal/cache ./internal/branch ./internal/synth ./internal/stats ./internal/bus
 
 # The end-to-end benchmark (bench/mflushperf) is its own Go module, so
 # the root `go test ./...` never builds it; vet and test it in place so
@@ -55,6 +57,7 @@ racetest:
 # fuzz job.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzMachineReuse -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzReadSpec -fuzztime 10s ./internal/campaign
 	$(GO) test -run '^$$' -fuzz FuzzGangGrouping -fuzztime 10s ./internal/campaign
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/cluster

@@ -47,6 +47,15 @@ func NewPerceptron(tableSize, historyLen int) *Perceptron {
 	}
 }
 
+// Reset zeroes every weight and the history, leaving the predictor as
+// NewPerceptron built it.
+func (p *Perceptron) Reset() {
+	for _, w := range p.weights {
+		clear(w)
+	}
+	p.history = 0
+}
+
 func (p *Perceptron) index(pc uint64) uint64 {
 	// Drop the instruction alignment bits, then fold.
 	v := pc >> 2
@@ -144,6 +153,13 @@ func NewBTB(entries, assoc int) *BTB {
 	}
 }
 
+// Reset empties the buffer, leaving it as NewBTB built it.
+func (b *BTB) Reset() {
+	clear(b.tags)
+	clear(b.targets)
+	clear(b.lru)
+}
+
 func (b *BTB) set(pc uint64) int { return int((pc >> 2) & uint64(b.sets-1)) }
 
 // Lookup returns the predicted target for pc and whether the BTB holds an
@@ -209,6 +225,12 @@ func NewRAS(capacity int) *RAS {
 	return &RAS{stack: make([]uint64, capacity)}
 }
 
+// Reset empties the stack, leaving it as NewRAS built it.
+func (r *RAS) Reset() {
+	clear(r.stack)
+	r.top, r.depth = 0, 0
+}
+
 // Push records a return address (call instruction).
 func (r *RAS) Push(addr uint64) {
 	r.stack[r.top] = addr
@@ -265,6 +287,16 @@ func New(perceptrons, history, btbEntries, btbAssoc, rasEntries, threads int) *P
 		Cond: NewPerceptron(perceptrons, history),
 		BTB:  NewBTB(btbEntries, btbAssoc),
 		RAS:  ras,
+	}
+}
+
+// Reset resets the three structures, leaving the predictor as New built
+// it.
+func (p *Predictor) Reset() {
+	p.Cond.Reset()
+	p.BTB.Reset()
+	for _, r := range p.RAS {
+		r.Reset()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/isa"
+	"repro/internal/resettest"
 	"repro/internal/rng"
 )
 
@@ -287,5 +288,36 @@ func BenchmarkPerceptronPredictUpdate(b *testing.B) {
 		pc := uint64(i%1024) * 4
 		p.Predict(pc)
 		p.Update(pc, r.Bool(0.7))
+	}
+}
+
+// TestResetMatchesNew: each predictor structure, trained and then reset,
+// equals a newly built one field for field, so a field added without a
+// reset line fails here.
+func TestResetMatchesNew(t *testing.T) {
+	p := New(64, 12, 32, 4, 8, 2)
+	r := rng.New(5)
+	for i := 0; i < 2000; i++ {
+		in := isa.Inst{PC: uint64(r.Intn(512)) * 4, Target: uint64(r.Intn(512)) * 4, Taken: r.Bool(0.6)}
+		switch i % 3 {
+		case 0:
+			in.Class = isa.ClassBranch
+		case 1:
+			in.Class = isa.ClassCall
+		default:
+			in.Class = isa.ClassReturn
+		}
+		p.Predict(i%2, &in)
+		p.Resolve(&in)
+	}
+	p.Reset()
+	fresh := New(64, 12, 32, 4, 8, 2)
+	for _, x := range []struct {
+		name         string
+		fresh, reset any
+	}{{"Perceptron", fresh.Cond, p.Cond}, {"BTB", fresh.BTB, p.BTB}, {"RAS", fresh.RAS[1], p.RAS[1]}, {"Predictor", fresh, p}} {
+		if d := resettest.Diff(x.fresh, x.reset); d != "" {
+			t.Errorf("reset %s differs from a new one at %s", x.name, d)
+		}
 	}
 }

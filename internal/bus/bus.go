@@ -83,6 +83,17 @@ func (b *Bus[T]) NextEvent(now uint64) uint64 {
 	return math.MaxUint64
 }
 
+// Reset empties the bus and zeroes its statistics, keeping the storage of
+// its queues and delivery buffer: the bus then behaves exactly as a new
+// one with the same delay and width.
+func (b *Bus[T]) Reset() {
+	b.queue.Reset()
+	b.inFlight.Reset()
+	clear(b.out[:cap(b.out)])
+	*b = Bus[T]{delay: b.delay, perCycle: b.perCycle,
+		queue: b.queue, inFlight: b.inFlight, out: b.out[:0]}
+}
+
 // Pending returns the number of transfers queued or in flight.
 func (b *Bus[T]) Pending() int { return b.queue.Len() + b.inFlight.Len() }
 
@@ -126,4 +137,11 @@ func (f *FIFO[T]) Pop() T {
 		f.head = 0
 	}
 	return v
+}
+
+// Reset empties the queue, keeping its storage. Compaction leaves copies
+// past the length, so the whole capacity is cleared.
+func (f *FIFO[T]) Reset() {
+	clear(f.buf[:cap(f.buf)])
+	f.buf, f.head = f.buf[:0], 0
 }

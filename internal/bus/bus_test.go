@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/resettest"
 )
 
 func TestDeliveryAfterDelay(t *testing.T) {
@@ -196,5 +198,26 @@ func BenchmarkBusTick(b *testing.B) {
 			bs.Push(now, i)
 		}
 		bs.Tick(now)
+	}
+}
+
+// TestResetMatchesNew: a bus that carried traffic, with transfers still
+// queued and in flight, equals a new one field for field after Reset.
+func TestResetMatchesNew(t *testing.T) {
+	b := New[*int](2, 1)
+	v := 7
+	for now := uint64(0); now < 300; now++ {
+		b.Push(now, &v)
+		if now%3 != 0 {
+			b.Push(now, &v)
+		}
+		b.Tick(now)
+	}
+	if b.Pending() == 0 {
+		t.Fatal("test wants transfers left in flight")
+	}
+	b.Reset()
+	if d := resettest.Diff(New[*int](2, 1), b); d != "" {
+		t.Errorf("reset bus differs from a new one at %s", d)
 	}
 }

@@ -10,7 +10,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/config"
 )
@@ -36,7 +35,8 @@ type Cache struct {
 	// Nibbles past the valid ways are never consulted. 4-bit nibbles are
 	// why a set has at most config.MaxAssoc ways.
 	order []uint64
-	// lines is the one allocation tags and order share, kept for Release.
+	// lines is the one allocation tags and order share, so Reset and
+	// CopyFrom handle both at once.
 	lines   []uint64
 	hits    uint64
 	misses  uint64
@@ -65,43 +65,26 @@ func New(geom config.CacheGeom) *Cache {
 	}
 	nsets := geom.Banks * sets
 	n := nsets * geom.Assoc
-	c.lines = takeLines(n + nsets)
+	c.lines = make([]uint64, n+nsets)
 	c.tags, c.order = c.lines[:n:n], c.lines[n:]
 	return c
 }
 
-// linePools recycles the tag-and-order arrays of released caches, one
-// sync.Pool per array length. A sweep finishes machines and builds new
-// ones back to back, and the L2's arrays are most of a machine's memory:
-// handing them on keeps every machine start from allocating megabytes
-// afresh, which would otherwise land in whatever garbage-collection cycle
-// is marking at the time and inflate the next heap target.
-var linePools sync.Map // int -> *sync.Pool of *[]uint64
-
-// takeLines returns a zeroed array of n entries, recycled when a released
-// cache left one of that length.
-func takeLines(n int) []uint64 {
-	if p, ok := linePools.Load(n); ok {
-		if a, ok := p.(*sync.Pool).Get().(*[]uint64); ok {
-			clear(*a)
-			return *a
-		}
-	}
-	return make([]uint64, n)
+// Reset empties the cache and zeroes its statistics, keeping its arrays:
+// the cache then behaves exactly as a new one of its geometry.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	c.hits, c.misses, c.inserts = 0, 0, 0
 }
 
-// Release hands the cache's arrays to the next cache built with the same
-// geometry. The cache is unusable afterwards: a later lookup or fill
-// panics rather than touching lines another cache now owns. Statistics
-// stay readable. Call it once the owning machine is finished.
-func (c *Cache) Release() {
-	if c.lines == nil {
-		return
+// CopyFrom makes c an exact copy of src, lines, recency and statistics,
+// without allocating. The two must share a geometry.
+func (c *Cache) CopyFrom(src *Cache) {
+	if c.geom != src.geom {
+		panic(fmt.Sprintf("cache: copying a %+v cache into a %+v one", src.geom, c.geom))
 	}
-	lines := c.lines
-	c.lines, c.tags, c.order = nil, nil, nil
-	p, _ := linePools.LoadOrStore(len(lines), new(sync.Pool))
-	p.(*sync.Pool).Put(&lines)
+	copy(c.lines, src.lines)
+	c.hits, c.misses, c.inserts = src.hits, src.misses, src.inserts
 }
 
 // LineAddr converts a byte address to a line address.
@@ -313,6 +296,14 @@ func (m *MSHR) FreeEntry(e *MSHREntry) {
 	m.live--
 }
 
+// Reset frees every entry, leaving the file as NewMSHR built it.
+func (m *MSHR) Reset() {
+	for i := range m.entries {
+		m.entries[i] = MSHREntry{slot: i}
+	}
+	m.live = 0
+}
+
 // InUse returns the number of live entries.
 func (m *MSHR) InUse() int { return m.live }
 
@@ -382,6 +373,13 @@ func (t *TLB) Access(page uint64) bool {
 	t.slot[page] = i
 	t.last = i
 	return false
+}
+
+// Reset empties the TLB and zeroes its statistics, keeping its map and
+// arrays: it then behaves exactly as a new one of its capacity.
+func (t *TLB) Reset() {
+	clear(t.slot)
+	*t = TLB{slot: t.slot, pages: t.pages[:0], stamps: t.stamps[:0]}
 }
 
 // Stats returns cumulative hits and misses.

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/config"
+	"repro/internal/resettest"
 	"repro/internal/rng"
 )
 
@@ -52,26 +53,21 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCacheReleaseRecyclesEmpty: a released cache's arrays go to the next
-// cache of its geometry, which must start as cold as a fresh one and pick
-// the same victims, while the released cache refuses further lookups.
-func TestCacheReleaseRecyclesEmpty(t *testing.T) {
+// TestCacheResetRecyclesEmpty: a reset cache must start as cold as a
+// fresh one of its geometry and pick the same victims, and CopyFrom must
+// reproduce a cache exactly, lines, recency and statistics.
+func TestCacheResetRecyclesEmpty(t *testing.T) {
 	g := smallGeom()
-	reused := 0
-	for i := 0; i < 20; i++ {
-		old := New(g)
+	c := New(g)
+	for i := 0; i < 5; i++ {
 		for a := uint64(0); a < uint64(g.SizeBytes); a += uint64(g.LineBytes) {
-			old.Fill(a)
+			c.Fill(a)
+			c.Access(a + uint64(i))
 		}
-		backing := &old.lines[0]
-		old.Release()
-		c := New(g)
-		if &c.lines[0] == backing {
-			reused++
-		}
+		c.Reset()
 		for a := uint64(0); a < uint64(g.SizeBytes); a += uint64(g.LineBytes) {
 			if c.Probe(a) {
-				t.Fatalf("round %d: new cache already holds %#x", i, a)
+				t.Fatalf("round %d: reset cache still holds %#x", i, a)
 			}
 		}
 		// Three passes over twice the capacity, in an order that differs
@@ -84,22 +80,53 @@ func TestCacheReleaseRecyclesEmpty(t *testing.T) {
 				ev, valid := c.Fill(a)
 				wantEv, wantValid := fresh.fill(a)
 				if ev != wantEv || valid != wantValid {
-					t.Fatalf("round %d: recycled cache evicted (%#x, %t) filling %#x, fresh one (%#x, %t)",
+					t.Fatalf("round %d: reset cache evicted (%#x, %t) filling %#x, fresh one (%#x, %t)",
 						i, ev, valid, a, wantEv, wantValid)
 				}
 			}
 		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("access to a released cache did not panic")
-				}
-			}()
-			old.Access(0)
-		}()
+		img := New(g)
+		img.CopyFrom(c)
+		if d := resettest.Diff(c, img); d != "" {
+			t.Fatalf("round %d: copy differs at %s", i, d)
+		}
 	}
-	if reused == 0 {
-		t.Fatal("no released array was ever reused")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("copying across geometries did not panic")
+			}
+		}()
+		New(lruGeom(2)).CopyFrom(c)
+	}()
+}
+
+// TestResetMatchesNew: each tag-array model, used and then reset, equals
+// a newly built one field for field, so a field added without a reset
+// line fails here.
+func TestResetMatchesNew(t *testing.T) {
+	g := smallGeom()
+	c := New(g)
+	tlb := NewTLB(8)
+	m := NewMSHR(4)
+	for i := uint64(0); i < 200; i++ {
+		c.Access(i * 72)
+		c.Fill(i * 136)
+		tlb.Access(i % 13)
+		if e, _, ok := m.Allocate(i % 6); ok && i%3 == 0 {
+			m.FreeEntry(e)
+		}
+	}
+	c.Reset()
+	tlb.Reset()
+	m.Reset()
+	for _, x := range []struct {
+		name         string
+		fresh, reset any
+	}{{"Cache", New(g), c}, {"TLB", NewTLB(8), tlb}, {"MSHR", NewMSHR(4), m}} {
+		if d := resettest.Diff(x.fresh, x.reset); d != "" {
+			t.Errorf("reset %s differs from a new one at %s", x.name, d)
+		}
 	}
 }
 

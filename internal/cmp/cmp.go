@@ -39,12 +39,8 @@ type Chip struct {
 // dataBases are indexed [core][context].
 func New(cfg config.Config, policies []policy.Policy,
 	sources [][]trace.Source, dataBases [][]uint64) (*Chip, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkInputs(cfg, policies, sources, dataBases); err != nil {
 		return nil, err
-	}
-	if len(policies) != cfg.Cores || len(sources) != cfg.Cores || len(dataBases) != cfg.Cores {
-		return nil, fmt.Errorf("cmp: need %d cores of policies/sources/bases, got %d/%d/%d",
-			cfg.Cores, len(policies), len(sources), len(dataBases))
 	}
 	ch := &Chip{cfg: cfg, l2: mem.NewL2System(cfg)}
 	for i := 0; i < cfg.Cores; i++ {
@@ -52,6 +48,40 @@ func New(cfg config.Config, policies []policy.Policy,
 			pipeline.New(i, &ch.cfg, policies[i], ch.l2, sources[i], dataBases[i]))
 	}
 	return ch, nil
+}
+
+// Reset readies a chip for a new simulation, leaving it exactly as New
+// builds it from the same arguments (test-enforced) while keeping the
+// storage of every component: the L2 system (mem.L2System.Reset) and each
+// core (pipeline.Core.Reset). cfg must describe the machine the chip was
+// built for, up to the seed; mem.L2System.Reset panics on any other.
+func (ch *Chip) Reset(cfg config.Config, policies []policy.Policy,
+	sources [][]trace.Source, dataBases [][]uint64) error {
+	if err := checkInputs(cfg, policies, sources, dataBases); err != nil {
+		return err
+	}
+	ch.l2.Reset(cfg)
+	ch.cfg = cfg
+	ch.now = 0
+	ch.lockstep = false
+	for i, c := range ch.cores {
+		c.Reset(policies[i], sources[i], dataBases[i])
+	}
+	return nil
+}
+
+// checkInputs validates cfg and that there is one policy, source list and
+// base list per core.
+func checkInputs(cfg config.Config, policies []policy.Policy,
+	sources [][]trace.Source, dataBases [][]uint64) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if len(policies) != cfg.Cores || len(sources) != cfg.Cores || len(dataBases) != cfg.Cores {
+		return fmt.Errorf("cmp: need %d cores of policies/sources/bases, got %d/%d/%d",
+			cfg.Cores, len(policies), len(sources), len(dataBases))
+	}
+	return nil
 }
 
 // Run advances the chip by the given number of cycles. Whenever no
@@ -120,11 +150,6 @@ func (ch *Chip) L2() *mem.L2System { return ch.l2 }
 
 // Config returns the machine configuration.
 func (ch *Chip) Config() config.Config { return ch.cfg }
-
-// Release recycles the chip's shared L2 arrays for the next chip built
-// (mem.L2System.Release). The chip must not be ticked afterwards; its
-// counters and totals stay readable.
-func (ch *Chip) Release() { ch.l2.Release() }
 
 // CheckInvariants validates every core's resource conservation.
 func (ch *Chip) CheckInvariants() error {

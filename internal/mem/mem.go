@@ -324,11 +324,43 @@ func (s *L2System) Drain() bool { return s.NextEvent(0) != math.MaxUint64 }
 
 // ResetStats discards accumulated measurements (histograms and counters)
 // while preserving cache and queue state — used to exclude warm-up from
-// reported results.
+// reported results. The histograms are emptied in place: a caller keeping
+// one past a reset must Clone it.
 func (s *L2System) ResetStats() {
-	s.hitLatency = stats.NewHistogram(latencyHistBound)
-	s.missLatency = stats.NewHistogram(latencyHistBound)
-	s.counters = stats.Set{}
+	s.hitLatency.Reset()
+	s.missLatency.Reset()
+	s.counters.Reset()
+}
+
+// Reset empties the system for a new simulation on cfg, which must have
+// the configuration it was built with up to the seed: the cache, buses,
+// bank and memory queues and every measurement. It keeps the storage of
+// all of them, and leaves the system exactly as NewL2System(cfg) builds
+// it. Requests still in flight are dropped.
+func (s *L2System) Reset(cfg config.Config) {
+	was := s.cfg
+	was.Seed = cfg.Seed
+	if was != cfg {
+		panic("mem: resetting an L2 system to a different machine")
+	}
+	s.cfg = cfg
+	s.l2.Reset()
+	s.req.Reset()
+	s.resp.Reset()
+	for b := range s.banks {
+		s.banks[b].queue.Reset()
+		s.banks[b] = bankState{queue: s.banks[b].queue}
+	}
+	s.memPending.Reset()
+	s.memInFlight.Reset()
+	s.memStarts = memStartsPerCycle
+	clear(s.memFar[:cap(s.memFar)])
+	s.memFar = s.memFar[:0]
+	clear(s.missDetected[:cap(s.missDetected)])
+	clear(s.missSpare[:cap(s.missSpare)])
+	s.missDetected, s.missSpare = s.missDetected[:0], s.missSpare[:0]
+	s.due = 0
+	s.ResetStats()
 }
 
 // HitLatency returns the histogram of load-issue-to-service latencies for
@@ -344,10 +376,6 @@ func (s *L2System) Counters() *stats.Set { return &s.counters }
 // Cache exposes the underlying tag store (used by tests and by warm-up
 // helpers).
 func (s *L2System) Cache() *cache.Cache { return s.l2 }
-
-// Release recycles the L2 tag store's arrays (cache.Release) once the
-// system will not be ticked again; counters and histograms stay readable.
-func (s *L2System) Release() { s.l2.Release() }
 
 type timedReq struct {
 	req    *Request

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/resettest"
 )
 
 func TestMissDetectedSignal(t *testing.T) {
@@ -131,4 +132,37 @@ func TestFillOccupancyShorterThanDemand(t *testing.T) {
 	if done != uint64(want) {
 		t.Fatalf("miss latency %d, want %d", done, want)
 	}
+}
+
+// TestResetMatchesNew: a system left with requests queued at the banks,
+// in memory (fixed and overridden latency) and on both buses equals a
+// new one field for field after Reset, whatever seed the new run has.
+func TestResetMatchesNew(t *testing.T) {
+	cfg := config.Default(2)
+	s := NewL2System(cfg)
+	for now := uint64(0); now < 400; now++ {
+		r := &Request{Addr: now * 4160, IssuedAt: now, IsInstr: now%7 == 0}
+		if now%5 == 0 {
+			r.MissLatency = 900
+		}
+		s.Submit(r, now)
+		s.Tick(now)
+		s.DrainMissDetected()
+	}
+	if !s.Drain() {
+		t.Fatal("test wants requests left in flight")
+	}
+	cfg.Seed++
+	s.Reset(cfg)
+	if d := resettest.Diff(NewL2System(cfg), s); d != "" {
+		t.Errorf("reset L2 system differs from a new one at %s", d)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("resetting to another machine did not panic")
+			}
+		}()
+		s.Reset(config.Default(4))
+	}()
 }

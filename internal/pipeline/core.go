@@ -183,10 +183,6 @@ type thread struct {
 // wrong-path synthesis.
 func New(id int, cfg *config.Config, pol policy.Policy, l2 *mem.L2System,
 	sources []trace.Source, dataBases []uint64) *Core {
-	if len(sources) != cfg.Core.ThreadsPerCore || len(dataBases) != cfg.Core.ThreadsPerCore {
-		panic(fmt.Sprintf("pipeline: core %d needs %d sources/bases, got %d/%d",
-			id, cfg.Core.ThreadsPerCore, len(sources), len(dataBases)))
-	}
 	pageBits := uint(0)
 	for 1<<pageBits < cfg.Mem.PageBytes {
 		pageBits++
@@ -194,7 +190,6 @@ func New(id int, cfg *config.Config, pol policy.Policy, l2 *mem.L2System,
 	c := &Core{
 		ID:   id,
 		cfg:  cfg,
-		pol:  pol,
 		l2:   l2,
 		intQ: newQueue(cfg.Core.IntQueue),
 		fpQ:  newQueue(cfg.Core.FPQueue),
@@ -208,29 +203,102 @@ func New(id int, cfg *config.Config, pol policy.Policy, l2 *mem.L2System,
 		mshr:        cache.NewMSHR(cfg.Core.MSHREntries),
 		slotWaiters: make([][]*UOp, cfg.Core.MSHREntries),
 		slotLoads:   make([][]*policy.LoadInfo, cfg.Core.MSHREntries),
+		heldPRegs:   make([]int, cfg.Core.ThreadsPerCore),
 		renameBlock: make([]bool, cfg.Core.ThreadsPerCore),
 		pageBits:    pageBits,
 	}
-	c.freePRegs = cfg.Core.PhysRegs - cfg.Core.ThreadsPerCore*isa.NumArchRegs
-	c.heldPRegs = make([]int, cfg.Core.ThreadsPerCore)
-	c.pregCap = c.freePRegs - cfg.Core.RegReservePerThread*(cfg.Core.ThreadsPerCore-1)
-	if c.pregCap < 1 {
-		c.pregCap = 1
-	}
 	for t := 0; t < cfg.Core.ThreadsPerCore; t++ {
 		c.threads = append(c.threads, &thread{
-			id:  t,
-			src: sources[t],
-			// Wrong-path pollution stays within a few pages of the
-			// thread's own space: wrong paths re-execute nearby code on
-			// stale pointers, they do not wander the whole heap (and a
-			// wider span would thrash the TLB unrealistically).
-			bb:     trace.NewBBDict(dataBases[t]+1<<30, 2*uint64(cfg.Mem.PageBytes)),
+			id:     t,
+			bb:     &trace.BBDict{},
 			rob:    newRing(cfg.Core.ROBPerThread),
 			frontQ: newRing(frontQCapacity),
 		})
 	}
+	c.Reset(pol, sources, dataBases)
 	return c
+}
+
+// Reset readies the core for a new simulation with the given policy,
+// sources and bases, leaving it exactly as New builds it: every queue,
+// buffer, predictor, cache, TLB and counter is emptied in place, and the
+// uops, load descriptors and delayed requests still in flight go back to
+// the core's free lists. The configuration the core points to must still
+// describe the machine it was built for.
+func (c *Core) Reset(pol policy.Policy, sources []trace.Source, dataBases []uint64) {
+	cfg := c.cfg
+	if len(sources) != cfg.Core.ThreadsPerCore || len(dataBases) != cfg.Core.ThreadsPerCore {
+		panic(fmt.Sprintf("pipeline: core %d needs %d sources/bases, got %d/%d",
+			c.ID, cfg.Core.ThreadsPerCore, len(sources), len(dataBases)))
+	}
+	// A flush-stalled thread's load descriptor would stay out of its
+	// uop's recycling (freeUOp); the stall ends here.
+	for _, t := range c.threads {
+		t.flushLoad = nil
+	}
+	for _, t := range c.threads {
+		for t.rob.len() > 0 {
+			c.recycle(t.rob.popFront())
+		}
+		for t.frontQ.len() > 0 {
+			c.recycle(t.frontQ.popFront())
+		}
+	}
+	for i := range c.wheel {
+		c.wheel[i] = c.recycleAll(c.wheel[i])
+	}
+	c.wheelBusy = 0
+	for i := range c.slotWaiters {
+		c.slotWaiters[i] = c.recycleAll(c.slotWaiters[i])
+		clear(c.slotLoads[i][:cap(c.slotLoads[i])])
+		c.slotLoads[i] = c.slotLoads[i][:0]
+	}
+	for _, d := range c.pendingSubmits {
+		c.reqPool.Put(d.req)
+	}
+	clear(c.pendingSubmits[:cap(c.pendingSubmits)])
+	c.pendingSubmits = c.pendingSubmits[:0]
+
+	c.pol = pol
+	c.intQ.reset()
+	c.fpQ.reset()
+	c.lsQ.reset()
+	c.freePRegs = cfg.Core.PhysRegs - cfg.Core.ThreadsPerCore*isa.NumArchRegs
+	clear(c.heldPRegs)
+	c.pregCap = max(c.freePRegs-cfg.Core.RegReservePerThread*(cfg.Core.ThreadsPerCore-1), 1)
+	c.pred.Reset()
+	c.l1i.Reset()
+	c.l1d.Reset()
+	c.itlb.Reset()
+	c.dtlb.Reset()
+	c.mshr.Reset()
+	c.energy = energy.Account{}
+	c.stats.Reset()
+	c.fetchOrder = c.fetchOrder[:0]
+	clear(c.renameBlock)
+	c.replayTmp = c.replayTmp[:0]
+	c.wakeAt, c.sleptFrom, c.probing = 0, 0, false
+	c.probeBase, c.idleDelta = c.probeBase[:0], c.idleDelta[:0]
+	for i, t := range c.threads {
+		t.rob.reset()
+		t.frontQ.reset()
+		*t = thread{
+			id:  i,
+			src: sources[i],
+			bb:  t.bb,
+			// Both replay buffers hold instructions by value; only their
+			// capacity carries over.
+			replay:      t.replay[:0],
+			replaySpare: t.replaySpare[:0],
+			rob:         t.rob,
+			frontQ:      t.frontQ,
+		}
+		// Wrong-path pollution stays within a few pages of the
+		// thread's own space: wrong paths re-execute nearby code on
+		// stale pointers, they do not wander the whole heap (and a
+		// wider span would thrash the TLB unrealistically).
+		*t.bb = *trace.NewBBDict(dataBases[i]+1<<30, 2*uint64(cfg.Mem.PageBytes))
+	}
 }
 
 // Policy returns the core's IFetch policy.
@@ -303,6 +371,23 @@ func (c *Core) freeUOp(u *UOp) {
 	gen := u.Gen + 1
 	*u = UOp{Gen: gen, pooled: true, deps: u.deps[:0]}
 	c.uopFree = append(c.uopFree, u)
+}
+
+// recycle frees u unless it is already on the free list: Reset meets a
+// uop once in its ROB and again in the wheel or an MSHR waiter list.
+func (c *Core) recycle(u *UOp) {
+	if !u.pooled {
+		c.freeUOp(u)
+	}
+}
+
+// recycleAll recycles every uop of list and returns it emptied.
+func (c *Core) recycleAll(list []*UOp) []*UOp {
+	for _, u := range list {
+		c.recycle(u)
+	}
+	clear(list[:cap(list)])
+	return list[:0]
 }
 
 // allocLoadInfo takes a LoadInfo from the free list, or allocates one.

@@ -143,6 +143,12 @@ func newRing(capacity int) *ring {
 	return &ring{buf: make([]*UOp, capacity)}
 }
 
+// reset empties the ring.
+func (r *ring) reset() {
+	clear(r.buf)
+	r.head, r.size = 0, 0
+}
+
 func (r *ring) len() int   { return r.size }
 func (r *ring) full() bool { return r.size == len(r.buf) }
 
@@ -228,6 +234,13 @@ func newQueue(capacity int) *queue {
 		ready: make([]uint64, (n+63)/64),
 		cap:   capacity,
 	}
+}
+
+// reset empties the queue, keeping its arrays.
+func (q *queue) reset() {
+	clear(q.slots[:cap(q.slots)])
+	clear(q.ready)
+	q.slots, q.count = q.slots[:0], 0
 }
 
 func (q *queue) hasSpace() bool { return q.count < q.cap }

@@ -31,6 +31,12 @@ func splitmix64(state *uint64) uint64 {
 // statistically independent streams.
 func New(seed uint64) *Rand {
 	r := &Rand{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed restarts the generator on the stream New(seed) returns.
+func (r *Rand) Seed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&sm)
@@ -39,7 +45,6 @@ func New(seed uint64) *Rand {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 // Uint64 returns the next 64 random bits.

@@ -64,9 +64,10 @@ func (g *GangSession) Finish() ([]*Result, error) {
 }
 
 // RunGang executes one simulation per member through Run, in member
-// order, so a gang holds one machine at a time: member m's chip is
-// finished and its L2 arrays are back in the pool before member m+1's
-// is built. Each Result is bit-identical to Run's (test-enforced). All
+// order, so a gang holds one machine at a time: member m's machine is
+// finished and back in the pool before member m+1 opens, which then
+// usually runs on it. Each Result is bit-identical to Run's
+// (test-enforced). All
 // members must share one cycle budget and warm-up length (gang batching
 // groups jobs that way).
 func RunGang(opts []Options) ([]*Result, error) {

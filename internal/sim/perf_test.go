@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -37,6 +38,36 @@ func TestCycleLoopAllocBudget(t *testing.T) {
 		allocs, cycles, perCycle)
 	if perCycle > 0.05 {
 		t.Fatalf("cycle loop allocates %.3f objects/cycle, budget is 0.05", perCycle)
+	}
+}
+
+// TestJobAllocBudget guards machine reuse: once a warm-up job has left a
+// machine in the pool, a sweep-sized job (4W3, 10k warm-up and 5k
+// measured cycles) runs on it and allocates under 64 KiB. It measures
+// about 20-40 KiB, 8 KiB of it the Result's copy of the hit-latency
+// histogram; building a new machine for every job allocated ~750 KiB.
+// A garbage collection between the jobs frees the pooled machine, so the
+// best of three jobs counts.
+func TestJobAllocBudget(t *testing.T) {
+	w, _ := workload.ByName("4W3")
+	opt := Options{Workload: w, Policy: SpecMFLUSH, Warmup: 10000, Cycles: 5000, Seed: 1}
+	if _, err := Run(opt); err != nil {
+		t.Fatal(err)
+	}
+	best := uint64(math.MaxUint64)
+	for i := range 3 {
+		opt.Seed = uint64(2 + i)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(opt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		t.Logf("job %d: %d bytes in %d allocations", i, after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if best >= 64<<10 {
+		t.Fatalf("a job allocated at least %d bytes, budget is 64 KiB", best)
 	}
 }
 

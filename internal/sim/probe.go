@@ -39,7 +39,7 @@ type probeState struct {
 // so the series covers exactly the measured window. Registration order
 // is firing order for probes that fire on the same cycle.
 func (s *Session) Observe(p Probe) error {
-	if s.finished {
+	if s.m == nil {
 		return fmt.Errorf("sim: Observe on a finished session")
 	}
 	if p.Every == 0 {

@@ -22,14 +22,18 @@ import (
 // any chunking reproduces Run bit-for-bit (test-enforced). Session.Step
 // is the simulator's only stepping code.
 type Session struct {
-	opt  Options
-	chip *cmp.Chip
+	opt Options
+	// m is the machine the session runs, nil once the session is
+	// finished. reuse hands it to the next job at Finish.
+	m     *machine
+	reuse bool
 	// measureStart is the absolute cycle of the last ResetMeasurement
 	// (zero until one happens): the start of the measurement window.
 	// resetGen counts the resets, so recorders can rebase their deltas.
+	// measured is the final window's length, recorded by Finish.
 	measureStart uint64
 	resetGen     uint64
-	finished     bool
+	measured     uint64
 
 	probes []probeState
 	// sample is the reusable digest refreshed by Snapshot and probe
@@ -48,12 +52,20 @@ type Session struct {
 // flow (and to naming in the Result); the caller decides how far to
 // step. Everything else in opt (workload, policy, seed, tweak, traces)
 // is honoured exactly as Run does.
-func Open(opt Options) (*Session, error) {
-	chip, err := buildChip(opt)
+//
+// The machine is a finished one of the same configuration when one is
+// free, reset to exactly what construction produces, so which machine a
+// session gets never changes its results (test-enforced).
+func Open(opt Options) (*Session, error) { return open(opt, true) }
+
+// open is Open; without reuse it builds a machine no job ran before and
+// keeps it out of the pool, the reference the reuse tests compare with.
+func open(opt Options, reuse bool) (*Session, error) {
+	m, err := buildMachine(opt, reuse)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{opt: opt, chip: chip, mflush: mflushPolicies(chip)}, nil
+	return &Session{opt: opt, m: m, reuse: reuse, mflush: mflushPolicies(m.chip)}, nil
 }
 
 // mflushPolicies returns the per-core MFLUSH policies, or nil when any
@@ -78,7 +90,7 @@ func mflushPolicies(chip *cmp.Chip) []*core.MFLUSH {
 //
 //mflush:hotpath
 func (s *Session) Step(n uint64) {
-	if s.finished {
+	if s.m == nil {
 		panic("sim: Step on a finished session")
 	}
 	for n > 0 {
@@ -86,27 +98,37 @@ func (s *Session) Step(n uint64) {
 		for i := range s.probes {
 			k = min(k, s.probes[i].countdown)
 		}
-		s.chip.Run(k)
+		s.m.chip.Run(k)
 		n -= k
 		s.fireProbes(k)
 	}
 }
 
 // MeasuredCycles returns the length of the current measurement window:
-// cycles stepped since the last ResetMeasurement (or since Open).
-func (s *Session) MeasuredCycles() uint64 { return s.chip.Now() - s.measureStart }
+// cycles stepped since the last ResetMeasurement (or since Open). After
+// Finish it is the final window's length.
+func (s *Session) MeasuredCycles() uint64 {
+	if s.m == nil {
+		return s.measured
+	}
+	return s.m.chip.Now() - s.measureStart
+}
 
 // ResetMeasurement zeroes every accumulated metric — per-core counters,
 // energy accounts, per-thread commit counts, the L2 histograms and
 // counters — without touching microarchitectural state, and restarts the
 // measurement window at the current cycle. This is how warm-up is
-// excluded: Run calls it between Step(Warmup) and Step(Cycles).
+// excluded: Run calls it between Step(Warmup) and Step(Cycles). It
+// panics on a finished session.
 func (s *Session) ResetMeasurement() {
-	for _, c := range s.chip.Cores() {
+	if s.m == nil {
+		panic("sim: ResetMeasurement on a finished session")
+	}
+	for _, c := range s.m.chip.Cores() {
 		c.ResetMeasurement()
 	}
-	s.chip.L2().ResetStats()
-	s.measureStart = s.chip.Now()
+	s.m.chip.L2().ResetStats()
+	s.measureStart = s.m.chip.Now()
 	s.resetGen++
 }
 
@@ -116,8 +138,12 @@ func (s *Session) ResetMeasurement() {
 // state when that policy is running. The returned Sample shares the
 // session's reused buffers — it is valid until the next Step, Snapshot
 // or probe firing; use Sample.Point to retain a copy. Snapshot only
-// reads, so interleaving it with Step never changes results.
+// reads, so interleaving it with Step never changes results. It panics
+// on a finished session.
 func (s *Session) Snapshot() *Sample {
+	if s.m == nil {
+		panic("sim: Snapshot on a finished session")
+	}
 	s.refreshSample()
 	return &s.sample
 }
@@ -127,7 +153,7 @@ func (s *Session) Snapshot() *Sample {
 //
 //mflush:hotpath
 func (s *Session) refreshSample() {
-	sm, chip := &s.sample, s.chip
+	sm, chip := &s.sample, s.m.chip
 	chip.ReadTotals(&s.totals)
 	sm.Cycle = chip.Now()
 	sm.MeasuredCycles = chip.Now() - s.measureStart
@@ -158,19 +184,25 @@ func (s *Session) refreshSample() {
 // Finish validates the machine's invariants and collects the Result over
 // the measurement window (MeasuredCycles is the IPC denominator, so a
 // session that stepped Warmup, reset, then stepped Cycles returns
-// exactly Run's result). The session is closed afterwards: further
-// Step/Observe calls panic or error, a second Finish errors, and the
-// chip's L2 arrays go to the next machine built (cmp.Chip.Release).
+// exactly Run's result). The Result shares nothing with the machine.
+//
+// The session is closed afterwards and never touches the machine again:
+// Step, ResetMeasurement and Snapshot panic, Observe and a second Finish
+// error, and MeasuredCycles reports the final window. The machine goes to
+// the next session opened on its configuration, possibly on another
+// goroutine, unless its invariants failed.
 func (s *Session) Finish() (*Result, error) {
-	if s.finished {
+	if s.m == nil {
 		return nil, fmt.Errorf("sim: session already finished")
 	}
 	measured := s.MeasuredCycles()
 	if measured == 0 {
 		return nil, fmt.Errorf("sim: session finished with an empty measurement window")
 	}
-	s.finished = true
-	res, err := collect(s.chip, s.opt, measured)
-	s.chip.Release()
+	res, err := collect(s.m.chip, s.opt, measured)
+	if err == nil && s.reuse {
+		s.m.release()
+	}
+	s.m, s.measured = nil, measured
 	return res, err
 }

@@ -15,8 +15,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/policy"
 	"repro/internal/stats"
-	"repro/internal/synth"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -234,11 +232,14 @@ func (r *Result) Summary() Summary {
 // the one run-to-completion driver; RunGang calls it once per member.
 // Its output is bit-identical to the pre-Session one-shot driver
 // (test-enforced with golden fingerprints).
-func Run(opt Options) (*Result, error) {
+func Run(opt Options) (*Result, error) { return run(opt, true) }
+
+// run is Run on a Session opened with open's reuse.
+func run(opt Options, reuse bool) (*Result, error) {
 	if opt.Cycles == 0 {
 		return nil, fmt.Errorf("sim: zero cycle budget")
 	}
-	s, err := Open(opt)
+	s, err := open(opt, reuse)
 	if err != nil {
 		return nil, err
 	}
@@ -265,90 +266,6 @@ func Run(opt Options) (*Result, error) {
 		res.Samples = rec.Points
 	}
 	return res, nil
-}
-
-// buildChip assembles the machine, workload sources and policies for one
-// run, including functional L2 pre-warming. Split from Run so tests can
-// measure the cycle loop (allocations, throughput) apart from
-// construction.
-func buildChip(opt Options) (*cmp.Chip, error) {
-	cores := opt.Cores
-	if cores == 0 {
-		if len(opt.ThreadTraces) > 0 {
-			cores = replayCores(opt, len(opt.ThreadTraces))
-		} else {
-			cores = opt.Workload.Cores()
-		}
-	}
-	cfg := config.Default(cores)
-	cfg.Seed = opt.Seed
-	if opt.Tweak != nil {
-		opt.Tweak(&cfg)
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: tweaked config invalid: %w", err)
-		}
-	}
-
-	var profiles []synth.Profile
-	threadsPerCore := cfg.Core.ThreadsPerCore
-	if len(opt.ThreadTraces) > 0 {
-		if len(opt.ThreadTraces) > cores*threadsPerCore {
-			return nil, fmt.Errorf("sim: %d traces need more than the %d available contexts",
-				len(opt.ThreadTraces), cores*threadsPerCore)
-		}
-		for i, tr := range opt.ThreadTraces {
-			if len(tr) == 0 {
-				return nil, fmt.Errorf("sim: trace %d is empty", i)
-			}
-		}
-	} else {
-		var err error
-		profiles, err = opt.Workload.Profiles()
-		if err != nil {
-			return nil, err
-		}
-		if len(profiles) > cores*threadsPerCore {
-			return nil, fmt.Errorf("sim: workload %s needs %d contexts, machine has %d",
-				opt.Workload.Name, len(profiles), cores*threadsPerCore)
-		}
-	}
-
-	policies := make([]policy.Policy, cores)
-	sources := make([][]trace.Source, cores)
-	bases := make([][]uint64, cores)
-	for c := 0; c < cores; c++ {
-		p, err := opt.Policy.Build(&cfg)
-		if err != nil {
-			return nil, err
-		}
-		policies[c] = p
-		for t := 0; t < threadsPerCore; t++ {
-			g := c*threadsPerCore + t
-			seed, base := ReplayStream(opt.Seed, g)
-			var src trace.Source
-			if len(opt.ThreadTraces) > 0 {
-				// Replay mode: threads beyond the supplied traces
-				// re-run them modulo the trace count.
-				src = trace.NewSliceSource(opt.ThreadTraces[g%len(opt.ThreadTraces)])
-			} else {
-				// Threads beyond the workload re-run it modulo its size
-				// (never happens for the paper's workloads, which
-				// exactly fill the machine).
-				src = synth.NewGenerator(profiles[g%len(profiles)], seed, base)
-			}
-			sources[c] = append(sources[c], src)
-			bases[c] = append(bases[c], base)
-		}
-	}
-
-	chip, err := cmp.New(cfg, policies, sources, bases)
-	if err != nil {
-		return nil, err
-	}
-	if len(profiles) > 0 {
-		prewarm(chip, profiles, bases)
-	}
-	return chip, nil
 }
 
 // ReplayStream returns the generator seed and address base thread g of a
@@ -379,51 +296,6 @@ func replayCores(opt Options, nTraces int) int {
 	return (nTraces + tpc - 1) / tpc
 }
 
-// prewarm functionally fills the chip's L2 with each thread's data
-// footprint, interleaved across threads so each retains a proportional
-// share. The paper's 120M-cycle runs reach this steady state on their
-// own; our shorter windows would otherwise keep reporting virgin-page
-// cold misses that no real steady state contains. Footprints larger than
-// twice the L2 are skipped: they churn the cache regardless, so
-// prewarming them would only distort LRU state.
-func prewarm(chip *cmp.Chip, profiles []synth.Profile, bases [][]uint64) {
-	geom := chip.Config().Mem.L2
-	capBytes, line := uint64(2*geom.SizeBytes), uint64(geom.LineBytes)
-	type cursor struct {
-		next, end uint64
-	}
-	var cursors []cursor
-	idx := 0
-	for c := range bases {
-		for t := range bases[c] {
-			prof := profiles[idx%len(profiles)]
-			idx++
-			if prof.FootprintBytes > capBytes {
-				continue
-			}
-			// Matches the generator's data placement (base + 1GB).
-			dataBase := bases[c][t] + 1<<30
-			cursors = append(cursors, cursor{next: dataBase, end: dataBase + prof.FootprintBytes})
-		}
-	}
-	l2 := chip.L2().Cache()
-	for {
-		progressed := false
-		for i := range cursors {
-			cu := &cursors[i]
-			if cu.next >= cu.end {
-				continue
-			}
-			l2.Fill(cu.next)
-			cu.next += line
-			progressed = true
-		}
-		if !progressed {
-			return
-		}
-	}
-}
-
 // collect folds the chip's accumulated measurements into a Result over a
 // measurement window of `cycles` cycles (the IPC denominator).
 func collect(chip *cmp.Chip, opt Options, cycles uint64) (*Result, error) {
@@ -440,10 +312,12 @@ func collect(chip *cmp.Chip, opt Options, cycles uint64) (*Result, error) {
 		}
 	}
 	res := &Result{
-		Workload:   name,
-		Policy:     opt.Policy.String(),
-		Cycles:     cycles,
-		HitLatency: chip.L2().HitLatency(),
+		Workload: name,
+		Policy:   opt.Policy.String(),
+		Cycles:   cycles,
+		// A copy: the machine's own histogram is reset in place for
+		// the next job it runs.
+		HitLatency: chip.L2().HitLatency().Clone(),
 	}
 	var total uint64
 	for _, c := range chip.Cores() {

@@ -31,6 +31,19 @@ func NewHistogram(bound int) *Histogram {
 	return &Histogram{counts: make([]uint64, bound), min: -1, max: -1}
 }
 
+// Reset empties the histogram, keeping its bound and buckets' storage.
+func (h *Histogram) Reset() {
+	clear(h.counts)
+	*h = Histogram{counts: h.counts, min: -1, max: -1}
+}
+
+// Clone returns an independent copy of the histogram.
+func (h *Histogram) Clone() *Histogram {
+	c := *h
+	c.counts = append([]uint64(nil), h.counts...)
+	return &c
+}
+
 // Add records one sample. Negative samples panic: latencies cannot be
 // negative and a negative value always indicates a simulator bug.
 func (h *Histogram) Add(v int) {
@@ -245,6 +258,13 @@ func (s *Set) AppendDeltas(dst []Delta, base []uint64) []Delta {
 	return dst
 }
 
+// Reset zeroes every counter, keeping the array's storage: the set then
+// reads and grows exactly as the zero value does.
+func (s *Set) Reset() {
+	clear(s.dense)
+	s.dense = s.dense[:0]
+}
+
 // Bump adds delta to the registered counter. This is the hot-path
 // increment: one bounds check and one add once the array is grown.
 func (s *Set) Bump(id CounterID, delta uint64) {
@@ -254,12 +274,17 @@ func (s *Set) Bump(id CounterID, delta uint64) {
 	s.dense[id] += delta
 }
 
-// growDense sizes the dense array to the current registry. Out-of-line so
-// Bump stays inlinable.
+// growDense sizes the dense array to the current registry, within its
+// capacity when that suffices (a Reset set's entries past its length are
+// zero). Out-of-line so Bump stays inlinable.
 func (s *Set) growDense() {
 	registryMu.RLock()
 	n := len(registryNames)
 	registryMu.RUnlock()
+	if n <= cap(s.dense) {
+		s.dense = s.dense[:n]
+		return
+	}
 	grown := make([]uint64, n)
 	copy(grown, s.dense)
 	s.dense = grown

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/resettest"
 )
 
 func TestHistogramBasics(t *testing.T) {
@@ -238,4 +240,33 @@ func mustPanic(t *testing.T, name string, f func()) {
 		}
 	}()
 	f()
+}
+
+// TestResetMatchesNew: a used histogram and counter set equal new ones
+// field for field after Reset, a reset set grows and reads as a new one,
+// and a Clone shares nothing with its original.
+func TestResetMatchesNew(t *testing.T) {
+	h := NewHistogram(16)
+	for v := range 40 {
+		h.Add(v)
+	}
+	c := h.Clone()
+	h.Reset()
+	if d := resettest.Diff(NewHistogram(16), h); d != "" {
+		t.Errorf("reset histogram differs from a new one at %s", d)
+	}
+	if c.Count() != 40 || c.Overflow() != 24 || c.Max() != 39 {
+		t.Errorf("clone changed with its original: %s", c)
+	}
+	id := MustRegister("stats.test_reset")
+	var s Set
+	s.Bump(id, 3)
+	s.Reset()
+	if d := resettest.Diff(&Set{}, &s); d != "" {
+		t.Errorf("reset set differs from a new one at %s", d)
+	}
+	s.Bump(id, 2)
+	if s.Value(id) != 2 || len(s.All()) != 1 {
+		t.Errorf("reset set reads %d (%v), want 2", s.Value(id), s.All())
+	}
 }

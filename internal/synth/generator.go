@@ -73,37 +73,48 @@ const (
 // data space so co-scheduled instances do not share cache lines (SPEC
 // multiprogrammed workloads share nothing). The profile must validate.
 func NewGenerator(prof Profile, seed uint64, addrBase uint64) *Generator {
+	g := &Generator{}
+	g.Reset(prof, seed, addrBase)
+	return g
+}
+
+// Reset rebuilds the generator in place for (prof, seed, addrBase),
+// refilling its block, region and chain arrays instead of allocating
+// them: it then emits exactly the stream NewGenerator(prof, seed,
+// addrBase) would. The profile must validate.
+func (g *Generator) Reset(prof Profile, seed uint64, addrBase uint64) {
 	if err := prof.Validate(); err != nil {
 		panic(err)
 	}
-	r := rng.New(seed ^ 0xC0FFEE)
-	g := &Generator{
+	r, zipf := g.r, g.regionZipf
+	if r == nil {
+		r = &rng.Rand{}
+	}
+	r.Seed(seed ^ 0xC0FFEE)
+	*g = Generator{
 		prof:      prof,
 		r:         r,
+		blocks:    g.blocks,
 		codeBase:  addrBase,
 		dataBase:  addrBase + 1<<30, // code and data live far apart
-		coldLines: int(prof.FootprintBytes / lineBytes),
-		coldPages: int(prof.FootprintBytes / pageBytes),
-		hotLines:  int(prof.HotBytes / lineBytes),
-	}
-	if g.coldLines < 1 {
-		g.coldLines = 1
-	}
-	if g.coldPages < 1 {
-		g.coldPages = 1
-	}
-	if g.hotLines < 1 {
-		g.hotLines = 1
+		coldLines: max(int(prof.FootprintBytes/lineBytes), 1),
+		coldPages: max(int(prof.FootprintBytes/pageBytes), 1),
+		hotLines:  max(int(prof.HotBytes/lineBytes), 1),
+		regions:   g.regions[:0],
+		callStack: g.callStack[:0],
+		chains:    g.chains[:0],
 	}
 	// Scattered accesses work over a small set of active pages
 	// ("regions") that occasionally migrate across the footprint. This
 	// is what gives real programs simultaneous page-level locality (few
 	// TLB misses) and line-level churn (many cache misses).
-	g.regions = make([]uint64, prof.Regions)
-	for i := range g.regions {
-		g.regions[i] = uint64(r.Intn(g.coldPages))
+	for range prof.Regions {
+		g.regions = append(g.regions, uint64(r.Intn(g.coldPages)))
 	}
-	g.regionZipf = rng.NewZipf(prof.Regions, 0.7)
+	if zipf == nil || zipf.N() != prof.Regions {
+		zipf = rng.NewZipf(prof.Regions, 0.7)
+	}
+	g.regionZipf = zipf
 	// Chain count from the dependency-distance knob: tighter dependency
 	// distances (higher DepGeoP) mean fewer independent chains.
 	nchains := int(2/prof.DepGeoP + 0.5)
@@ -113,20 +124,23 @@ func NewGenerator(prof Profile, seed uint64, addrBase uint64) *Generator {
 	if nchains > 8 {
 		nchains = 8
 	}
-	g.chains = make([]chainState, nchains)
+	for range nchains {
+		g.chains = append(g.chains, chainState{})
+	}
 	g.regsPerChain = 62 / nchains
 	g.buildCFG(r)
 	for i := range g.streams {
 		g.streams[i] = g.dataBase + uint64(r.Intn(g.coldLines))*lineBytes
 	}
-	g.cur = 0
-	return g
 }
 
 // buildCFG materialises the static blocks.
 func (g *Generator) buildCFG(r *rng.Rand) {
 	n := g.prof.CodeBlocks
-	g.blocks = make([]block, n)
+	if cap(g.blocks) < n {
+		g.blocks = make([]block, n)
+	}
+	g.blocks = g.blocks[:n]
 	pc := g.codeBase
 	for i := range g.blocks {
 		// Block lengths vary around the mean (at least 2).

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/resettest"
 )
 
 func TestAllProfilesValidate(t *testing.T) {
@@ -268,5 +269,33 @@ func BenchmarkGeneratorNext(b *testing.B) {
 	var in isa.Inst
 	for i := 0; i < b.N; i++ {
 		g.Next(&in)
+	}
+}
+
+// TestResetMatchesNew: a generator that ran one profile's stream and is
+// then Reset for another equals a new generator for it field for field,
+// and emits the same stream, whichever of the two has more blocks.
+func TestResetMatchesNew(t *testing.T) {
+	for _, pair := range [][2]string{{"mcf", "gzip"}, {"gzip", "mcf"}, {"art", "art"}} {
+		from, _ := ByName(pair[0])
+		to, _ := ByName(pair[1])
+		g := NewGenerator(from, 3, 1<<34)
+		var in isa.Inst
+		for range 5000 {
+			g.Next(&in)
+		}
+		g.Reset(to, 9, 2<<34)
+		fresh := NewGenerator(to, 9, 2<<34)
+		if d := resettest.Diff(fresh, g); d != "" {
+			t.Fatalf("%s -> %s: reset generator differs from a new one at %s", pair[0], pair[1], d)
+		}
+		var want isa.Inst
+		for i := range 5000 {
+			g.Next(&in)
+			fresh.Next(&want)
+			if in != want {
+				t.Fatalf("%s -> %s: instruction %d is %+v, new generator's %+v", pair[0], pair[1], i, in, want)
+			}
+		}
 	}
 }
