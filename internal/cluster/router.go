@@ -69,6 +69,11 @@ func (r *Router) Run(ctx context.Context, j campaign.Job) (campaign.Record, erro
 		return campaign.Record{}, ctx.Err()
 	}
 	defer func() { <-r.slots }()
+	// A free slot and a cancelled context can be ready at once, and select
+	// picks either: the cancellation wins.
+	if err := ctx.Err(); err != nil {
+		return campaign.Record{}, err
+	}
 	run := func(o sim.Options) (*sim.Result, error) {
 		j.StreamSamples(&o, r.OnSample)
 		return r.local(o)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/campaign"
@@ -48,5 +49,25 @@ func TestRouterLocalOnSample(t *testing.T) {
 	}
 	if len(points) != 0 {
 		t.Fatalf("unsampled job streamed %d samples", len(points))
+	}
+}
+
+// TestRouterCancelledJobNeverSimulates: a job whose context is cancelled
+// before it takes a local slot fails with the context's error and never
+// reaches the simulator, even when a slot is free at the same moment.
+func TestRouterCancelledJobNeverSimulates(t *testing.T) {
+	w, _ := workload.ByName("2W1")
+	runner := simtest.New()
+	r := NewRouter(nil, 1, runner.Run)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := range 50 {
+		j := campaign.Job{Workload: w, Policy: sim.SpecICOUNT, Seed: uint64(i), Cycles: 1000}
+		if _, err := r.Run(ctx, j); !errors.Is(err, context.Canceled) {
+			t.Fatalf("job %d: err = %v, want context.Canceled", i, err)
+		}
+	}
+	if n := runner.Total(); n != 0 {
+		t.Fatalf("%d cancelled jobs were simulated", n)
 	}
 }
