@@ -25,13 +25,12 @@
 // locally otherwise. Leases of dead workers are re-issued after
 // -lease-ttl, so a killed worker never loses work.
 //
-// With -state-dir the coordinator queue itself is durable: every
-// enqueue, lease and acknowledgement is write-ahead-logged (fsynced)
-// under the directory before it takes effect, and a restarted daemon
-// replays the log — resuming the interrupted campaign where it stopped,
-// with no job lost or double-counted. -wal-compact bounds the log's
-// tail between snapshot compactions. Without -state-dir the queue is
-// in-memory, exactly as before.
+// The coordinator queue itself is durable: every enqueue, lease and
+// acknowledgement is write-ahead-logged (fsynced) under -state-dir
+// (default: state/ beside -store) before it takes effect, and a
+// restarted daemon replays the log — resuming the interrupted campaign
+// where it stopped, with no job lost or double-counted. -wal-compact
+// bounds the log's tail between snapshot compactions.
 //
 // SIGTERM (or SIGINT) drains gracefully: new submissions get 503,
 // in-flight simulations finish and persist, then the daemon exits.
@@ -79,15 +78,18 @@ func run() error {
 	leaseTTL := flag.Duration("lease-ttl", cluster.DefaultLeaseTTL,
 		"drop fleet workers silent for this long and re-issue their leased jobs")
 	stateDir := flag.String("state-dir", "",
-		"directory for the durable coordinator queue (WAL + snapshot); requires -cluster; empty: in-memory queue")
+		"directory for the durable coordinator queue (WAL + snapshot); requires -cluster; empty: state/ beside -store")
 	walCompact := flag.Int("wal-compact", cluster.DefaultCompactEvery,
-		"WAL tail records between snapshot compactions (with -state-dir)")
+		"WAL tail records between snapshot compactions (with -cluster)")
 	debugAddr := flag.String("debug-addr", "",
 		"serve net/http/pprof and expvar on this private address (empty: disabled)")
 	flag.Parse()
 
 	if *stateDir != "" && !*clusterMode {
 		return errors.New("-state-dir requires -cluster (only the coordinator queue has durable state)")
+	}
+	if *stateDir == "" {
+		*stateDir = filepath.Join(filepath.Dir(*storePath), "state")
 	}
 
 	if dir := filepath.Dir(*storePath); dir != "." {
@@ -112,12 +114,9 @@ func run() error {
 			LeaseTTL:     *leaseTTL,
 			StateDir:     *stateDir,
 			CompactEvery: *walCompact,
-			// The store vouches for persisted results, letting WAL
-			// compaction drop acknowledgements the store already holds.
-			Persisted: func(key string) bool {
-				_, ok := store.Get(key)
-				return ok
-			},
+			// The store vouches for results it has fsynced, letting WAL
+			// compaction drop acknowledgements a power loss cannot take.
+			Persisted: store.Synced,
 		})
 		if err != nil {
 			return err
@@ -159,10 +158,7 @@ func run() error {
 
 	mode := "single-process"
 	if *clusterMode {
-		mode = fmt.Sprintf("cluster coordinator, lease TTL %s", *leaseTTL)
-		if *stateDir != "" {
-			mode += ", durable queue in " + *stateDir
-		}
+		mode = fmt.Sprintf("cluster coordinator, lease TTL %s, durable queue in %s", *leaseTTL, *stateDir)
 	}
 	log.Printf("mflushd: serving on %s (store %s, %d cached results, %s)",
 		ln.Addr(), *storePath, store.Len(), mode)

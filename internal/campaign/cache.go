@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -12,7 +11,7 @@ import (
 // callers request it or how often the process restarts. The first caller
 // for a key becomes the leader and runs the simulation; callers arriving
 // while it is in flight wait for the leader's result instead of starting
-// a duplicate run; later callers are served from memory or the store.
+// a duplicate run; later callers are served from the store.
 // The daemon (internal/server) keeps one Cache shared by every campaign,
 // which is what makes identical requests from different clients free.
 //
@@ -23,14 +22,12 @@ type Cache struct {
 	// run executes a miss: it sees the whole Job and the leader's
 	// context, so it may route the job to a remote worker (the cluster
 	// router) instead of simulating in process.
-	run   func(context.Context, Job) (Record, error)
+	run func(context.Context, Job) (Record, error)
+	// store serves every completed record from disk, so the cache's
+	// memory does not grow with the results it has seen.
 	store *Store
 
-	mu sync.Mutex
-	// done memoises completed records only when no store backs the
-	// cache; with a store, the store serves every record from disk, so
-	// the cache's memory does not grow with the results it has seen.
-	done     map[string]Record
+	mu       sync.Mutex
 	inflight map[string]*flight // keys currently simulating
 	hits     uint64
 	misses   uint64
@@ -45,9 +42,9 @@ type flight struct {
 	err  error
 }
 
-// NewCache returns a cache backed by store (nil: in-memory only, results
-// live for the process lifetime) executing misses with run, which
-// receives the full Job and the leader caller's context. The daemon's
+// NewCache returns a cache backed by store executing misses with run,
+// which receives the full Job and the leader caller's context. store is
+// required: NewCache panics on a nil one. The daemon's
 // run is the cluster router: it may send the job to a remote worker
 // (and honour cancellation while the job is still queued) instead of
 // simulating in process. run must return a Record a local run would
@@ -57,19 +54,20 @@ type flight struct {
 // cache survives restarts with the same crash-consistency guarantees as
 // campaign resume.
 func NewCache(store *Store, run func(context.Context, Job) (Record, error)) *Cache {
+	if store == nil {
+		panic("campaign: a result cache needs a store; open one with campaign.OpenStore")
+	}
 	return &Cache{
 		run:      run,
 		store:    store,
-		done:     make(map[string]Record),
 		inflight: make(map[string]*flight),
 	}
 }
 
 // Do returns the record for job j, computing it at most once per key
-// across all concurrent callers and, when a store backs the cache, across
-// process restarts. hit reports whether the result was served without a
-// fresh simulation (from memory, the store, or another caller's in-flight
-// run). Errors are never cached: a failed job can be retried. A caller
+// across all concurrent callers and across process restarts. hit reports
+// whether the result was served without a fresh simulation (from the
+// store or another caller's in-flight run). Errors are never cached: a failed job can be retried. A caller
 // waiting on another caller's in-flight run returns ctx.Err() if ctx is
 // cancelled first; a leader running a local simulation always finishes it
 // (runs are not interruptible) so the store never loses a completed
@@ -79,7 +77,7 @@ func NewCache(store *Store, run func(context.Context, Job) (Record, error)) *Cac
 func (c *Cache) Do(ctx context.Context, j Job) (rec Record, hit bool, err error) {
 	key := j.Key()
 	c.mu.Lock()
-	if rec, ok := c.lookup(key); ok {
+	if rec, ok := c.store.Get(key); ok {
 		c.hits++
 		c.mu.Unlock()
 		return relabel(rec, j), true, nil
@@ -116,9 +114,6 @@ func (c *Cache) Do(ctx context.Context, j Job) (rec Record, hit bool, err error)
 
 	f.rec, f.err = c.compute(ctx, j, key)
 	c.mu.Lock()
-	if f.err == nil && c.store == nil {
-		c.done[key] = f.rec // the store, when present, already holds it
-	}
 	delete(c.inflight, key)
 	c.mu.Unlock()
 	close(f.done)
@@ -149,34 +144,24 @@ func (c *Cache) Waiting() int { return int(c.waiting.Load()) }
 func (c *Cache) Contains(j Job) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.lookup(j.Key())
+	_, ok := c.store.Get(j.Key())
 	return ok
 }
 
 // Lookup returns the completed record for j without executing or
-// waiting for anything: it consults memory and the store but never
-// joins an in-flight run. Counts as a cache hit when it succeeds.
+// waiting for anything: it consults the store but never joins an
+// in-flight run. Counts as a cache hit when it succeeds.
 // Schedulers use it to serve already-cached jobs before their worker
 // pool, so a fully-cached campaign costs no queueing.
 func (c *Cache) Lookup(j Job) (Record, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rec, ok := c.lookup(j.Key())
+	rec, ok := c.store.Get(j.Key())
 	if !ok {
 		return Record{}, false
 	}
 	c.hits++
 	return relabel(rec, j), true
-}
-
-// lookup consults the completed-record index — the store's when one
-// backs the cache, the in-memory map otherwise. The caller holds c.mu.
-func (c *Cache) lookup(key string) (Record, bool) {
-	if c.store != nil {
-		return c.store.Get(key)
-	}
-	rec, ok := c.done[key]
-	return rec, ok
 }
 
 // compute executes the miss through the runner and persists the record.
@@ -186,10 +171,8 @@ func (c *Cache) compute(ctx context.Context, j Job, key string) (Record, error) 
 		return Record{}, err
 	}
 	rec.Key = key // the store must index by this job's key, whatever the runner set
-	if c.store != nil {
-		if err := c.store.Append(rec); err != nil {
-			return Record{}, err
-		}
+	if err := c.store.Append(rec); err != nil {
+		return Record{}, err
 	}
 	return rec, nil
 }
@@ -202,35 +185,19 @@ func relabel(rec Record, j Job) Record {
 }
 
 // Len returns the number of distinct results the cache can serve without
-// simulating: records completed or observed this process plus everything
-// in the backing store.
+// simulating: everything in the backing store.
 func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.store == nil {
-		return len(c.done)
-	}
 	return c.store.Len()
 }
 
 // Keys returns the sorted job keys of every result the cache can serve
 // — the content-addressed index the daemon's cache endpoint exposes.
 func (c *Cache) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.store != nil {
-		return c.store.Keys()
-	}
-	keys := make([]string, 0, len(c.done))
-	for k := range c.done {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return c.store.Keys()
 }
 
 // Stats returns how many Do calls were served without a fresh simulation
-// (hits — memory, store, or in-flight joins) and how many started one
+// (hits — store reads or in-flight joins) and how many started one
 // (misses).
 func (c *Cache) Stats() (hits, misses uint64) {
 	c.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,6 +29,29 @@ func testJobs(t *testing.T, seeds ...uint64) []Job {
 	return jobs
 }
 
+// tempStore opens an empty store in the test's temporary directory,
+// closed when the test ends.
+func tempStore(t *testing.T) *Store {
+	t.Helper()
+	store, err := OpenStore(filepath.Join(t.TempDir(), "results.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return store
+}
+
+// TestCacheNeedsStore: a cache without a store panics at construction
+// with a message that names the fix, not at its first miss.
+func TestCacheNeedsStore(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "needs a store") {
+			t.Fatalf("NewCache(nil, ...) panic = %q, want the needs-a-store message", msg)
+		}
+	}()
+	NewCache(nil, simulate(simtest.New().Run))
+}
+
 // simulate adapts an options-level runner into the cache's job-level
 // runner, executing each miss in process through RunGroup.
 func simulate(run func(sim.Options) (*sim.Result, error)) func(context.Context, Job) (Record, error) {
@@ -43,7 +67,7 @@ func simulate(run func(sim.Options) (*sim.Result, error)) func(context.Context, 
 func TestCacheSingleFlight(t *testing.T) {
 	r := simtest.New()
 	r.Gate = make(chan struct{})
-	c := NewCache(nil, simulate(r.Run))
+	c := NewCache(tempStore(t), simulate(r.Run))
 	jobs := testJobs(t, 1)
 
 	const callers = 8
@@ -218,7 +242,7 @@ func TestCacheStatsAcrossRestart(t *testing.T) {
 func TestCacheDoesNotCacheErrors(t *testing.T) {
 	r := simtest.New()
 	r.Fail = true
-	c := NewCache(nil, simulate(r.Run))
+	c := NewCache(tempStore(t), simulate(r.Run))
 	j := testJobs(t, 1)[0]
 	if _, _, err := c.Do(context.Background(), j); err == nil {
 		t.Fatal("failed run reported no error")
@@ -242,7 +266,7 @@ func TestCacheDoesNotCacheErrors(t *testing.T) {
 func TestCacheWaiterHonoursContext(t *testing.T) {
 	r := simtest.New()
 	r.Gate = make(chan struct{})
-	c := NewCache(nil, simulate(r.Run))
+	c := NewCache(tempStore(t), simulate(r.Run))
 	j := testJobs(t, 1)[0]
 
 	leaderDone := make(chan struct{})
@@ -267,7 +291,7 @@ func TestCacheWaiterHonoursContext(t *testing.T) {
 
 func TestCacheRelabelsTweak(t *testing.T) {
 	r := simtest.New()
-	c := NewCache(nil, simulate(r.Run))
+	c := NewCache(tempStore(t), simulate(r.Run))
 	mk := func(name string) Job {
 		jobs, err := Spec{
 			Workloads: []string{"2W1"}, Policies: []string{"ICOUNT"},
@@ -293,7 +317,7 @@ func TestCacheRelabelsTweak(t *testing.T) {
 
 func TestRunCachedSharedScheduler(t *testing.T) {
 	r := simtest.New()
-	c := NewCache(nil, simulate(r.Run))
+	c := NewCache(tempStore(t), simulate(r.Run))
 	sched := &Scheduler{Workers: 4}
 	jobs := testJobs(t, 1, 2, 3)
 
@@ -337,7 +361,7 @@ func TestRunCachedSharedScheduler(t *testing.T) {
 func TestRunCachedCancellation(t *testing.T) {
 	r := simtest.New()
 	r.Gate = make(chan struct{})
-	c := NewCache(nil, simulate(r.Run))
+	c := NewCache(tempStore(t), simulate(r.Run))
 	sched := &Scheduler{Workers: 1}
 	jobs := testJobs(t, 1, 2, 3)
 
@@ -371,7 +395,7 @@ func TestRunCachedCancellation(t *testing.T) {
 // long-running simulations.
 func TestRunCachedServesHitsWithoutSlots(t *testing.T) {
 	r := simtest.New()
-	c := NewCache(nil, simulate(r.Run))
+	c := NewCache(tempStore(t), simulate(r.Run))
 	sched := &Scheduler{Workers: 1}
 	cachedJobs := testJobs(t, 1)
 	if _, err := sched.RunCached(context.Background(), cachedJobs, c, nil); err != nil {

@@ -45,6 +45,9 @@ type Store struct {
 	// index maps each completed key to its record's line, the last one
 	// when a key was appended more than once.
 	index map[string]span
+	// end is the file size; synced is how much of it the last fsync
+	// covered (none at open).
+	end, synced int64
 }
 
 // span locates one record line (without its newline) in the store file.
@@ -88,7 +91,7 @@ func OpenStore(path string) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("campaign: open store: %w", err)
 	}
-	s.f, s.r = f, r
+	s.f, s.r, s.end = f, r, off
 	return s, nil
 }
 
@@ -156,7 +159,31 @@ func (s *Store) Append(rec Record) error {
 		return fmt.Errorf("campaign: append record: %w", err)
 	}
 	s.index[rec.Key] = span{off: end - int64(len(line)), n: len(line) - 1}
+	s.end = end
 	return nil
+}
+
+// Synced reports whether the record for a job key is on stable storage,
+// fsyncing the file first when the key's line lies past what the last
+// fsync covered. Append does not sync, so Get can see a record that a
+// power loss would still take; Synced is the check to use before
+// dropping any other copy of the record. It reports false for an
+// unknown key and when the sync fails (for example after Close).
+func (s *Store) Synced(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sp, ok := s.index[key]
+	if !ok {
+		return false
+	}
+	if sp.off+int64(sp.n) < s.synced {
+		return true
+	}
+	if err := s.f.Sync(); err != nil {
+		return false
+	}
+	s.synced = s.end
+	return true
 }
 
 // Close releases the backing file handles.

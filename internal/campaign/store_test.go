@@ -50,6 +50,47 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreSynced: Synced vouches only for records it has made durable.
+// An appended record is synced on demand; an unknown key is not; and a
+// closed store cannot sync, so a record appended before Close but never
+// synced reads as not durable rather than as safe to drop elsewhere.
+func TestStoreSynced(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	s, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(testRecord("k1", "2W1", "ICOUNT", 1, 1.5)); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Synced("k1") {
+		t.Fatal("Synced(k1) = false after Append")
+	}
+	if s.Synced("nope") {
+		t.Fatal("Synced reports an unknown key as durable")
+	}
+	if err := s.Append(testRecord("k2", "2W1", "MFLUSH", 1, 1.8)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if s.Synced("k2") {
+		t.Fatal("Synced(k2) = true after Close, though nothing synced it")
+	}
+
+	// A reopened store has synced nothing yet; its first Synced syncs.
+	s, err = OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Synced("k2") {
+		t.Fatal("Synced(k2) = false on the reopened store")
+	}
+	s.Close()
+	if s.Synced("k3") {
+		t.Fatal("Synced reports an unknown key as durable after Close")
+	}
+}
+
 // TestStoreReadsRecordsBack: the store keeps only line positions in
 // memory, so every Get decodes the record from disk. The record must come
 // back whole, a re-appended key must serve its latest line, a caller

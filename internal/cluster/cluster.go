@@ -1,9 +1,11 @@
 // Package cluster distributes campaign jobs across a fleet of worker
-// processes. The daemon side is a Coordinator — a lease-based in-memory
-// job queue: workers register, lease batches of content-hash-keyed
-// jobs, simulate them, and post the results back; a worker that stops
-// heartbeating for a lease TTL is presumed dead and its leased jobs are
-// re-issued, so a killed worker never loses work. The worker side is
+// processes. The daemon side is a Coordinator — a lease-based job queue
+// write-ahead-logged under a state directory: workers register, lease
+// batches of content-hash-keyed jobs, simulate them, and post the
+// results back; a worker that stops heartbeating for a lease TTL is
+// presumed dead and its leased jobs are re-issued, so a killed worker
+// never loses work, and a restarted daemon replays the log, so a killed
+// daemon does not either. The worker side is
 // Worker, a pull loop over the daemon's /v1/workers HTTP endpoints
 // (cmd/mflushworker is its binary).
 //
@@ -26,6 +28,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -64,10 +67,9 @@ type Config struct {
 	// long is dropped and its leased jobs re-queued (<= 0:
 	// DefaultLeaseTTL). Workers heartbeat at a fraction of it.
 	LeaseTTL time.Duration
-	// StateDir, when non-empty, makes the queue durable: OpenCoordinator
-	// write-ahead-logs every transition under this directory and replays
-	// the log at boot, so a daemon restart resumes mid-campaign.
-	// NewCoordinator ignores it (in-memory queue, today's behaviour).
+	// StateDir holds the queue's write-ahead log: OpenCoordinator logs
+	// every transition under this directory and replays the log at boot,
+	// so a daemon restart resumes mid-campaign. Required.
 	StateDir string
 	// CompactEvery bounds the WAL tail: once this many records
 	// accumulate since the last snapshot, the next transition folds the
@@ -85,7 +87,7 @@ type Config struct {
 // Coordinator is the fleet's job queue: Dispatch parks campaign jobs
 // here, workers drain them via Register/Lease/Complete, and a reaper
 // re-issues the leases of dead workers. All methods are safe for
-// concurrent use. Create with NewCoordinator; Close releases the reaper
+// concurrent use. Create with OpenCoordinator; Close releases the reaper
 // and fails everything still queued.
 type Coordinator struct {
 	ttl time.Duration
@@ -103,12 +105,9 @@ type Coordinator struct {
 	workers map[string]*workerState
 	tasks   map[string]*task // every queued-or-leased job by key
 	pending []*task          // FIFO of unleased tasks
-	// requeued counts leases taken back from dead or departing workers
-	// and re-issued — the fleet's churn metric, served by /v1/workers.
-	requeued uint64
 	// Lease lifecycle counters behind /metrics: every grant, every TTL
 	// expiry, every forfeiture (clean deregister requeues plus leases a
-	// dead incarnation held). requeued == leasesExpired+leasesForfeited.
+	// dead incarnation held). Requeues is expired plus forfeited.
 	leasesIssued    uint64
 	leasesExpired   uint64
 	leasesForfeited uint64
@@ -118,7 +117,6 @@ type Coordinator struct {
 	wake chan struct{} // closed+replaced when pending grows
 	done chan struct{} // closed by Close; stops the reaper
 
-	// Durability state; all nil/zero for an in-memory coordinator.
 	wal          *wal
 	compactEvery int
 	persisted    func(key string) bool
@@ -165,58 +163,45 @@ type task struct {
 	err  error
 }
 
-// NewCoordinator returns a running in-memory coordinator and starts its
-// reaper. Config.StateDir is ignored here — a durable queue comes from
-// OpenCoordinator.
-func NewCoordinator(cfg Config) *Coordinator {
-	c := newCoordinator(cfg)
-	go c.reaper()
-	return c
-}
-
-// newCoordinator builds the coordinator without starting the reaper.
-func newCoordinator(cfg Config) *Coordinator {
-	ttl := cfg.LeaseTTL
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
-	}
-	epoch := make([]byte, 4)
-	rand.Read(epoch)
-	return &Coordinator{
-		ttl:     ttl,
-		epoch:   hex.EncodeToString(epoch),
-		workers: make(map[string]*workerState),
-		tasks:   make(map[string]*task),
-		wake:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-}
-
 // OpenCoordinator returns a running coordinator whose queue is durable
 // under cfg.StateDir: every transition is write-ahead-logged (and
 // fsynced) before it takes effect, and opening an existing state
 // directory replays the log, re-queueing the dead incarnation's
 // unfinished jobs (leases forfeited — their worker IDs belong to a dead
 // epoch) and carrying its acknowledged-but-possibly-unpersisted results
-// forward. Recovered() reports what was restored. With an empty
-// StateDir this is exactly NewCoordinator.
+// forward. Recovered() reports what was restored. An empty StateDir is
+// an error.
 func OpenCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.StateDir == "" {
-		return NewCoordinator(cfg), nil
+		return nil, errors.New("cluster: Config.StateDir is required")
 	}
 	w, st, err := openWAL(cfg.StateDir)
 	if err != nil {
 		return nil, err
 	}
-	c := newCoordinator(cfg)
-	c.wal = w
-	c.compactEvery = cfg.CompactEvery
-	if c.compactEvery <= 0 {
-		c.compactEvery = DefaultCompactEvery
+	ttl := cfg.LeaseTTL
+	if ttl <= 0 {
+		ttl = DefaultLeaseTTL
 	}
-	c.persisted = cfg.Persisted
-	c.settled = make(map[string]campaign.Record)
-	c.recovery = recoveryFromState(st)
+	compactEvery := cfg.CompactEvery
+	if compactEvery <= 0 {
+		compactEvery = DefaultCompactEvery
+	}
+	epoch := make([]byte, 4)
+	rand.Read(epoch)
+	c := &Coordinator{
+		ttl:          ttl,
+		epoch:        hex.EncodeToString(epoch),
+		workers:      make(map[string]*workerState),
+		tasks:        make(map[string]*task),
+		wake:         make(chan struct{}),
+		done:         make(chan struct{}),
+		wal:          w,
+		compactEvery: compactEvery,
+		persisted:    cfg.Persisted,
+		settled:      make(map[string]campaign.Record),
+		recovery:     recoveryFromState(st),
+	}
 	for _, wire := range c.recovery.Jobs {
 		j, err := wire.Job()
 		if err != nil || j.Key() != wire.Key {
@@ -230,7 +215,6 @@ func OpenCoordinator(cfg Config) (*Coordinator, error) {
 		c.pending = append(c.pending, t)
 	}
 	// Forfeited leases become plain pending jobs; count the churn.
-	c.requeued += uint64(len(c.recovery.Forfeited))
 	c.leasesForfeited += uint64(len(c.recovery.Forfeited))
 	for _, rec := range c.recovery.Orphans {
 		c.settled[rec.Key] = rec
@@ -246,10 +230,9 @@ func OpenCoordinator(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Recovered reports what a durable coordinator restored from its
-// write-ahead log at boot — zero-valued for a fresh state directory or
-// an in-memory coordinator. The returned value is shared; treat it as
-// read-only.
+// Recovered reports what the coordinator restored from its write-ahead
+// log at boot — zero-valued for a fresh state directory. The returned
+// value is shared; treat it as read-only.
 func (c *Coordinator) Recovered() Recovery { return c.recovery }
 
 // LeaseTTL returns the worker-liveness horizon the coordinator enforces
@@ -259,20 +242,18 @@ func (c *Coordinator) LeaseTTL() time.Duration { return c.ttl }
 // Close shuts the queue down: every queued or leased task fails with
 // ErrClosed (releasing its Dispatch callers), the reaper stops, and all
 // later calls fail. The daemon closes the coordinator after draining,
-// so no campaign is waiting by then in the normal path. A durable
-// coordinator first compacts a final snapshot — still-queued jobs stay
-// in the WAL as live, so the next boot resumes them.
+// so no campaign is waiting by then in the normal path. Close first
+// compacts a final snapshot — still-queued jobs stay in the WAL as live,
+// so the next boot resumes them.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return
 	}
-	if c.wal != nil {
-		// Best-effort: an unwritable final snapshot leaves the previous
-		// snapshot+tail, which replay to the same state.
-		c.wal.compact(c.snapshotLocked())
-	}
+	// Best-effort: an unwritable final snapshot leaves the previous
+	// snapshot+tail, which replay to the same state.
+	c.wal.compact(c.snapshotLocked())
 	c.shutdownLocked()
 }
 
@@ -304,9 +285,7 @@ func (c *Coordinator) shutdownLocked() {
 		clear(w.leased)
 	}
 	close(c.done)
-	if c.wal != nil {
-		c.wal.close()
-	}
+	c.wal.close()
 }
 
 // snapshotLocked flattens the current queue into WAL records: live
@@ -366,7 +345,7 @@ func (c *Coordinator) snapshotLocked() []walRecord {
 // already durable in the tail, and the next transition retries. The
 // caller holds c.mu.
 func (c *Coordinator) maybeCompactLocked() {
-	if c.wal == nil || c.wal.tailRecs < c.compactEvery {
+	if c.wal.tailRecs < c.compactEvery {
 		return
 	}
 	c.wal.compact(c.snapshotLocked())
@@ -377,7 +356,7 @@ func (c *Coordinator) maybeCompactLocked() {
 // re-derives a safe state anyway — a missed requeue record merely
 // leaves a lease to forfeit at the next boot. The caller holds c.mu.
 func (c *Coordinator) logBestEffort(recs ...walRecord) {
-	if c.wal == nil || len(recs) == 0 {
+	if len(recs) == 0 {
 		return
 	}
 	c.wal.append(recs...)
@@ -416,51 +395,26 @@ func (c *Coordinator) reapLocked() {
 		return
 	}
 	now := time.Now()
-	var requeues []walRecord
-	for id, w := range c.workers {
-		if now.Sub(w.lastSeen) <= c.ttl {
-			continue
+	for _, w := range c.workers {
+		if now.Sub(w.lastSeen) > c.ttl {
+			c.leasesExpired += c.dropWorkerLocked(w)
 		}
-		for key, t := range w.leased {
-			t.leasedBy = ""
-			c.requeued++
-			c.leasesExpired++
-			c.pending = append(c.pending, t)
-			delete(w.leased, key)
-			requeues = append(requeues, walRecord{Op: opRequeue, Key: key})
-		}
-		c.pm.remove(w)
-		delete(c.workers, id)
 	}
-	c.logBestEffort(requeues...)
 	if len(c.workers) == 0 && len(c.tasks) > 0 {
 		// Fleet gone: fail every task a dispatcher is waiting on, so the
 		// caller falls back to local simulation. Recovered tasks with no
 		// waiter yet stay queued — failing them would discard work no
 		// one is around to re-run; the recovery dispatcher attaches to
 		// (or withdraws) them when it arrives.
-		var stranded bool
 		var dequeues []walRecord
 		for key, t := range c.tasks {
 			if t.waiters == 0 {
 				continue
 			}
-			t.err = ErrNoWorkers
-			close(t.done)
-			delete(c.tasks, key)
+			c.settleLocked(key, t, campaign.Record{}, ErrNoWorkers)
 			dequeues = append(dequeues, walRecord{Op: opDequeue, Key: key})
-			stranded = true
 		}
-		if stranded {
-			live := c.pending[:0]
-			for _, t := range c.pending {
-				if _, ok := c.tasks[t.job.Key()]; ok {
-					live = append(live, t)
-				}
-			}
-			c.pending = live
-			c.logBestEffort(dequeues...)
-		}
+		c.logBestEffort(dequeues...)
 		return
 	}
 	if len(c.pending) > 0 {
@@ -474,17 +428,49 @@ func (c *Coordinator) wakeLocked() {
 	c.wake = make(chan struct{})
 }
 
+// dropWorkerLocked removes w from the fleet and takes back its leases:
+// each leased task goes back on pending, logged as a requeue. It returns
+// how many leases it took back, for the caller to count as expired or
+// forfeited. The caller holds c.mu.
+func (c *Coordinator) dropWorkerLocked(w *workerState) uint64 {
+	requeues := make([]walRecord, 0, len(w.leased))
+	for key, t := range w.leased {
+		t.leasedBy = ""
+		c.pending = append(c.pending, t)
+		requeues = append(requeues, walRecord{Op: opRequeue, Key: key})
+	}
+	clear(w.leased)
+	c.pm.remove(w)
+	delete(c.workers, w.id)
+	c.logBestEffort(requeues...)
+	return uint64(len(requeues))
+}
+
+// removeLocked takes a task out of the queue: out of tasks, and out of
+// pending or its worker's leases, so no worker is handed it again. The
+// caller holds c.mu.
+func (c *Coordinator) removeLocked(key string, t *task) {
+	delete(c.tasks, key)
+	if owner := c.workers[t.leasedBy]; owner != nil {
+		delete(owner.leased, key)
+	} else if i := slices.Index(c.pending, t); i >= 0 {
+		c.pending = slices.Delete(c.pending, i, i+1)
+	}
+}
+
+// settleLocked removes a task from the queue with its outcome and
+// releases its Dispatch callers. The caller holds c.mu.
+func (c *Coordinator) settleLocked(key string, t *task, rec campaign.Record, err error) {
+	c.removeLocked(key, t)
+	t.rec, t.err = rec, err
+	close(t.done)
+}
+
 // withdrawLocked removes an unleased, unwaited task from the queue and
 // logs its departure. Nobody holds its done channel, so nothing is
 // closed. The caller holds c.mu.
 func (c *Coordinator) withdrawLocked(key string, t *task) {
-	delete(c.tasks, key)
-	for i, p := range c.pending {
-		if p == t {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			break
-		}
-	}
+	c.removeLocked(key, t)
 	c.logBestEffort(walRecord{Op: opDequeue, Key: key})
 }
 
@@ -524,12 +510,10 @@ func (c *Coordinator) Dispatch(ctx context.Context, j campaign.Job) (campaign.Re
 	}
 	if t == nil {
 		t = &task{job: j, done: make(chan struct{})}
-		if c.wal != nil {
-			wire := j.Wire()
-			if err := c.wal.append(walRecord{Op: opEnqueue, Job: &wire}); err != nil {
-				c.mu.Unlock()
-				return campaign.Record{}, err
-			}
+		wire := j.Wire()
+		if err := c.wal.append(walRecord{Op: opEnqueue, Job: &wire}); err != nil {
+			c.mu.Unlock()
+			return campaign.Record{}, err
 		}
 		c.tasks[key] = t
 		c.pending = append(c.pending, t)
@@ -593,7 +577,7 @@ func (c *Coordinator) Pending() int {
 func (c *Coordinator) Requeues() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.requeued
+	return c.leasesExpired + c.leasesForfeited
 }
 
 // Register admits a worker to the fleet and returns its assigned state
@@ -633,18 +617,7 @@ func (c *Coordinator) Deregister(workerID string) error {
 	if w == nil {
 		return ErrUnknownWorker
 	}
-	var requeues []walRecord
-	for key, t := range w.leased {
-		t.leasedBy = ""
-		c.requeued++
-		c.leasesForfeited++
-		c.pending = append(c.pending, t)
-		delete(w.leased, key)
-		requeues = append(requeues, walRecord{Op: opRequeue, Key: key})
-	}
-	c.pm.remove(w)
-	delete(c.workers, workerID)
-	c.logBestEffort(requeues...)
+	c.leasesForfeited += c.dropWorkerLocked(w)
 	c.reapLocked() // strand check: this may have been the last worker
 	if len(c.pending) > 0 {
 		c.wakeLocked()
@@ -702,18 +675,16 @@ func (c *Coordinator) Lease(workerID string, max int, wait time.Duration, live L
 		}
 		if len(c.pending) > 0 {
 			n := min(max, len(c.pending))
-			if c.wal != nil {
-				// The grants go durable before the worker sees the
-				// batch, so a crash right after the response still
-				// knows which worker holds these jobs.
-				grants := make([]walRecord, 0, n)
-				for _, t := range c.pending[:n] {
-					grants = append(grants, walRecord{Op: opLease, Key: t.job.Key(), Worker: workerID})
-				}
-				if err := c.wal.append(grants...); err != nil {
-					c.mu.Unlock()
-					return nil, err
-				}
+			// The grants go durable before the worker sees the batch, so
+			// a crash right after the response still knows which worker
+			// holds these jobs.
+			grants := make([]walRecord, 0, n)
+			for _, t := range c.pending[:n] {
+				grants = append(grants, walRecord{Op: opLease, Key: t.job.Key(), Worker: workerID})
+			}
+			if err := c.wal.append(grants...); err != nil {
+				c.mu.Unlock()
+				return nil, err
 			}
 			faultpoint.Hit("cluster.lease.granted")
 			batch := make([]campaign.WireJob, 0, n)
@@ -783,62 +754,44 @@ func (c *Coordinator) Complete(workerID string, recs []campaign.Record, fails []
 		return 0, 0, ErrUnknownWorker
 	}
 	w.lastSeen = time.Now()
-	if c.wal != nil {
-		// Acks go durable — full records, fsynced — before the worker
-		// gets its 200 and before any waiter is released: a result a
-		// worker saw accepted can never be lost to a crash.
-		var acks []walRecord
-		for i := range recs {
-			if c.tasks[recs[i].Key] != nil {
-				acks = append(acks, walRecord{Op: opAck, Rec: &recs[i]})
-			}
+	// Acks go durable — full records, fsynced — before the worker gets
+	// its 200 and before any waiter is released: a result a worker saw
+	// accepted can never be lost to a crash.
+	var acks []walRecord
+	for i := range recs {
+		if c.tasks[recs[i].Key] != nil {
+			acks = append(acks, walRecord{Op: opAck, Rec: &recs[i]})
 		}
-		for _, f := range fails {
-			if c.tasks[f.Key] != nil {
-				acks = append(acks, walRecord{Op: opFail, Key: f.Key, Error: f.Error})
-			}
-		}
-		if len(acks) > 0 {
-			if err := c.wal.append(acks...); err != nil {
-				return 0, 0, err
-			}
-		}
-		faultpoint.Hit("cluster.ack.logged")
 	}
+	for _, f := range fails {
+		if c.tasks[f.Key] != nil {
+			acks = append(acks, walRecord{Op: opFail, Key: f.Key, Error: f.Error})
+		}
+	}
+	if len(acks) > 0 {
+		if err := c.wal.append(acks...); err != nil {
+			return 0, 0, err
+		}
+	}
+	faultpoint.Hit("cluster.ack.logged")
 	settle := func(key string, rec campaign.Record, failure error) {
 		t := c.tasks[key]
 		if t == nil {
 			duplicates++
 			return
 		}
-		if failure == nil && c.settled != nil {
+		if failure == nil {
 			// Park the result until the store confirms it (compaction
 			// asks Persisted): if the process dies before the waiter's
 			// store append — or the task had no waiter at all — the next
 			// boot re-serves it from here instead of re-running the job.
 			c.settled[key] = rec
-		}
-		t.rec, t.err = rec, failure
-		close(t.done)
-		delete(c.tasks, key)
-		if t.leasedBy != "" {
-			if owner := c.workers[t.leasedBy]; owner != nil {
-				delete(owner.leased, key)
-			}
-		} else {
-			// Completed while queued for re-issue: drop it from pending
-			// so no other worker leases a settled job.
-			for i, p := range c.pending {
-				if p == t {
-					c.pending = append(c.pending[:i], c.pending[i+1:]...)
-					break
-				}
-			}
-		}
-		accepted++
-		if failure == nil {
 			w.completed++
 		}
+		// A task completed while queued for re-issue leaves pending too,
+		// so no other worker leases a settled job.
+		c.settleLocked(key, t, rec, failure)
+		accepted++
 	}
 	for _, rec := range recs {
 		settle(rec.Key, rec, nil)

@@ -38,7 +38,10 @@ func testRecord(t *testing.T, j campaign.Job) campaign.Record {
 
 func newTestCoordinator(t *testing.T, ttl time.Duration) *Coordinator {
 	t.Helper()
-	c := NewCoordinator(Config{LeaseTTL: ttl})
+	c, err := OpenCoordinator(Config{LeaseTTL: ttl, StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(c.Close)
 	return c
 }
@@ -304,7 +307,7 @@ func TestWorkerFailurePropagates(t *testing.T) {
 // TestCloseReleasesEverything: Close fails queued dispatches and all
 // later calls.
 func TestCloseReleasesEverything(t *testing.T) {
-	c := NewCoordinator(Config{LeaseTTL: time.Minute})
+	c := newTestCoordinator(t, time.Minute)
 	if _, err := c.Register("w1", 1); err != nil {
 		t.Fatal(err)
 	}

@@ -56,9 +56,9 @@ func (pm *perWorkerMetrics) remove(w *workerState) {
 }
 
 // RegisterMetrics publishes the coordinator's observability surface into
-// r. Call it once, after OpenCoordinator/NewCoordinator and before the
-// first scrape; registering the same coordinator into two registries is
-// not supported (the per-worker and WAL handles are singletons).
+// r. Call it once, after OpenCoordinator and before the first scrape;
+// registering the same coordinator into two registries is not supported
+// (the per-worker and WAL handles are singletons).
 func (c *Coordinator) RegisterMetrics(r *metrics.Registry) {
 	locked := func(f func() float64) func() float64 {
 		return func() float64 {
@@ -104,8 +104,7 @@ func (c *Coordinator) RegisterMetrics(r *metrics.Registry) {
 		locked(func() float64 { return float64(c.leasesForfeited) }))
 
 	// Recovery is a boot-time fact: set once from what the WAL replay
-	// restored (all zero for an in-memory coordinator or a fresh state
-	// directory).
+	// restored (all zero for a fresh state directory).
 	r.Gauge("mflush_recovered_jobs", "Unfinished jobs re-queued from the WAL at the last boot.").
 		Set(float64(len(c.recovery.Jobs)))
 	r.Gauge("mflush_recovered_orphan_results", "Acknowledged results carried over from the WAL at the last boot.").
@@ -125,11 +124,9 @@ func (c *Coordinator) RegisterMetrics(r *metrics.Registry) {
 	for _, w := range c.workers {
 		pm.update(w)
 	}
-	if c.wal != nil {
-		c.wal.appendH = r.Histogram("mflush_wal_append_seconds", "WAL tail append latency (write, excluding fsync).", metrics.DefBuckets)
-		c.wal.fsyncH = r.Histogram("mflush_wal_fsync_seconds", "WAL tail fsync latency.", metrics.DefBuckets)
-		c.wal.compactH = r.Histogram("mflush_wal_compact_seconds", "WAL compaction latency (snapshot write, rename, tail truncate).", metrics.DefBuckets)
-		c.wal.compactions = r.Counter("mflush_wal_compactions_total", "WAL compactions performed.")
-	}
+	c.wal.appendH = r.Histogram("mflush_wal_append_seconds", "WAL tail append latency (write, excluding fsync).", metrics.DefBuckets)
+	c.wal.fsyncH = r.Histogram("mflush_wal_fsync_seconds", "WAL tail fsync latency.", metrics.DefBuckets)
+	c.wal.compactH = r.Histogram("mflush_wal_compact_seconds", "WAL compaction latency (snapshot write, rename, tail truncate).", metrics.DefBuckets)
+	c.wal.compactions = r.Counter("mflush_wal_compactions_total", "WAL compactions performed.")
 	c.mu.Unlock()
 }

@@ -101,8 +101,8 @@ func (s *walState) liveOrder() []string {
 	return keys
 }
 
-// Recovery describes what a durable coordinator (OpenCoordinator with a
-// StateDir) restored from its write-ahead log at boot. The daemon uses
+// Recovery describes what OpenCoordinator restored from the write-ahead
+// log in its state directory at boot. The daemon uses
 // it to resume an interrupted campaign: re-dispatch Jobs, and append
 // Orphans to the result store if they are missing there.
 type Recovery struct {

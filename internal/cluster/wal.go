@@ -13,12 +13,11 @@ import (
 	"repro/internal/metrics"
 )
 
-// The coordinator's write-ahead log. A durable coordinator
-// (OpenCoordinator with Config.StateDir) appends one JSONL record per
-// queue transition — job enqueued, lease granted, lease re-issued,
-// result acknowledged, job withdrawn — fsyncing before the transition
-// takes effect, so every state change a caller or worker has observed
-// survives a crash. The log lives in two files under the state
+// The coordinator's write-ahead log. The coordinator appends one JSONL
+// record per queue transition — job enqueued, lease granted, lease
+// re-issued, result acknowledged, job withdrawn — fsyncing before the
+// transition takes effect, so every state change a caller or worker has
+// observed survives a crash. The log lives in two files under the state
 // directory:
 //
 //	queue.snap   the last compaction: the whole queue state as a flat

@@ -341,20 +341,15 @@ func TestWALCloseResumesQueue(t *testing.T) {
 	}
 }
 
-// TestOpenCoordinatorWithoutStateDir: an empty StateDir must behave
-// exactly like NewCoordinator — no files, no recovery, Crash safe.
+// TestOpenCoordinatorWithoutStateDir: the queue is only ever kept on
+// disk, so an empty StateDir is refused rather than run in memory.
 func TestOpenCoordinatorWithoutStateDir(t *testing.T) {
 	c, err := OpenCoordinator(Config{LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), "StateDir is required") {
+		t.Fatalf("OpenCoordinator without a StateDir = %v, want the StateDir error", err)
 	}
-	rec := c.Recovered()
-	if len(rec.Jobs) != 0 || len(rec.Forfeited) != 0 || len(rec.Orphans) != 0 {
-		t.Errorf("in-memory coordinator recovered %+v, want nothing", rec)
-	}
-	c.Crash()
-	if _, err := c.Dispatch(context.Background(), testJobs(t, 1)[0]); err != ErrClosed {
-		t.Errorf("dispatch after crash: %v, want ErrClosed", err)
+	if c != nil {
+		t.Fatal("OpenCoordinator without a StateDir returned a coordinator")
 	}
 }
 

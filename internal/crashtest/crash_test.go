@@ -161,13 +161,13 @@ func (p *proc) waitExit(t *testing.T, within time.Duration, why string) error {
 	return nil
 }
 
-// startDaemon launches mflushd in durable cluster mode on a free port.
-func startDaemon(t *testing.T, bin, stateDir, storePath, faults string) *proc {
+// startDaemon launches mflushd in cluster mode on a free port with the
+// given faults armed, its store at storePath, and any extra flags.
+func startDaemon(t *testing.T, bin, faults, storePath string, flags ...string) *proc {
 	t.Helper()
 	return start(t, bin, []string{"MFLUSH_FAULTPOINTS=" + faults},
-		"-addr", "127.0.0.1:0", "-cluster", "-lease-ttl", "5s",
-		"-state-dir", stateDir, "-wal-compact", "1",
-		"-store", storePath, "-drain-timeout", "30s")
+		append([]string{"-addr", "127.0.0.1:0", "-cluster", "-lease-ttl", "5s",
+			"-wal-compact", "1", "-store", storePath, "-drain-timeout", "30s"}, flags...)...)
 }
 
 // startWorker launches one mflushworker against base. Its environment
@@ -315,7 +315,7 @@ func reference(t *testing.T) (map[string]string, map[string]string) {
 		daemonBin, workerBin := binaries(t)
 		base := t.TempDir()
 		storePath := filepath.Join(base, "store.jsonl")
-		d := startDaemon(t, daemonBin, filepath.Join(base, "state"), storePath, "")
+		d := startDaemon(t, daemonBin, "", storePath, "-state-dir", filepath.Join(base, "state"))
 		addr := d.serving(t)
 		startWorker(t, workerBin, addr)
 		waitFleet(t, addr, 1)
@@ -350,7 +350,6 @@ func TestCrashMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash matrix rebuilds and repeatedly SIGKILLs real binaries")
 	}
-	wantAggs, wantStore := reference(t)
 	scenarios := []struct {
 		name   string
 		faults string
@@ -364,61 +363,86 @@ func TestCrashMatrix(t *testing.T) {
 		{"ack-logged", "cluster.ack.logged=crash"},
 	}
 	for _, sc := range scenarios {
-		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			daemonBin, workerBin := binaries(t)
 			base := t.TempDir()
-			stateDir := filepath.Join(base, "state")
-			storePath := filepath.Join(base, "store.jsonl")
-
-			// Incarnation 1: armed. The submit races the injected
-			// SIGKILL, so its error is tolerated; the crash is not.
-			d1 := startDaemon(t, daemonBin, stateDir, storePath, sc.faults)
-			addr := d1.serving(t)
-			w1 := startWorker(t, workerBin, addr)
-			waitFleet(t, addr, 1)
-			_, _ = submit(addr, crashSpec)
-			err := d1.waitExit(t, 60*time.Second, "armed daemon")
-			if err == nil {
-				t.Fatalf("daemon exited cleanly, want SIGKILL from %s", sc.faults)
-			}
-			w1.cmd.Process.Kill()
-
-			// Incarnation 2: same state directory and store, nothing
-			// armed. It must boot (replaying or repairing the WAL),
-			// resume on its own, and converge.
-			d2 := startDaemon(t, daemonBin, stateDir, storePath, "")
-			addr2 := d2.serving(t)
-			startWorker(t, workerBin, addr2)
-			waitFleet(t, addr2, 1)
-			id, err := submit(addr2, crashSpec)
-			if err != nil {
-				t.Fatalf("resubmit after restart: %v", err)
-			}
-			waitDone(t, addr2, id)
-			got := aggregates(t, addr2, id)
-			for _, format := range formats {
-				if got[format] != wantAggs[format] {
-					t.Errorf("%s aggregate differs from the uninterrupted run:\n%s\nvs\n%s",
-						format, got[format], wantAggs[format])
-				}
-			}
-
-			// Drain and compare the persisted store: the same records,
-			// each exactly once.
-			d2.cmd.Process.Signal(syscall.SIGTERM)
-			d2.waitExit(t, 60*time.Second, "restarted daemon drain")
-			store := storeRecords(t, storePath)
-			if len(store) != len(wantStore) {
-				t.Fatalf("restarted run persisted %d records, want %d\ndaemon log:\n%s",
-					len(store), len(wantStore), d2.log())
-			}
-			for key, line := range wantStore {
-				if store[key] != line {
-					t.Errorf("record %s differs from the uninterrupted run:\n%s\nvs\n%s",
-						key, store[key], line)
-				}
-			}
+			crashAndResume(t, sc.faults, filepath.Join(base, "store.jsonl"),
+				"-state-dir", filepath.Join(base, "state"))
 		})
 	}
+}
+
+// TestCrashResumesFromDefaultStateDir: started without -state-dir, the
+// daemon keeps its queue in state/ beside -store, so a daemon SIGKILLed
+// mid-campaign and restarted with the same flags resumes from there.
+func TestCrashResumesFromDefaultStateDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("rebuilds and SIGKILLs real binaries")
+	}
+	base := t.TempDir()
+	log := crashAndResume(t, "cluster.lease.granted=crash", filepath.Join(base, "results.jsonl"))
+	if want := "recovered queue from " + filepath.Join(base, "state"); !strings.Contains(log, want) {
+		t.Fatalf("restarted daemon did not resume from the default state directory (want %q in its log):\n%s", want, log)
+	}
+}
+
+// crashAndResume runs one crash scenario against the store at storePath
+// with the given extra daemon flags. Incarnation 1 is armed with faults
+// and must die by SIGKILL mid-campaign; incarnation 2 restarts with the
+// same flags and nothing armed, and must finish the campaign with
+// aggregates and a store byte-identical to the uninterrupted reference.
+// It returns the restarted daemon's log.
+func crashAndResume(t *testing.T, faults, storePath string, flags ...string) string {
+	t.Helper()
+	wantAggs, wantStore := reference(t)
+	daemonBin, workerBin := binaries(t)
+
+	// Incarnation 1: armed. The submit races the injected SIGKILL, so
+	// its error is tolerated; the crash is not.
+	d1 := startDaemon(t, daemonBin, faults, storePath, flags...)
+	addr := d1.serving(t)
+	w1 := startWorker(t, workerBin, addr)
+	waitFleet(t, addr, 1)
+	_, _ = submit(addr, crashSpec)
+	err := d1.waitExit(t, 60*time.Second, "armed daemon")
+	if err == nil {
+		t.Fatalf("daemon exited cleanly, want SIGKILL from %s", faults)
+	}
+	w1.cmd.Process.Kill()
+
+	// Incarnation 2: same flags, state directory and store, nothing
+	// armed. It must boot (replaying or repairing the WAL), resume on
+	// its own, and converge.
+	d2 := startDaemon(t, daemonBin, "", storePath, flags...)
+	addr2 := d2.serving(t)
+	startWorker(t, workerBin, addr2)
+	waitFleet(t, addr2, 1)
+	id, err := submit(addr2, crashSpec)
+	if err != nil {
+		t.Fatalf("resubmit after restart: %v", err)
+	}
+	waitDone(t, addr2, id)
+	got := aggregates(t, addr2, id)
+	for _, format := range formats {
+		if got[format] != wantAggs[format] {
+			t.Errorf("%s aggregate differs from the uninterrupted run:\n%s\nvs\n%s",
+				format, got[format], wantAggs[format])
+		}
+	}
+
+	// Drain and compare the persisted store: the same records, each
+	// exactly once.
+	d2.cmd.Process.Signal(syscall.SIGTERM)
+	d2.waitExit(t, 60*time.Second, "restarted daemon drain")
+	store := storeRecords(t, storePath)
+	if len(store) != len(wantStore) {
+		t.Fatalf("restarted run persisted %d records, want %d\ndaemon log:\n%s",
+			len(store), len(wantStore), d2.log())
+	}
+	for key, line := range wantStore {
+		if store[key] != line {
+			t.Errorf("record %s differs from the uninterrupted run:\n%s\nvs\n%s",
+				key, store[key], line)
+		}
+	}
+	return d2.log()
 }

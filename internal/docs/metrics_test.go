@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/server"
@@ -14,10 +15,9 @@ import (
 )
 
 // registeredMetricNames instantiates every registry the binaries serve —
-// the daemon's (server + durable cluster coordinator, so the WAL
-// families register too) and a worker's — and returns the union of
-// their metric names. Anything a binary can expose must come through
-// here.
+// the daemon's (server + cluster coordinator, WAL families included)
+// and a worker's — and returns the union of their metric names.
+// Anything a binary can expose must come through here.
 func registeredMetricNames(t *testing.T) []string {
 	t.Helper()
 	coord, err := cluster.OpenCoordinator(cluster.Config{StateDir: t.TempDir()})
@@ -25,7 +25,13 @@ func registeredMetricNames(t *testing.T) []string {
 		t.Fatal(err)
 	}
 	defer coord.Close()
+	store, err := campaign.OpenStore(filepath.Join(t.TempDir(), "results.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	s := server.New(server.Config{
+		Store:   store,
 		Cluster: coord,
 		Runner: func(sim.Options) (*sim.Result, error) {
 			return nil, errors.New("docs lint never simulates")

@@ -74,11 +74,10 @@ func NewRegistry() *Registry {
 // family is one named metric family: a kind, a help line, a label
 // schema, and its children sorted by label values.
 type family struct {
-	name    string
-	help    string
-	kind    string
-	labels  []string
-	buckets []float64 // histogram kind only
+	name   string
+	help   string
+	kind   string
+	labels []string
 
 	mu       sync.Mutex
 	children []*child          //mflush:guarded-by mu
@@ -121,8 +120,8 @@ func (r *Registry) register(name, help, kind string, labels []string, buckets []
 	}
 	f := &family{
 		name: name, help: help, kind: kind,
-		labels: labels, buckets: buckets,
-		index: make(map[string]*child),
+		labels: labels,
+		index:  make(map[string]*child),
 	}
 	i := sort.Search(len(r.families), func(i int) bool { return r.families[i].name >= name })
 	r.families = append(r.families, nil)
@@ -381,19 +380,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f.child(nil, func() *child { return &child{fn: fn} })
 }
 
-// CounterVec registers a labeled counter family.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{fam: r.register(name, help, kindCounter, labels, nil)}
-}
-
 // GaugeVec registers a labeled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	return &GaugeVec{fam: r.register(name, help, kindGauge, labels, nil)}
-}
-
-// HistogramVec registers a labeled histogram family with shared buckets.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{fam: r.register(name, help, kindHistogram, labels, buckets)}
 }
 
 // GaugeFuncVec registers a labeled gauge family whose children are
@@ -403,47 +392,20 @@ func (r *Registry) GaugeFuncVec(name, help string, labels ...string) *FuncVec {
 	return &FuncVec{fam: r.register(name, help, kindGauge, labels, nil)}
 }
 
-// CounterVec is a labeled counter family.
-type CounterVec struct{ fam *family }
-
-// WithLabelValues returns the counter for the given label values,
-// creating it on first use. Hot paths should call this once and retain
-// the child: resolution joins the values into a lookup key (one small
-// allocation) and takes the family lock.
-func (v *CounterVec) WithLabelValues(values ...string) *Counter {
-	return v.fam.child(values, func() *child { return &child{c: &Counter{}} }).c
-}
-
-// Delete drops the series for the given label values — the cardinality
-// valve for label sets that come and go (campaign IDs, worker names).
-func (v *CounterVec) Delete(values ...string) { v.fam.delete(values) }
-
 // GaugeVec is a labeled gauge family.
 type GaugeVec struct{ fam *family }
 
 // WithLabelValues returns the gauge for the given label values,
-// creating it on first use; see CounterVec.WithLabelValues for the
-// retention advice.
+// creating it on first use. Hot paths should call this once and retain
+// the child: resolution joins the values into a lookup key (one small
+// allocation) and takes the family lock.
 func (v *GaugeVec) WithLabelValues(values ...string) *Gauge {
 	return v.fam.child(values, func() *child { return &child{g: &Gauge{}} }).g
 }
 
-// Delete drops the series for the given label values.
+// Delete drops the series for the given label values — the cardinality
+// valve for label sets that come and go (campaign IDs, worker names).
 func (v *GaugeVec) Delete(values ...string) { v.fam.delete(values) }
-
-// HistogramVec is a labeled histogram family.
-type HistogramVec struct{ fam *family }
-
-// WithLabelValues returns the histogram for the given label values,
-// creating it on first use; see CounterVec.WithLabelValues for the
-// retention advice.
-func (v *HistogramVec) WithLabelValues(values ...string) *Histogram {
-	f := v.fam
-	return f.child(values, func() *child { return &child{h: newHistogram(f.buckets)} }).h
-}
-
-// Delete drops the series for the given label values.
-func (v *HistogramVec) Delete(values ...string) { v.fam.delete(values) }
 
 // FuncVec is a labeled family of scrape-time functions.
 type FuncVec struct{ fam *family }
@@ -561,7 +523,7 @@ func (f *family) write(bw *bufio.Writer, scratch []byte) error {
 
 	for _, ch := range f.children {
 		if ch.h != nil {
-			writeHistogram(bw, scratch, f, ch)
+			writeHistogram(bw, scratch, f.name, ch.h)
 			continue
 		}
 		var v float64
@@ -581,34 +543,27 @@ func (f *family) write(bw *bufio.Writer, scratch []byte) error {
 // infLabel is the +Inf bucket bound, pre-rendered.
 var infLabel = []byte("+Inf")
 
-// writeHistogram renders the cumulative bucket lines plus sum and count.
-// The le bound is formatted into scratch and written before scratch is
-// reused for the value, so the aliasing is safe (bufio copies on Write).
-func writeHistogram(bw *bufio.Writer, scratch []byte, f *family, ch *child) {
-	h := ch.h
+// writeHistogram renders the cumulative bucket lines plus sum and count
+// of an (always unlabeled) histogram. The le bound is formatted into
+// scratch and written before scratch is reused for the value, so the
+// aliasing is safe (bufio copies on Write).
+func writeHistogram(bw *bufio.Writer, scratch []byte, name string, h *Histogram) {
 	var cum uint64
 	for i, upper := range h.upper {
 		cum += h.counts[i].Load()
 		le := strconv.AppendFloat(scratch[:0], upper, 'g', -1, 64)
-		writeSampleLe(bw, scratch, f, ch, le, float64(cum))
+		writeSampleLe(bw, scratch, name, le, float64(cum))
 	}
 	cum += h.counts[len(h.upper)].Load()
-	writeSampleLe(bw, scratch, f, ch, infLabel, float64(cum))
-	writeSample(bw, scratch, f.name, "_sum", f.labels, ch.values, h.Sum())
-	writeSample(bw, scratch, f.name, "_count", f.labels, ch.values, float64(h.count.Load()))
+	writeSampleLe(bw, scratch, name, infLabel, float64(cum))
+	writeSample(bw, scratch, name, "_sum", nil, nil, h.Sum())
+	writeSample(bw, scratch, name, "_count", nil, nil, float64(h.count.Load()))
 }
 
-// writeSampleLe writes one _bucket line with the le label appended.
-func writeSampleLe(bw *bufio.Writer, scratch []byte, f *family, ch *child, le []byte, v float64) {
-	bw.WriteString(f.name)
-	bw.WriteString("_bucket{")
-	for i, l := range f.labels {
-		bw.WriteString(l)
-		bw.WriteString(`="`)
-		writeEscaped(bw, ch.values[i], true)
-		bw.WriteString(`",`)
-	}
-	bw.WriteString(`le="`)
+// writeSampleLe writes one _bucket line, whose only label is le.
+func writeSampleLe(bw *bufio.Writer, scratch []byte, name string, le []byte, v float64) {
+	bw.WriteString(name)
+	bw.WriteString(`_bucket{le="`)
 	bw.Write(le)
 	bw.WriteString(`"} `)
 	writeFloat(bw, scratch, v)

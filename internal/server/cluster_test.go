@@ -145,8 +145,7 @@ func TestClusterShardsAcrossThreeWorkersByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	coord := cluster.NewCoordinator(cluster.Config{LeaseTTL: 5 * time.Second})
-	defer coord.Close()
+	coord := openTestCoordinator(t, 5*time.Second)
 	s := New(Config{Store: store, Runner: localRunnerMustNotRun(t), Cluster: coord})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -220,8 +219,7 @@ func TestClusterWorkerKillMidCampaignExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	coord := cluster.NewCoordinator(cluster.Config{LeaseTTL: 300 * time.Millisecond})
-	defer coord.Close()
+	coord := openTestCoordinator(t, 300*time.Millisecond)
 	s := New(Config{Store: store, Runner: localRunnerMustNotRun(t), Cluster: coord})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -297,10 +295,9 @@ func TestClusterWorkerKillMidCampaignExactlyOnce(t *testing.T) {
 // TestClusterFallsBackLocalWithoutWorkers: cluster mode with an empty
 // fleet degrades to single-process behaviour.
 func TestClusterFallsBackLocalWithoutWorkers(t *testing.T) {
-	coord := cluster.NewCoordinator(cluster.Config{LeaseTTL: time.Second})
-	defer coord.Close()
+	coord := openTestCoordinator(t, time.Second)
 	r := simtest.New()
-	s := New(Config{Runner: r.Run, Cluster: coord})
+	s := New(Config{Store: tempStore(t), Runner: r.Run, Cluster: coord})
 	id := submit(t, s, specBody)
 	if state := waitState(t, s, id); state != StateDone {
 		t.Fatalf("state = %q", state)
@@ -314,10 +311,9 @@ func TestClusterFallsBackLocalWithoutWorkers(t *testing.T) {
 // jobs queued and leased, the stranded jobs fall back to the local
 // simulator and the campaign still completes.
 func TestClusterFleetDeathFallsBackLocal(t *testing.T) {
-	coord := cluster.NewCoordinator(cluster.Config{LeaseTTL: 250 * time.Millisecond})
-	defer coord.Close()
+	coord := openTestCoordinator(t, 250*time.Millisecond)
 	local := simtest.New()
-	s := New(Config{Runner: local.Run, Cluster: coord})
+	s := New(Config{Store: tempStore(t), Runner: local.Run, Cluster: coord})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -349,9 +345,8 @@ func TestClusterFleetDeathFallsBackLocal(t *testing.T) {
 // heartbeating through the drain — otherwise the coordinator reaps it
 // mid-drain and re-runs its jobs elsewhere, breaking exactly-once.
 func TestWorkerDrainOutlastingLeaseTTLKeepsLeases(t *testing.T) {
-	coord := cluster.NewCoordinator(cluster.Config{LeaseTTL: 300 * time.Millisecond})
-	defer coord.Close()
-	s := New(Config{Runner: localRunnerMustNotRun(t), Cluster: coord})
+	coord := openTestCoordinator(t, 300*time.Millisecond)
+	s := New(Config{Store: tempStore(t), Runner: localRunnerMustNotRun(t), Cluster: coord})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -390,9 +385,8 @@ func TestWorkerDrainOutlastingLeaseTTLKeepsLeases(t *testing.T) {
 // directly: register, list, heartbeat-lease, deregister, and the 404
 // for dropped IDs.
 func TestWorkersEndpointsLifecycle(t *testing.T) {
-	coord := cluster.NewCoordinator(cluster.Config{LeaseTTL: time.Minute})
-	defer coord.Close()
-	s := New(Config{Runner: simtest.New().Run, Cluster: coord})
+	coord := openTestCoordinator(t, time.Minute)
+	s := New(Config{Store: tempStore(t), Runner: simtest.New().Run, Cluster: coord})
 
 	code, resp := do(t, s, "POST", "/v1/workers", `{"name":"wtest","capacity":3}`)
 	if code != 201 {
@@ -429,7 +423,7 @@ func TestWorkersEndpointsLifecycle(t *testing.T) {
 	}
 
 	// A plain daemon (no -cluster) serves no worker endpoints at all.
-	plain := New(Config{Runner: simtest.New().Run})
+	plain := New(Config{Store: tempStore(t), Runner: simtest.New().Run})
 	if code, _ := do(t, plain, "POST", "/v1/workers", `{"name":"x"}`); code != 404 {
 		t.Fatalf("plain daemon register = %d, want 404", code)
 	}

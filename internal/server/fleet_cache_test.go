@@ -61,7 +61,7 @@ func TestFleetWorkerCacheByteIdenticalAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord1, err := cluster.OpenCoordinator(cluster.Config{
-		LeaseTTL: 10 * time.Second, StateDir: t.TempDir(), Persisted: persistedBy(store1),
+		LeaseTTL: 10 * time.Second, StateDir: t.TempDir(), Persisted: store1.Synced,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -229,7 +229,7 @@ func TestDrainFinishesInFlightWithoutCorruptingStore(t *testing.T) {
 func TestDrainTimeout(t *testing.T) {
 	r := simtest.New()
 	r.Gate = make(chan struct{})
-	s := New(Config{Runner: r.Run, Workers: 1})
+	s := New(Config{Store: tempStore(t), Runner: r.Run, Workers: 1})
 	submit(t, s, specBody)
 	for r.Total() == 0 {
 		time.Sleep(time.Millisecond)
@@ -248,7 +248,7 @@ func TestDrainTimeout(t *testing.T) {
 // one progress event per job, then the terminal event.
 func TestSSEStream(t *testing.T) {
 	r := simtest.New()
-	s := New(Config{Runner: r.Run, Workers: 2})
+	s := New(Config{Store: tempStore(t), Runner: r.Run, Workers: 2})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -321,7 +321,7 @@ func TestSSEStream(t *testing.T) {
 // campaign still yields the terminal event immediately.
 func TestSSETerminalEventForLateSubscriber(t *testing.T) {
 	r := simtest.New()
-	s := New(Config{Runner: r.Run})
+	s := New(Config{Store: tempStore(t), Runner: r.Run})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 

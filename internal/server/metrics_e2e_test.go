@@ -68,7 +68,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		<-gate
 		return r.Run(o)
 	}
-	s := New(Config{Runner: runner, Workers: 4, MaxQueuedJobs: 100})
+	s := New(Config{Store: tempStore(t), Runner: runner, Workers: 4, MaxQueuedJobs: 100})
 
 	baseline := scrape(t, s)
 	if v := baseline["mflush_admission_queue_depth"]; v != 0 {
@@ -148,7 +148,7 @@ func TestMetricsAdmissionRejected(t *testing.T) {
 	r := simtest.New()
 	r.Gate = make(chan struct{})
 	defer close(r.Gate)
-	s := New(Config{Runner: r.Run, MaxQueuedJobs: 5, Workers: 2})
+	s := New(Config{Store: tempStore(t), Runner: r.Run, MaxQueuedJobs: 5, Workers: 2})
 	submit(t, s, specBody)
 
 	code, _ := do(t, s, "POST", "/v1/campaigns", specBody)
@@ -166,7 +166,7 @@ func TestMetricsAdmissionRejected(t *testing.T) {
 func TestMetricsSSESubscribers(t *testing.T) {
 	r := simtest.New()
 	r.Gate = make(chan struct{})
-	s := New(Config{Runner: r.Run, Workers: 1})
+	s := New(Config{Store: tempStore(t), Runner: r.Run, Workers: 1})
 	id := submit(t, s, specBody)
 
 	done := make(chan struct{})
@@ -190,7 +190,7 @@ func TestMetricsSSESubscribers(t *testing.T) {
 
 // TestDashboardServes asserts /dashboard renders the embedded page.
 func TestDashboardServes(t *testing.T) {
-	s := New(Config{Runner: simtest.New().Run})
+	s := New(Config{Store: tempStore(t), Runner: simtest.New().Run})
 	req := httptest.NewRequest("GET", "/dashboard", nil)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)

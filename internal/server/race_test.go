@@ -45,7 +45,7 @@ func TestConcurrentSubmitCancelSSEChurn(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	r := simtest.New()
-	s := New(Config{Runner: r.Run, Workers: 4, MaxQueuedJobs: 4096})
+	s := New(Config{Store: tempStore(t), Runner: r.Run, Workers: 4, MaxQueuedJobs: 4096})
 	ts := httptest.NewServer(s)
 	client := ts.Client()
 

@@ -22,14 +22,6 @@ import (
 	"repro/internal/simtest"
 )
 
-// persistedBy adapts a store into the coordinator's Persisted check.
-func persistedBy(store *campaign.Store) func(string) bool {
-	return func(key string) bool {
-		_, ok := store.Get(key)
-		return ok
-	}
-}
-
 // crashRunner fails every local simulation: after an in-process
 // coordinator Crash, dispatches fall back to the local path, and a
 // crashed daemon must not quietly complete jobs there.
@@ -55,7 +47,7 @@ func TestRestartResumesCampaignByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord1, err := cluster.OpenCoordinator(cluster.Config{
-		LeaseTTL: 2 * time.Second, StateDir: stateDir, Persisted: persistedBy(store1),
+		LeaseTTL: 2 * time.Second, StateDir: stateDir, Persisted: store1.Synced,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +111,7 @@ func TestRestartResumesCampaignByteIdentical(t *testing.T) {
 	}
 	defer store2.Close()
 	coord2, err := cluster.OpenCoordinator(cluster.Config{
-		LeaseTTL: 10 * time.Second, StateDir: stateDir, Persisted: persistedBy(store2),
+		LeaseTTL: 10 * time.Second, StateDir: stateDir, Persisted: store2.Synced,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,9 +203,8 @@ func TestWorkerStartedBeforeDaemonJoinsFleet(t *testing.T) {
 	startTestWorker(t, ts.URL, "early", r, 1)
 	time.Sleep(30 * time.Millisecond) // let registration fail at least once
 
-	coord := cluster.NewCoordinator(cluster.Config{LeaseTTL: time.Second})
-	defer coord.Close()
-	s := New(Config{Runner: localRunnerMustNotRun(t), Cluster: coord})
+	coord := openTestCoordinator(t, time.Second)
+	s := New(Config{Store: tempStore(t), Runner: localRunnerMustNotRun(t), Cluster: coord})
 	swap.set(s)
 	waitFleet(t, coord, 1)
 
@@ -232,8 +223,8 @@ func TestWorkerStartedBeforeDaemonJoinsFleet(t *testing.T) {
 // incarnation's campaigns.
 func TestWorkerRidesOutDaemonRestart(t *testing.T) {
 	swap := &swappableHandler{}
-	coord1 := cluster.NewCoordinator(cluster.Config{LeaseTTL: time.Second})
-	s1 := New(Config{Runner: localRunnerMustNotRun(t), Cluster: coord1})
+	coord1 := openTestCoordinator(t, time.Second)
+	s1 := New(Config{Store: tempStore(t), Runner: localRunnerMustNotRun(t), Cluster: coord1})
 	swap.set(s1)
 	ts := httptest.NewServer(swap)
 	defer ts.Close()
@@ -250,9 +241,8 @@ func TestWorkerRidesOutDaemonRestart(t *testing.T) {
 	// It comes back as a new incarnation (new coordinator epoch). The
 	// worker's heartbeats and leases fail through the outage; once the
 	// new daemon answers, its stale ID 404s and it re-registers.
-	coord2 := cluster.NewCoordinator(cluster.Config{LeaseTTL: time.Second})
-	defer coord2.Close()
-	s2 := New(Config{Runner: localRunnerMustNotRun(t), Cluster: coord2})
+	coord2 := openTestCoordinator(t, time.Second)
+	s2 := New(Config{Store: tempStore(t), Runner: localRunnerMustNotRun(t), Cluster: coord2})
 	swap.set(s2)
 	waitFleet(t, coord2, 1)
 
@@ -303,7 +293,7 @@ func TestDrainDuringRecoveryLeaksNothing(t *testing.T) {
 	if got := len(coord.Recovered().Jobs); got != len(jobs) {
 		t.Fatalf("recovered %d jobs, want %d", got, len(jobs))
 	}
-	s := New(Config{Runner: crashRunner, Cluster: coord})
+	s := New(Config{Store: tempStore(t), Runner: crashRunner, Cluster: coord})
 	time.Sleep(10 * time.Millisecond) // let the recovery dispatcher start waiting for a fleet
 	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -343,7 +333,7 @@ func TestDrainDuringRecoveryLeaksNothing(t *testing.T) {
 func TestRetryAfterHeaderIsPositiveSeconds(t *testing.T) {
 	r := simtest.New()
 	r.Gate = make(chan struct{})
-	s := New(Config{Runner: r.Run, Workers: 2, MaxQueuedJobs: 2})
+	s := New(Config{Store: tempStore(t), Runner: r.Run, Workers: 2, MaxQueuedJobs: 2})
 	// Fill the queue with two gated jobs.
 	submit(t, s, `{"workloads":["2W1"],"policies":["ICOUNT","MFLUSH"],"seeds":[1],"cycles":1000}`)
 

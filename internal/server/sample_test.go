@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/simtest"
 )
 
@@ -23,7 +25,7 @@ const sampledSpec = `{"workloads":["2W1"],"policies":["ICOUNT","MFLUSH"],"seeds"
 func TestSSESampleEvents(t *testing.T) {
 	r := simtest.New()
 	r.Gate = make(chan struct{})
-	s := New(Config{Runner: r.Run, Workers: 2})
+	s := New(Config{Store: tempStore(t), Runner: r.Run, Workers: 2})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -124,10 +126,16 @@ func TestSSESampleEvents(t *testing.T) {
 // interval 1) must clamp the sample budget instead of overflowing it
 // negative — a negative channel capacity would panic the SSE handler.
 func TestSampleBudgetOverflow(t *testing.T) {
-	r := simtest.New()
-	r.Gate = make(chan struct{}) // hold the job so the campaign stays live
-	defer close(r.Gate)
-	s := New(Config{Runner: r.Run, Workers: 1})
+	gate := make(chan struct{}) // hold the job so the campaign stays live
+	defer close(gate)
+	// Released, the job fails instead of simulating: a fake run of 2^63
+	// cycles at interval 1 would outlive the test, appending samples
+	// until the test binary runs out of memory.
+	runner := func(sim.Options) (*sim.Result, error) {
+		<-gate
+		return nil, errors.New("held job released")
+	}
+	s := New(Config{Store: tempStore(t), Runner: runner, Workers: 1})
 	id := submit(t, s, `{"workloads":["2W1"],"policies":["ICOUNT"],"cycles":9223372036854775808,"interval":1}`)
 	// Subscribing must not panic; the recorder returns the status event.
 	req := httptest.NewRequest("GET", "/v1/campaigns/"+id+"/events", nil)

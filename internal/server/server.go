@@ -37,8 +37,8 @@ import (
 
 // Config assembles a daemon.
 type Config struct {
-	// Store backs the content-addressed result cache; nil serves from
-	// memory only (results then die with the process).
+	// Store backs the content-addressed result cache: every result is
+	// served from it, across restarts. Required — New panics on nil.
 	Store *campaign.Store
 	// Runner executes one simulation; nil means sim.Run. Tests inject
 	// counting, blocking or failing runners.
@@ -134,9 +134,9 @@ func New(cfg Config) *Server {
 	s.cache = campaign.NewCache(cfg.Store, router.Run)
 	s.sched = &campaign.Scheduler{Workers: maxQueued}
 	if cfg.Cluster != nil {
-		// A durable coordinator may have replayed an interrupted
-		// campaign from its WAL; rebind that work to this incarnation
-		// before the listener opens.
+		// The coordinator may have replayed an interrupted campaign
+		// from its WAL; rebind that work to this incarnation before the
+		// listener opens.
 		recovered := cfg.Cluster.Recovered()
 		for _, orphan := range recovered.Orphans {
 			// Results the dead daemon acknowledged to workers but never
@@ -144,10 +144,8 @@ func New(cfg Config) *Server {
 			// by content hash) and best-effort — an orphan that fails to
 			// land stays in the coordinator's settled set and is
 			// re-served through Dispatch instead.
-			if cfg.Store != nil {
-				if _, ok := cfg.Store.Get(orphan.Key); !ok {
-					_ = cfg.Store.Append(orphan)
-				}
+			if _, ok := cfg.Store.Get(orphan.Key); !ok {
+				_ = cfg.Store.Append(orphan)
 			}
 		}
 		s.resumeRecovered(recovered)
@@ -184,7 +182,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// resumeRecovered re-dispatches the jobs a durable coordinator restored
+// resumeRecovered re-dispatches the jobs the coordinator restored
 // from its WAL, so a daemon restart resumes the interrupted campaign on
 // its own — no client resubmission required. The dispatcher runs as a
 // tracked goroutine (Drain waits for it, and its context cancels with

@@ -6,15 +6,54 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
+	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/simtest"
 )
 
 const specBody = `{"workloads":["2W1"],"policies":["ICOUNT","MFLUSH"],"seeds":[1,2],"cycles":1000}`
+
+// tempStore opens an empty result store in the test's temporary
+// directory, closed when the test ends.
+func tempStore(t *testing.T) *campaign.Store {
+	t.Helper()
+	store, err := campaign.OpenStore(filepath.Join(t.TempDir(), "results.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return store
+}
+
+// openTestCoordinator opens a coordinator with the given lease TTL whose
+// write-ahead log lives in the test's temporary directory, closed when
+// the test ends.
+func openTestCoordinator(t *testing.T, ttl time.Duration) *cluster.Coordinator {
+	t.Helper()
+	coord, err := cluster.OpenCoordinator(cluster.Config{LeaseTTL: ttl, StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	return coord
+}
+
+// TestNewNeedsStore: a daemon without a result store is refused at
+// assembly with a message that names the fix.
+func TestNewNeedsStore(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "needs a store") {
+			t.Fatalf("New without a Store panic = %q, want the needs-a-store message", msg)
+		}
+	}()
+	New(Config{Runner: simtest.New().Run})
+}
 
 // do issues one request against the handler and decodes the JSON body.
 func do(t *testing.T, h http.Handler, method, path, body string) (int, map[string]any) {
@@ -62,7 +101,7 @@ func waitState(t *testing.T, h http.Handler, id string) string {
 
 func TestSubmitRunsToCompletion(t *testing.T) {
 	r := simtest.New()
-	s := New(Config{Runner: r.Run})
+	s := New(Config{Store: tempStore(t), Runner: r.Run})
 	id := submit(t, s, specBody)
 
 	if state := waitState(t, s, id); state != StateDone {
@@ -92,7 +131,7 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 }
 
 func TestSubmitRejectsBadSpecs(t *testing.T) {
-	s := New(Config{Runner: simtest.New().Run})
+	s := New(Config{Store: tempStore(t), Runner: simtest.New().Run})
 	for _, body := range []string{
 		"",                      // empty
 		"{not json",             // malformed
@@ -111,7 +150,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 }
 
 func TestUnknownCampaign(t *testing.T) {
-	s := New(Config{Runner: simtest.New().Run})
+	s := New(Config{Store: tempStore(t), Runner: simtest.New().Run})
 	for _, path := range []string{
 		"/v1/campaigns/c999999",
 		"/v1/campaigns/c999999/result",
@@ -129,7 +168,7 @@ func TestUnknownCampaign(t *testing.T) {
 func TestResultWhileRunningConflicts(t *testing.T) {
 	r := simtest.New()
 	r.Gate = make(chan struct{})
-	s := New(Config{Runner: r.Run})
+	s := New(Config{Store: tempStore(t), Runner: r.Run})
 	id := submit(t, s, specBody)
 	defer close(r.Gate)
 
@@ -141,7 +180,7 @@ func TestResultWhileRunningConflicts(t *testing.T) {
 
 func TestResultUnknownFormat(t *testing.T) {
 	r := simtest.New()
-	s := New(Config{Runner: r.Run})
+	s := New(Config{Store: tempStore(t), Runner: r.Run})
 	id := submit(t, s, specBody)
 	waitState(t, s, id)
 	code, resp := do(t, s, "GET", "/v1/campaigns/"+id+"/result?format=xml", "")
@@ -155,7 +194,7 @@ func TestBackpressure429(t *testing.T) {
 	r.Gate = make(chan struct{})
 	// Queue bound of 5: the first campaign's 4 jobs fit, the second's
 	// 4 more do not.
-	s := New(Config{Runner: r.Run, MaxQueuedJobs: 5, Workers: 2})
+	s := New(Config{Store: tempStore(t), Runner: r.Run, MaxQueuedJobs: 5, Workers: 2})
 	submit(t, s, specBody)
 
 	req := httptest.NewRequest("POST", "/v1/campaigns", strings.NewReader(specBody))
@@ -184,7 +223,7 @@ func TestBackpressure429(t *testing.T) {
 func TestCancelCampaign(t *testing.T) {
 	r := simtest.New()
 	r.Gate = make(chan struct{})
-	s := New(Config{Runner: r.Run, Workers: 1})
+	s := New(Config{Store: tempStore(t), Runner: r.Run, Workers: 1})
 	id := submit(t, s, specBody)
 	for r.Total() == 0 {
 		time.Sleep(time.Millisecond)
@@ -212,7 +251,7 @@ func TestCancelCampaign(t *testing.T) {
 func TestFailedCampaign(t *testing.T) {
 	r := simtest.New()
 	r.Fail = true
-	s := New(Config{Runner: r.Run})
+	s := New(Config{Store: tempStore(t), Runner: r.Run})
 	id := submit(t, s, specBody)
 	if state := waitState(t, s, id); state != StateFailed {
 		t.Fatalf("state = %q", state)
@@ -229,7 +268,7 @@ func TestFailedCampaign(t *testing.T) {
 
 func TestListCampaigns(t *testing.T) {
 	r := simtest.New()
-	s := New(Config{Runner: r.Run})
+	s := New(Config{Store: tempStore(t), Runner: r.Run})
 	a := submit(t, s, specBody)
 	b := submit(t, s, specBody)
 	waitState(t, s, a)
@@ -248,7 +287,7 @@ func TestListCampaigns(t *testing.T) {
 
 func TestHealthAndCacheEndpoints(t *testing.T) {
 	r := simtest.New()
-	s := New(Config{Runner: r.Run})
+	s := New(Config{Store: tempStore(t), Runner: r.Run})
 	if code, resp := do(t, s, "GET", "/healthz", ""); code != 200 || resp["ok"] != true {
 		t.Fatalf("healthz = %d %v", code, resp)
 	}
@@ -262,7 +301,7 @@ func TestHealthAndCacheEndpoints(t *testing.T) {
 
 func TestDrainRejectsNewCampaigns(t *testing.T) {
 	r := simtest.New()
-	s := New(Config{Runner: r.Run})
+	s := New(Config{Store: tempStore(t), Runner: r.Run})
 	id := submit(t, s, specBody)
 	waitState(t, s, id)
 	if err := s.Drain(context.Background()); err != nil {
@@ -276,7 +315,7 @@ func TestDrainRejectsNewCampaigns(t *testing.T) {
 
 func TestCampaignRetentionEvictsSettled(t *testing.T) {
 	r := simtest.New()
-	s := New(Config{Runner: r.Run, MaxCampaigns: 2})
+	s := New(Config{Store: tempStore(t), Runner: r.Run, MaxCampaigns: 2})
 	a := submit(t, s, specBody)
 	waitState(t, s, a)
 	b := submit(t, s, specBody)
@@ -301,7 +340,7 @@ func TestCampaignRetentionEvictsSettled(t *testing.T) {
 func TestCampaignRetentionSparesRunning(t *testing.T) {
 	r := simtest.New()
 	r.Gate = make(chan struct{})
-	s := New(Config{Runner: r.Run, MaxCampaigns: 1, MaxQueuedJobs: 100})
+	s := New(Config{Store: tempStore(t), Runner: r.Run, MaxCampaigns: 1, MaxQueuedJobs: 100})
 	a := submit(t, s, specBody)
 	b := submit(t, s, specBody) // over the bound, but a is still running
 	if code, _ := do(t, s, "GET", "/v1/campaigns/"+a, ""); code != http.StatusOK {
@@ -314,7 +353,7 @@ func TestCampaignRetentionSparesRunning(t *testing.T) {
 
 func TestCacheKeysExposed(t *testing.T) {
 	r := simtest.New()
-	s := New(Config{Runner: r.Run})
+	s := New(Config{Store: tempStore(t), Runner: r.Run})
 	id := submit(t, s, specBody)
 	waitState(t, s, id)
 
@@ -335,7 +374,7 @@ func TestCancelledWaiterNotCountedFailed(t *testing.T) {
 	// Twice the campaign's width in slots: a's gated runs hold four, so
 	// b's jobs get slots of their own and reach the cache's in-flight
 	// join instead of queueing for a slot.
-	s := New(Config{Runner: r.Run, Workers: 8, MaxQueuedJobs: 100})
+	s := New(Config{Store: tempStore(t), Runner: r.Run, Workers: 8, MaxQueuedJobs: 100})
 	a := submit(t, s, specBody)
 	simtest.WaitFor(t, 10*time.Second, func() bool { return r.Total() == 4 },
 		"campaign a started %d runs, want 4", func() any { return r.Total() })
@@ -359,7 +398,7 @@ func TestCancelledWaiterNotCountedFailed(t *testing.T) {
 }
 
 func TestOversizedCampaignPermanentlyRejected(t *testing.T) {
-	s := New(Config{Runner: simtest.New().Run, MaxQueuedJobs: 3})
+	s := New(Config{Store: tempStore(t), Runner: simtest.New().Run, MaxQueuedJobs: 3})
 	// 4 jobs > capacity 3: impossible ever, so 400 without Retry-After,
 	// not a retriable 429.
 	req := httptest.NewRequest("POST", "/v1/campaigns", strings.NewReader(specBody))
@@ -397,7 +436,7 @@ func TestFirstFailureAbandonsRemainingJobs(t *testing.T) {
 		}
 		return base(o)
 	}
-	s := New(Config{Runner: runner, Workers: 1})
+	s := New(Config{Store: tempStore(t), Runner: runner, Workers: 1})
 	id := submit(t, s, specBody)
 	if state := waitState(t, s, id); state != StateFailed {
 		t.Fatalf("state = %q", state)
@@ -416,7 +455,7 @@ func TestFullyCachedCampaignBypassesAdmission(t *testing.T) {
 	// permanently rejected, but once the jobs are in the cache (via two
 	// halves) the full spec is admitted and served entirely from cache.
 	r := simtest.New()
-	s := New(Config{Runner: r.Run, MaxQueuedJobs: 3})
+	s := New(Config{Store: tempStore(t), Runner: r.Run, MaxQueuedJobs: 3})
 	half1 := `{"workloads":["2W1"],"policies":["ICOUNT","MFLUSH"],"seeds":[1],"cycles":1000}`
 	half2 := `{"workloads":["2W1"],"policies":["ICOUNT","MFLUSH"],"seeds":[2],"cycles":1000}`
 	if code, _ := do(t, s, "POST", "/v1/campaigns", specBody); code != http.StatusBadRequest {

@@ -97,8 +97,7 @@ func TestClusterTraceAxisShardsAndCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	coord := cluster.NewCoordinator(cluster.Config{LeaseTTL: 10 * time.Second})
-	defer coord.Close()
+	coord := openTestCoordinator(t, 10*time.Second)
 	srv := New(Config{Store: store, Runner: localRunnerMustNotRun(t), Cluster: coord})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

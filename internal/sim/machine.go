@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"weak"
@@ -43,59 +44,84 @@ type span struct {
 	next, end uint64
 }
 
-// machines holds the finished machines, one pool per configuration with
-// the seed zeroed: nothing inside a machine reads the seed, so jobs that
-// differ only in seed, workload or policy share machines.
-var machines sync.Map // config.Config -> *machinePool
-
-// machinePool is a stack of the finished machines of one configuration,
-// most recently finished on top. It holds them weakly, so the next
-// garbage collection frees every machine no job has taken back, and a
-// configuration that falls out of use costs no memory. A sync.Pool also
-// drops its contents at collections, but it keeps each machine in the
-// slot of the processor that finished it, so a job that resumes on
-// another processor misses it and builds one more: on two processors,
-// two sweep workers kept six machines alive and one solo client two,
-// which raised peak RSS by 16-19%. One shared stack holds no more
-// machines than ran at once.
-type machinePool struct {
+// machines holds the finished machines of each configuration with the
+// seed zeroed, most recently finished last: nothing inside a machine
+// reads the seed, so jobs that differ only in seed, workload or policy
+// share machines.
+//
+// It holds them weakly, so the next garbage collection frees every
+// machine no job has taken back. A sync.Pool also drops its contents at
+// collections, but it keeps each machine in the slot of the processor
+// that finished it, so a job that resumes on another processor misses it
+// and builds one more: on two processors, two sweep workers kept six
+// machines alive and one solo client two, which raised peak RSS by
+// 16-19%. One shared stack per configuration holds no more machines than
+// ran at once.
+//
+// A configuration keeps its key only while it has entries: takeMachine
+// deletes a key whose stack empties, and every pooled machine carries a
+// cleanup (forgetMachine) that drops its entry, and the key with the
+// last one, once the collector frees it. So a configuration that falls
+// out of use costs no memory, not even its key.
+var machines = struct {
 	mu   sync.Mutex
-	free []weak.Pointer[machine]
-}
+	free map[config.Config][]weak.Pointer[machine]
+}{free: make(map[config.Config][]weak.Pointer[machine])}
 
-// poolFor returns the pool of machines built for cfg.
-func poolFor(cfg config.Config) *machinePool {
+// poolKey is the machines key of a machine built for cfg.
+func poolKey(cfg config.Config) config.Config {
 	cfg.Seed = 0
-	p, ok := machines.Load(cfg)
-	if !ok {
-		p, _ = machines.LoadOrStore(cfg, new(machinePool))
-	}
-	return p.(*machinePool)
+	return cfg
 }
 
-// get takes the most recently finished machine that is still alive, or
-// returns nil.
-func (p *machinePool) get() *machine {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for n := len(p.free); n > 0; n-- {
-		m := p.free[n-1].Value()
-		p.free[n-1] = weak.Pointer[machine]{}
-		p.free = p.free[:n-1]
-		if m != nil {
-			return m
-		}
+// pooledMachine names one machine's entry in machines.
+type pooledMachine struct {
+	key config.Config
+	ref weak.Pointer[machine]
+}
+
+// takeMachine takes the most recently finished machine of key that is
+// still alive, or returns nil.
+func takeMachine(key config.Config) *machine {
+	machines.mu.Lock()
+	defer machines.mu.Unlock()
+	stack := machines.free[key]
+	var m *machine
+	for m == nil && len(stack) > 0 {
+		m = stack[len(stack)-1].Value()
+		stack[len(stack)-1] = weak.Pointer[machine]{}
+		stack = stack[:len(stack)-1]
 	}
-	return nil
+	setStackLocked(key, stack)
+	return m
+}
+
+// setStackLocked stores the stack of key, deleting the key when the stack
+// is empty. The caller holds machines.mu.
+func setStackLocked(key config.Config, stack []weak.Pointer[machine]) {
+	if len(stack) == 0 {
+		delete(machines.free, key)
+	} else {
+		machines.free[key] = stack
+	}
 }
 
 // release hands the machine to the next job on its configuration. The
 // caller must not touch it, or its chip, afterwards.
 func (m *machine) release() {
-	p := poolFor(m.chip.Config())
-	p.mu.Lock()
-	p.free = append(p.free, weak.Make(m))
-	p.mu.Unlock()
+	key := poolKey(m.chip.Config())
+	machines.mu.Lock()
+	machines.free[key] = append(machines.free[key], weak.Make(m))
+	machines.mu.Unlock()
+}
+
+// forgetMachine is the cleanup of a collected pooled machine: it drops
+// the machine's entry, and its configuration's key if that empties the
+// stack.
+func forgetMachine(e pooledMachine) {
+	machines.mu.Lock()
+	defer machines.mu.Unlock()
+	setStackLocked(e.key, slices.DeleteFunc(machines.free[e.key], func(p weak.Pointer[machine]) bool { return p == e.ref }))
 }
 
 // buildChip assembles a new machine for opt and returns its chip, the
@@ -166,7 +192,7 @@ func buildMachine(opt Options, reuse bool) (*machine, error) {
 
 	m := &machine{}
 	if reuse {
-		if pooled := poolFor(cfg).get(); pooled != nil {
+		if pooled := takeMachine(poolKey(cfg)); pooled != nil {
 			m = pooled
 		}
 	}
@@ -198,6 +224,9 @@ func buildMachine(opt Options, reuse bool) (*machine, error) {
 			return nil, err
 		}
 		m.chip = chip
+		if reuse {
+			runtime.AddCleanup(m, forgetMachine, pooledMachine{poolKey(chip.Config()), weak.Make(m)})
+		}
 	} else if err := m.chip.Reset(cfg, policies, sources, bases); err != nil {
 		return nil, err
 	}

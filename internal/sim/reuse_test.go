@@ -3,7 +3,10 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/workload"
@@ -235,5 +238,65 @@ func TestSessionAfterFinish(t *testing.T) {
 	mustPanic("gang ResetMeasurement", g.ResetMeasurement)
 	if _, err := g.Finish(); err == nil {
 		t.Error("second gang Finish succeeded")
+	}
+}
+
+// TestMachinePoolForgetsDroppedConfigs: jobs on 20 distinct tweaks pool
+// one machine under each of 20 keys. Once nothing holds those machines
+// and the collector has run, the pool holds live machines only and none
+// of the 20 keys, so a configuration that falls out of use costs it
+// nothing.
+func TestMachinePoolForgetsDroppedConfigs(t *testing.T) {
+	w, ok := workload.ByName("2W1")
+	if !ok {
+		t.Fatal("unknown workload 2W1")
+	}
+	// No collection may free a machine before all 20 are pooled.
+	gcPercent := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gcPercent)
+	var keys []config.Config
+	for i := 0; i < 20; i++ {
+		tweak := func(c *config.Config) { c.Mem.TLBMissLatency = 500 + i }
+		if _, err := Run(Options{Workload: w, Policy: SpecICOUNT, Seed: 1, Cycles: 500, Tweak: tweak}); err != nil {
+			t.Fatal(err)
+		}
+		cfg := config.Default(w.Cores())
+		tweak(&cfg)
+		keys = append(keys, poolKey(cfg))
+	}
+	// pooled counts the 20 keys still in the pool and reports whether
+	// every entry of the pool is a live machine.
+	pooled := func() (n int, allLive bool) {
+		machines.mu.Lock()
+		defer machines.mu.Unlock()
+		for _, k := range keys {
+			if _, ok := machines.free[k]; ok {
+				n++
+			}
+		}
+		allLive = true
+		for _, stack := range machines.free {
+			for _, p := range stack {
+				allLive = allLive && p.Value() != nil
+			}
+		}
+		return n, allLive
+	}
+	if n, _ := pooled(); n != len(keys) {
+		t.Fatalf("%d of the %d tweaked configurations pooled a machine, want all", n, len(keys))
+	}
+	debug.SetGCPercent(gcPercent)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		n, allLive := pooled()
+		if n == 0 && allLive {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after collection the pool still holds %d of the %d dropped configurations (only live machines: %v)",
+				n, len(keys), allLive)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
