@@ -18,7 +18,7 @@ shorttest:
 # package with a component reset that machine reuse relies on, and their
 # TestResetMatchesNew. Mirrors the CI "Test simulator core (full)" step.
 coretest:
-	$(GO) test -count=1 ./internal/sim ./internal/pipeline ./internal/cmp ./internal/mem ./internal/policy ./internal/core \
+	$(GO) test -count=1 ./internal/sim ./internal/pipeline ./internal/cmp ./internal/mem ./internal/policy \
 		./internal/cache ./internal/branch ./internal/synth ./internal/stats ./internal/bus
 
 # The end-to-end benchmark (bench/mflushperf) is its own Go module, so
@@ -66,6 +66,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzCacheLRU -fuzztime 10s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzTLB -fuzztime 10s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzSleep -fuzztime 10s ./internal/cmp
+	$(GO) test -run '^$$' -fuzz FuzzPolicy -fuzztime 10s ./internal/policy
 
 # Crash matrix: build the real mflushd with fault injection compiled in
 # (-tags faultpoint), SIGKILL it at each WAL/lease faultpoint mid-

@@ -21,9 +21,9 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/experiments"
+	"repro/internal/policy"
 	"repro/internal/synth"
 	"repro/internal/workload"
 )
@@ -257,7 +257,7 @@ func figure6(out io.Writer, _ experiments.Config) error {
 	fmt.Fprintln(w, "cores\tMIN\tMAX\tMT\tsuspicious\tBarrier(pred=MIN)\tBarrier(pred=55)")
 	for cores := 1; cores <= 4; cores++ {
 		c := config.Default(cores)
-		env := core.EnvironmentFor(&c)
+		env := policy.EnvironmentFor(&c)
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
 			cores, env.Min, env.Max, env.MT, env.Suspicious(),
 			env.Barrier(env.Min), env.Barrier(55))
@@ -271,8 +271,8 @@ func figure6(out io.Writer, _ experiments.Config) error {
 func figure7(out io.Writer, _ experiments.Config) error {
 	header(out, "Figure 7: MCReg hardware support (worked example, 4 cores x 4 banks)")
 	c := config.Default(4)
-	env := core.EnvironmentFor(&c)
-	f := core.NewMCRegFile(c.Mem.L2.Banks, 1, env.Min)
+	env := policy.EnvironmentFor(&c)
+	f := policy.NewMCRegFile(c.Mem.L2.Banks, 1, env.Min)
 	f.Update(2, 55) // the paper's example: bank 2 last hit in 55 cycles
 	w := tabbed(out)
 	fmt.Fprintln(w, "bank\tMCReg (last L2 hit latency)\tpredicted barrier")

@@ -24,7 +24,6 @@ var CorePackages = []string{
 	"repro/internal/isa",
 	"repro/internal/mem",
 	"repro/internal/pipeline",
-	"repro/internal/core",
 	"repro/internal/cache",
 	"repro/internal/bus",
 	"repro/internal/branch",

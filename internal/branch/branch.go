@@ -63,17 +63,14 @@ func (p *Perceptron) index(pc uint64) uint64 {
 }
 
 // output computes the perceptron dot product for pc with the current
-// history.
+// history: each weight counts +1 times for a taken history bit and -1
+// times for a not-taken one, as a multiply rather than a branch.
 func (p *Perceptron) output(pc uint64) int32 {
 	w := p.weights[p.index(pc)]
 	y := int32(w[0])
 	h := p.history
-	for i := 1; i <= p.hlen; i++ {
-		if h&1 == 1 {
-			y += int32(w[i])
-		} else {
-			y -= int32(w[i])
-		}
+	for _, wi := range w[1:] {
+		y += (int32(h&1)*2 - 1) * int32(wi)
 		h >>= 1
 	}
 	return y
@@ -87,44 +84,25 @@ func (p *Perceptron) Predict(pc uint64) bool { return p.output(pc) >= 0 }
 // history holds resolved outcomes only, so a squash of wrong-path
 // branches leaves nothing to restore.
 func (p *Perceptron) Update(pc uint64, taken bool) {
-	y := p.output(pc)
-	predicted := y >= 0
-	mag := y
-	if mag < 0 {
-		mag = -mag
+	t := uint64(0)
+	if taken {
+		t = 1
 	}
-	if predicted != taken || mag <= p.thresh {
+	y := p.output(pc)
+	if (y >= 0) != taken || max(y, -y) <= p.thresh {
 		w := p.weights[p.index(pc)]
-		t := int16(-1)
-		if taken {
-			t = 1
-		}
-		w[0] = sat(w[0] + t)
+		w[0] = sat(w[0] + int16(t)*2 - 1)
 		h := p.history
-		for i := 1; i <= p.hlen; i++ {
-			if (h&1 == 1) == taken {
-				w[i] = sat(w[i] + 1)
-			} else {
-				w[i] = sat(w[i] - 1)
-			}
+		for i := range w[1:] {
+			// +1 where the history bit agrees with the outcome, else -1.
+			w[i+1] = sat(w[i+1] + 1 - int16((h^t)&1)*2)
 			h >>= 1
 		}
 	}
-	p.history <<= 1
-	if taken {
-		p.history |= 1
-	}
+	p.history = p.history<<1 | t
 }
 
-func sat(v int16) int16 {
-	if v > weightLimit {
-		return weightLimit
-	}
-	if v < -weightLimit {
-		return -weightLimit
-	}
-	return v
-}
+func sat(v int16) int16 { return min(max(v, -weightLimit), weightLimit) }
 
 // BTB is a set-associative branch target buffer with LRU replacement.
 type BTB struct {

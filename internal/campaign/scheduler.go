@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"repro/internal/sim"
@@ -168,8 +169,15 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job, store *Store) ([]Record
 // fallback all go through it. An options failure or any member's
 // failure fails the whole group: members share one GangKey, hence one
 // trace file, so a trace that will not load or verify hits them all,
-// and a gang runner returns no results when a member fails.
-func RunGroup(jobs []Job, run func(sim.Options) (*sim.Result, error), gang func([]sim.Options) ([]*sim.Result, error)) ([]Record, error) {
+// and a gang runner returns no results when a member fails. A panic in
+// the simulator fails the group too, with an error carrying the stack,
+// so a hostile spec cannot take down the process that runs it.
+func RunGroup(jobs []Job, run func(sim.Options) (*sim.Result, error), gang func([]sim.Options) ([]*sim.Result, error)) (_ []Record, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("campaign: simulator panic: %v\n%s", p, debug.Stack())
+		}
+	}()
 	opts := make([]sim.Options, len(jobs))
 	for k, j := range jobs {
 		o, err := j.SimOptions()
@@ -179,7 +187,6 @@ func RunGroup(jobs []Job, run func(sim.Options) (*sim.Result, error), gang func(
 		opts[k] = o
 	}
 	var results []*sim.Result
-	var err error
 	if len(opts) == 1 {
 		if run == nil {
 			run = sim.Run

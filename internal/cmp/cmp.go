@@ -37,7 +37,7 @@ type Chip struct {
 // New builds a chip. policies supplies one IFetch policy per core (cores
 // do not share policy state, matching per-core hardware); sources and
 // dataBases are indexed [core][context].
-func New(cfg config.Config, policies []policy.Policy,
+func New(cfg config.Config, policies []*policy.Policy,
 	sources [][]trace.Source, dataBases [][]uint64) (*Chip, error) {
 	if err := checkInputs(cfg, policies, sources, dataBases); err != nil {
 		return nil, err
@@ -55,7 +55,7 @@ func New(cfg config.Config, policies []policy.Policy,
 // storage of every component: the L2 system (mem.L2System.Reset) and each
 // core (pipeline.Core.Reset). cfg must describe the machine the chip was
 // built for, up to the seed; mem.L2System.Reset panics on any other.
-func (ch *Chip) Reset(cfg config.Config, policies []policy.Policy,
+func (ch *Chip) Reset(cfg config.Config, policies []*policy.Policy,
 	sources [][]trace.Source, dataBases [][]uint64) error {
 	if err := checkInputs(cfg, policies, sources, dataBases); err != nil {
 		return err
@@ -72,7 +72,7 @@ func (ch *Chip) Reset(cfg config.Config, policies []policy.Policy,
 
 // checkInputs validates cfg and that there is one policy, source list and
 // base list per core.
-func checkInputs(cfg config.Config, policies []policy.Policy,
+func checkInputs(cfg config.Config, policies []*policy.Policy,
 	sources [][]trace.Source, dataBases [][]uint64) error {
 	if err := cfg.Validate(); err != nil {
 		return err

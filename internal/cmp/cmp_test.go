@@ -12,7 +12,7 @@ import (
 func buildChip(t *testing.T, cores int) *Chip {
 	t.Helper()
 	cfg := config.Default(cores)
-	var policies []policy.Policy
+	var policies []*policy.Policy
 	var sources [][]trace.Source
 	var bases [][]uint64
 	prof, _ := synth.ByName("gzip")

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/resettest"
 	"repro/internal/synth"
@@ -13,12 +12,12 @@ import (
 
 // chipInputs builds MFLUSH policies and synthetic sources for every
 // context of cfg, the streams drawn from seed.
-func chipInputs(cfg *config.Config, seed uint64) ([]policy.Policy, [][]trace.Source, [][]uint64) {
-	var policies []policy.Policy
+func chipInputs(cfg *config.Config, seed uint64) ([]*policy.Policy, [][]trace.Source, [][]uint64) {
+	var policies []*policy.Policy
 	var sources [][]trace.Source
 	var bases [][]uint64
 	for c := 0; c < cfg.Cores; c++ {
-		policies = append(policies, core.NewMFLUSHHistory(cfg, 1))
+		policies = append(policies, policy.NewMFLUSH(cfg, 1))
 		var srcs []trace.Source
 		var bs []uint64
 		for th := 0; th < cfg.Core.ThreadsPerCore; th++ {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/policy"
@@ -19,14 +18,14 @@ import (
 // constructors for one core of cfg.
 var sleepPolicies = []struct {
 	name  string
-	build func(cfg *config.Config) policy.Policy
+	build func(cfg *config.Config) *policy.Policy
 }{
-	{"ICOUNT", func(*config.Config) policy.Policy { return policy.NewICOUNT() }},
-	{"FLUSH-S30", func(cfg *config.Config) policy.Policy { return policy.NewFlushS(cfg.Core.ThreadsPerCore, 30) }},
-	{"FLUSH-NS", func(cfg *config.Config) policy.Policy { return policy.NewFlushNS(cfg.Core.ThreadsPerCore) }},
-	{"STALL-S30", func(cfg *config.Config) policy.Policy { return policy.NewStall(cfg.Core.ThreadsPerCore, 30) }},
-	{"MFLUSH", func(cfg *config.Config) policy.Policy { return core.NewMFLUSHHistory(cfg, 1) }},
-	{"MFLUSH-H4", func(cfg *config.Config) policy.Policy { return core.NewMFLUSHHistory(cfg, 4) }},
+	{"ICOUNT", func(*config.Config) *policy.Policy { return policy.NewICOUNT() }},
+	{"FLUSH-S30", func(cfg *config.Config) *policy.Policy { return policy.NewFlushS(cfg.Core.ThreadsPerCore, 30) }},
+	{"FLUSH-NS", func(cfg *config.Config) *policy.Policy { return policy.NewFlushNS(cfg.Core.ThreadsPerCore) }},
+	{"STALL-S30", func(cfg *config.Config) *policy.Policy { return policy.NewStall(cfg.Core.ThreadsPerCore, 30) }},
+	{"MFLUSH", func(cfg *config.Config) *policy.Policy { return policy.NewMFLUSH(cfg, 1) }},
+	{"MFLUSH-H4", func(cfg *config.Config) *policy.Policy { return policy.NewMFLUSH(cfg, 4) }},
 }
 
 // sleepProfiles mixes memory-bound and compute-bound threads, so cores
@@ -45,7 +44,7 @@ func sleepChip(t testing.TB, cores, pol int, seed uint64, tight, lockstep bool) 
 		cfg.Core.MSHREntries = 2
 		cfg.Mem.TLBMissLatency = 900
 	}
-	var policies []policy.Policy
+	var policies []*policy.Policy
 	var sources [][]trace.Source
 	var bases [][]uint64
 	for c := 0; c < cores; c++ {
@@ -112,9 +111,7 @@ func readSleepState(ch *Chip) sleepState {
 		st.committed = append(st.committed, c.Committed())
 		st.threads = append(st.threads, c.Threads())
 		var tel [4]uint64
-		if mf, ok := c.Policy().(*core.MFLUSH); ok {
-			tel[0], tel[1], tel[2], tel[3] = mf.Telemetry()
-		}
+		tel[0], tel[1], tel[2], tel[3] = c.Policy().Telemetry()
 		st.telemetry = append(st.telemetry, tel)
 	}
 	return st

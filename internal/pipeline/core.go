@@ -69,7 +69,7 @@ var (
 type Core struct {
 	ID  int
 	cfg *config.Config
-	pol policy.Policy
+	pol *policy.Policy
 
 	l2 *mem.L2System
 
@@ -181,7 +181,7 @@ type thread struct {
 // New builds a core. sources supplies the correct-path stream per
 // hardware context; dataBases gives each context's address-space base for
 // wrong-path synthesis.
-func New(id int, cfg *config.Config, pol policy.Policy, l2 *mem.L2System,
+func New(id int, cfg *config.Config, pol *policy.Policy, l2 *mem.L2System,
 	sources []trace.Source, dataBases []uint64) *Core {
 	pageBits := uint(0)
 	for 1<<pageBits < cfg.Mem.PageBytes {
@@ -225,7 +225,7 @@ func New(id int, cfg *config.Config, pol policy.Policy, l2 *mem.L2System,
 // uops, load descriptors and delayed requests still in flight go back to
 // the core's free lists. The configuration the core points to must still
 // describe the machine it was built for.
-func (c *Core) Reset(pol policy.Policy, sources []trace.Source, dataBases []uint64) {
+func (c *Core) Reset(pol *policy.Policy, sources []trace.Source, dataBases []uint64) {
 	cfg := c.cfg
 	if len(sources) != cfg.Core.ThreadsPerCore || len(dataBases) != cfg.Core.ThreadsPerCore {
 		panic(fmt.Sprintf("pipeline: core %d needs %d sources/bases, got %d/%d",
@@ -302,7 +302,7 @@ func (c *Core) Reset(pol policy.Policy, sources []trace.Source, dataBases []uint
 }
 
 // Policy returns the core's IFetch policy.
-func (c *Core) Policy() policy.Policy { return c.pol }
+func (c *Core) Policy() *policy.Policy { return c.pol }
 
 // Energy returns the core's energy account.
 func (c *Core) Energy() *energy.Account { return &c.energy }

@@ -22,7 +22,7 @@ type harness struct {
 	now  uint64
 }
 
-func newHarness(t *testing.T, threads int, pol policy.Policy, srcs ...trace.Source) *harness {
+func newHarness(t *testing.T, threads int, pol *policy.Policy, srcs ...trace.Source) *harness {
 	t.Helper()
 	cfg := config.Default(1)
 	cfg.Core.ThreadsPerCore = threads
@@ -251,7 +251,7 @@ func TestFlushProtectsCoScheduledThread(t *testing.T) {
 	// Thread 0 misses L2 constantly with dependent chains (the clog
 	// pattern); thread 1 is pure ILP. FLUSH-S30 must give thread 1
 	// clearly more throughput than ICOUNT does.
-	run := func(pol policy.Policy) uint64 {
+	run := func(pol *policy.Policy) uint64 {
 		h := newHarness(t, 2, pol, missyLoadSource(1<<16), aluSource())
 		h.warm(t, 6000)
 		h.run(t, 8000)

@@ -76,7 +76,7 @@ func (s *randomSource) Next(out *isa.Inst) {
 func TestPropertyInvariantsUnderRandomStreams(t *testing.T) {
 	cfg := config.Default(1)
 	f := func(seed uint16, polPick uint8) bool {
-		var pol policy.Policy
+		var pol *policy.Policy
 		switch polPick % 4 {
 		case 0:
 			pol = policy.NewICOUNT()

@@ -1,18 +1,30 @@
-// Package policy defines the IFetch-policy interface through which the
-// pipeline consults its instruction fetch policy, and implements the
-// baseline policies from the paper: ICOUNT, speculative FLUSH with a fixed
-// trigger (FLUSH-SX), non-speculative FLUSH (FLUSH-NS) and STALL.
+// Package policy implements the IFetch policies the pipeline consults on
+// long-latency loads: the baseline ICOUNT, speculative FLUSH with a fixed
+// trigger (FLUSH-S<n>), non-speculative FLUSH (FLUSH-NS), STALL (STALL-S<n>)
+// and the paper's adaptive MFLUSH.
 //
-// All policies are layered on top of ICOUNT thread ordering (which the
-// pipeline's fetch stage applies unconditionally); what a Policy adds is
-// the handling of long-latency loads: which threads to fetch-stall and
-// which to flush, per the paper's Detection Moment / Response Action
-// taxonomy.
+// Every policy orders threads by ICOUNT (the pipeline's fetch stage does
+// that unconditionally); what a policy adds is the paper's taxonomy of
+// long-latency-load handling, a Detection Moment times a Response Action.
+// Here that product is one pair of per-load deadlines. When a correct-path
+// load misses the L1 data cache, the policy gives it
+//
+//   - a stall deadline, from which its thread fetch-stalls but keeps
+//     executing: IssuedAt+n+1 for STALL-S<n>, IssuedAt+Suspicious()+1
+//     (the Preventive State) for MFLUSH;
+//   - a flush deadline, from which everything younger than the load is
+//     squashed: IssuedAt+n+1 for FLUSH-S<n>, IssuedAt+Barrier(pred)+1 for
+//     MFLUSH, with pred read from the bank's MCReg at miss time. FLUSH-NS
+//     has no fixed flush deadline: the L2 miss signal makes it due.
+//
+// ICOUNT is the policy with no deadlines; it tracks nothing.
 package policy
 
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/config"
 )
 
 // LoadInfo is the policy-visible state of one outstanding long-latency
@@ -35,7 +47,8 @@ type LoadInfo struct {
 	// their L2-latency predictors.
 	TLBMiss bool
 	// L2MissDetected becomes true when the L2 tag check misses (the
-	// non-speculative Detection Moment).
+	// non-speculative Detection Moment); every policy but ICOUNT
+	// records it.
 	L2MissDetected bool
 	// Resolved, ResolvedAt and L2Hit describe completion.
 	Resolved   bool
@@ -83,7 +96,7 @@ func (a Action) String() string {
 
 // Directive is the desired state for one thread this cycle. The pipeline
 // reconciles: ActFlush is edge-triggered (ignored while the thread is
-// already flush-stalled), ActStall/ActNone are level-triggered.
+// already flush-stalled), ActStall and ActNone are level-triggered.
 type Directive struct {
 	Tid    int
 	Action Action
@@ -91,235 +104,255 @@ type Directive struct {
 	Load *LoadInfo
 }
 
-// Policy is consulted by one core's pipeline. Implementations must be
-// deterministic and cheap: Tick runs on every cycle the core is awake.
+// never is the deadline of a Detection Moment a policy does not have.
+const never = math.MaxUint64
+
+// Policy is the IFetch policy of one core. It is deterministic and cheap:
+// Tick runs on every cycle the core is awake.
 //
 // A core whose last tick changed nothing sleeps until its next event
 // (pipeline.Core.Advance), so Tick is not called on the cycles it sleeps
 // through. NextEvent bounds that sleep from the policy's side, and Skip
 // accounts for the missed calls.
-type Policy interface {
-	// OnL1Miss is called when a load misses the L1 data cache and
-	// enters the shared hierarchy.
-	OnL1Miss(li *LoadInfo, now uint64)
-	// OnL2MissDetected is called when the shared L2 tag check misses.
-	OnL2MissDetected(li *LoadInfo, now uint64)
-	// OnResolve is called when the load's data arrives.
-	OnResolve(li *LoadInfo, now uint64)
-	// OnSquash is called when the load itself is squashed (by a branch
-	// mispredict or an older flush) while outstanding.
-	OnSquash(li *LoadInfo)
-	// Tick returns the directives for this cycle. Returning no
-	// directive for a thread means ActNone.
-	Tick(now uint64) []Directive
-	// NextEvent returns the earliest cycle after now at which Tick could
-	// return directives different from Tick(now)'s, given no On* call in
-	// between; math.MaxUint64 if only an On* call can change them.
-	NextEvent(now uint64) uint64
-	// Skip accounts for n consecutive cycles on which Tick was not
-	// called because the core slept. Each would have returned the
-	// directives of the last Tick call.
-	Skip(n uint64)
+type Policy struct {
+	// stallAfter and flushAfter are the fixed Detection Moments: a load
+	// outstanding for more than that many cycles directs a stall or a
+	// flush. never means the policy has no such moment.
+	stallAfter, flushAfter uint64
+	// onMiss makes the L2 miss signal a load's flush moment (FLUSH-NS).
+	onMiss bool
+	// mcreg, when non-nil, gives each load the flush deadline of env's
+	// Barrier for the bank's MCReg prediction (MFLUSH).
+	mcreg *MCRegFile
+	env   OperationalEnvironment
+	// loads[tid] holds the thread's tracked loads in issue order; nil
+	// for ICOUNT, which tracks nothing.
+	loads [][]trackedLoad
+	out   []Directive
+
+	// Telemetry. lastFlushes and lastStalls count the flush and stall
+	// directives of the last Tick, which Skip repeats.
+	predictions uint64
+	updates     uint64
+	flushes     uint64
+	preventive  uint64
+	lastFlushes uint64
+	lastStalls  uint64
 }
 
-// tracker is the shared bookkeeping for load-aware policies: the set of
-// outstanding L1-missing loads per thread, in issue order.
-type tracker struct {
-	loads [][]*LoadInfo
+// trackedLoad is one outstanding L1-missing load with its deadlines: the
+// first cycles at which it directs a stall and a flush.
+type trackedLoad struct {
+	li               *LoadInfo
+	stallAt, flushAt uint64
 }
 
-func newTracker(threads int) tracker {
-	return tracker{loads: make([][]*LoadInfo, threads)}
+// NewICOUNT returns the ICOUNT baseline: fetch priority by instruction
+// count only, no long-latency-load handling.
+func NewICOUNT() *Policy { return &Policy{} }
+
+// NewFlushS returns speculative FLUSH: a thread is flushed once any of its
+// loads has been outstanding for more than trigger cycles.
+func NewFlushS(threads int, trigger int) *Policy {
+	if trigger <= 0 {
+		panic("policy: FLUSH-S trigger must be positive")
+	}
+	return newTracking(threads, never, uint64(trigger))
 }
 
-func (t *tracker) add(li *LoadInfo) {
-	t.loads[li.Tid] = append(t.loads[li.Tid], li)
+// NewFlushNS returns non-speculative FLUSH: a thread is flushed when the
+// L2 tag check reports a miss.
+func NewFlushNS(threads int) *Policy {
+	p := newTracking(threads, never, never)
+	p.onMiss = true
+	return p
 }
 
-func (t *tracker) remove(li *LoadInfo) {
-	s := t.loads[li.Tid]
-	for i, x := range s {
-		if x == li {
-			t.loads[li.Tid] = append(s[:i], s[i+1:]...)
+// NewStall returns the STALL policy with a delay-after-issue trigger: a
+// thread with a load past the trigger stops fetching (keeping its
+// resources) until the load resolves.
+func NewStall(threads int, trigger int) *Policy {
+	if trigger <= 0 {
+		panic("policy: STALL trigger must be positive")
+	}
+	return newTracking(threads, uint64(trigger), never)
+}
+
+// NewMFLUSH returns the paper's adaptive policy for one core of the given
+// machine, with historyLen MCReg entries per bank: 1 is the published
+// design, deeper histories the paper's optional configuration. A load
+// outstanding past the suspicious threshold puts its thread in the
+// Preventive State (a fetch stall); one outstanding past its Barrier,
+// derived from its bank's MCReg prediction at miss time, flushes it. The
+// MCReg registers start at MIN, the uncontended L2 hit latency.
+func NewMFLUSH(cfg *config.Config, historyLen int) *Policy {
+	env := EnvironmentFor(cfg)
+	p := newTracking(cfg.Core.ThreadsPerCore, uint64(env.Suspicious()), never)
+	p.env = env
+	p.mcreg = NewMCRegFile(cfg.Mem.L2.Banks, historyLen, env.Min)
+	return p
+}
+
+func newTracking(threads int, stallAfter, flushAfter uint64) *Policy {
+	return &Policy{stallAfter: stallAfter, flushAfter: flushAfter, loads: make([][]trackedLoad, threads)}
+}
+
+// MCReg returns MFLUSH's register file, nil for every other policy.
+//
+//mflush:hotpath-ok
+func (p *Policy) MCReg() *MCRegFile { return p.mcreg }
+
+// OnL1Miss is called when a correct-path load misses the L1 data cache and
+// enters the shared hierarchy: the policy tracks it with its deadlines.
+//
+//mflush:hotpath
+func (p *Policy) OnL1Miss(li *LoadInfo, _ uint64) {
+	if p.loads == nil {
+		return
+	}
+	l := trackedLoad{li: li, stallAt: deadline(li.IssuedAt, p.stallAfter), flushAt: deadline(li.IssuedAt, p.flushAfter)}
+	if p.mcreg != nil {
+		p.predictions++
+		l.flushAt = deadline(li.IssuedAt, uint64(p.env.Barrier(p.mcreg.Predict(li.Bank))))
+	}
+	p.loads[li.Tid] = append(p.loads[li.Tid], l)
+}
+
+// deadline returns the first cycle a load issued at issued has been
+// outstanding for more than after cycles.
+//
+//mflush:hotpath
+func deadline(issued, after uint64) uint64 {
+	if after == never {
+		return never
+	}
+	return issued + after + 1
+}
+
+// OnL2MissDetected is called when the shared L2 tag check misses for an
+// outstanding load. The signal is recorded on the load; it is FLUSH-NS's
+// Detection Moment and no other policy's (MFLUSH reacting to it would
+// turn into FLUSH-NS for true misses and forfeit the energy advantage of
+// its later, smaller flushes).
+//
+//mflush:hotpath
+func (p *Policy) OnL2MissDetected(li *LoadInfo, _ uint64) {
+	if p.loads == nil {
+		return
+	}
+	li.L2MissDetected = true
+	if !p.onMiss {
+		return
+	}
+	for i, l := range p.loads[li.Tid] {
+		if l.li == li {
+			p.loads[li.Tid][i].flushAt = 0 // due from now on
 			return
 		}
 	}
 }
 
-// nextPast returns the earliest cycle after now at which a tracked load
-// will have been outstanding for more than trigger cycles.
-func (t *tracker) nextPast(now, trigger uint64) uint64 {
-	next := uint64(math.MaxUint64)
-	for _, loads := range t.loads {
-		for _, li := range loads {
-			if at := li.IssuedAt + trigger + 1; at > now && at < next {
-				next = at
+// OnResolve is called when the load's data arrives. It ends the load's
+// tracking; under MFLUSH an L2 hit whose latency no TLB walk distorted
+// trains its bank's MCReg with the observed latency.
+//
+//mflush:hotpath
+func (p *Policy) OnResolve(li *LoadInfo, _ uint64) {
+	p.drop(li)
+	if p.mcreg != nil && li.L2Hit && !li.TLBMiss {
+		p.mcreg.Update(li.Bank, int(li.ResolvedAt-li.IssuedAt))
+		p.updates++
+	}
+}
+
+// OnSquash is called when the load itself is squashed (by a branch
+// mispredict or an older flush) while outstanding.
+//
+//mflush:hotpath
+func (p *Policy) OnSquash(li *LoadInfo) { p.drop(li) }
+
+//mflush:hotpath
+func (p *Policy) drop(li *LoadInfo) {
+	if p.loads == nil {
+		return
+	}
+	s := p.loads[li.Tid]
+	for i := range s {
+		if s[i].li == li {
+			p.loads[li.Tid] = append(s[:i], s[i+1:]...)
+			return
+		}
+	}
+}
+
+// Tick returns the directives for cycle now: one per thread for every
+// policy but ICOUNT, which returns none. A thread's oldest load whose
+// flush deadline has come directs a flush; failing that, any load whose
+// stall deadline has come directs a stall; otherwise the thread fetches
+// normally.
+//
+//mflush:hotpath
+func (p *Policy) Tick(now uint64) []Directive {
+	p.out = p.out[:0]
+	p.lastFlushes, p.lastStalls = 0, 0
+	for tid, loads := range p.loads {
+		d := Directive{Tid: tid}
+		for i := range loads {
+			if now >= loads[i].flushAt {
+				d.Action, d.Load = ActFlush, loads[i].li
+				break
+			}
+			if now >= loads[i].stallAt {
+				d.Action = ActStall
+			}
+		}
+		switch d.Action {
+		case ActFlush:
+			p.lastFlushes++
+		case ActStall:
+			p.lastStalls++
+		}
+		p.out = append(p.out, d)
+	}
+	p.flushes += p.lastFlushes
+	p.preventive += p.lastStalls
+	return p.out
+}
+
+// NextEvent returns the earliest cycle after now at which Tick could
+// return directives different from Tick(now)'s, given no On* call in
+// between: the nearest deadline still to come. math.MaxUint64 means only
+// an On* call can change them.
+//
+//mflush:hotpath
+func (p *Policy) NextEvent(now uint64) uint64 {
+	next := uint64(never)
+	for _, loads := range p.loads {
+		for _, l := range loads {
+			if l.stallAt > now {
+				next = min(next, l.stallAt)
+			}
+			if l.flushAt > now {
+				next = min(next, l.flushAt)
 			}
 		}
 	}
 	return next
 }
 
-// oldest returns the earliest-issued outstanding load for tid, or nil.
-func (t *tracker) oldest(tid int) *LoadInfo {
-	if len(t.loads[tid]) == 0 {
-		return nil
-	}
-	return t.loads[tid][0]
+// Skip accounts for n consecutive cycles on which Tick was not called
+// because the core slept. Each would have returned the directives of the
+// last Tick call, so the telemetry counts them as Tick would have.
+//
+//mflush:hotpath
+func (p *Policy) Skip(n uint64) {
+	p.flushes += n * p.lastFlushes
+	p.preventive += n * p.lastStalls
 }
 
-// ICOUNT is the baseline policy: fetch priority by instruction count only,
-// no long-latency-load handling.
-type ICOUNT struct{}
-
-// NewICOUNT returns the ICOUNT baseline.
-func NewICOUNT() *ICOUNT { return &ICOUNT{} }
-
-// OnL1Miss implements Policy.
-func (*ICOUNT) OnL1Miss(*LoadInfo, uint64) {}
-
-// OnL2MissDetected implements Policy.
-func (*ICOUNT) OnL2MissDetected(*LoadInfo, uint64) {}
-
-// OnResolve implements Policy.
-func (*ICOUNT) OnResolve(*LoadInfo, uint64) {}
-
-// OnSquash implements Policy.
-func (*ICOUNT) OnSquash(*LoadInfo) {}
-
-// Tick implements Policy.
-func (*ICOUNT) Tick(uint64) []Directive { return nil }
-
-// NextEvent implements Policy: ICOUNT never directs anything.
-func (*ICOUNT) NextEvent(uint64) uint64 { return math.MaxUint64 }
-
-// Skip implements Policy.
-func (*ICOUNT) Skip(uint64) {}
-
-// Flush implements the FLUSH response action with either the speculative
-// delay-after-issue Detection Moment (Trigger > 0: FLUSH-S<Trigger>) or
-// the non-speculative trigger-on-miss Detection Moment (NonSpec: FLUSH-NS).
-type Flush struct {
-	trigger uint64
-	nonSpec bool
-	tr      tracker
-	out     []Directive
+// Telemetry returns internal event counts: MCReg latency predictions made,
+// MCReg updates, flush directives and stall (for MFLUSH, Preventive
+// State) directives, one per thread per cycle.
+func (p *Policy) Telemetry() (predictions, updates, flushes, stalls uint64) {
+	return p.predictions, p.updates, p.flushes, p.preventive
 }
-
-// NewFlushS returns speculative FLUSH: a thread is flushed once any of its
-// loads has been outstanding for more than trigger cycles.
-func NewFlushS(threads int, trigger int) *Flush {
-	if trigger <= 0 {
-		panic("policy: FLUSH-S trigger must be positive")
-	}
-	return &Flush{trigger: uint64(trigger), tr: newTracker(threads)}
-}
-
-// NewFlushNS returns non-speculative FLUSH: a thread is flushed when the
-// L2 tag check reports a miss.
-func NewFlushNS(threads int) *Flush {
-	return &Flush{nonSpec: true, tr: newTracker(threads)}
-}
-
-// OnL1Miss implements Policy.
-func (f *Flush) OnL1Miss(li *LoadInfo, _ uint64) { f.tr.add(li) }
-
-// OnL2MissDetected implements Policy.
-func (f *Flush) OnL2MissDetected(li *LoadInfo, _ uint64) { li.L2MissDetected = true }
-
-// OnResolve implements Policy.
-func (f *Flush) OnResolve(li *LoadInfo, _ uint64) { f.tr.remove(li) }
-
-// OnSquash implements Policy.
-func (f *Flush) OnSquash(li *LoadInfo) { f.tr.remove(li) }
-
-// Tick implements Policy: the oldest outstanding load past the Detection
-// Moment triggers a flush for its thread.
-func (f *Flush) Tick(now uint64) []Directive {
-	f.out = f.out[:0]
-	for tid := range f.tr.loads {
-		for _, li := range f.tr.loads[tid] {
-			triggered := false
-			if f.nonSpec {
-				triggered = li.L2MissDetected
-			} else {
-				triggered = li.Elapsed(now) > f.trigger
-			}
-			if triggered {
-				f.out = append(f.out, Directive{Tid: tid, Action: ActFlush, Load: li})
-				break
-			}
-		}
-	}
-	return f.out
-}
-
-// NextEvent implements Policy: FLUSH-S directives change when a load
-// passes the trigger; FLUSH-NS directives change only on the miss signal.
-func (f *Flush) NextEvent(now uint64) uint64 {
-	if f.nonSpec {
-		return math.MaxUint64
-	}
-	return f.tr.nextPast(now, f.trigger)
-}
-
-// Skip implements Policy.
-func (*Flush) Skip(uint64) {}
-
-// Stall implements the STALL response action: a thread with a load past
-// the trigger stops fetching (keeping its resources) until it resolves.
-type Stall struct {
-	trigger uint64
-	tr      tracker
-	out     []Directive
-}
-
-// NewStall returns the STALL policy with a delay-after-issue trigger.
-func NewStall(threads int, trigger int) *Stall {
-	if trigger <= 0 {
-		panic("policy: STALL trigger must be positive")
-	}
-	return &Stall{trigger: uint64(trigger), tr: newTracker(threads)}
-}
-
-// OnL1Miss implements Policy.
-func (s *Stall) OnL1Miss(li *LoadInfo, _ uint64) { s.tr.add(li) }
-
-// OnL2MissDetected implements Policy.
-func (*Stall) OnL2MissDetected(*LoadInfo, uint64) {}
-
-// OnResolve implements Policy.
-func (s *Stall) OnResolve(li *LoadInfo, _ uint64) { s.tr.remove(li) }
-
-// OnSquash implements Policy.
-func (s *Stall) OnSquash(li *LoadInfo) { s.tr.remove(li) }
-
-// Tick implements Policy.
-func (s *Stall) Tick(now uint64) []Directive {
-	s.out = s.out[:0]
-	for tid := range s.tr.loads {
-		act := ActNone
-		for _, li := range s.tr.loads[tid] {
-			if li.Elapsed(now) > s.trigger {
-				act = ActStall
-				break
-			}
-		}
-		s.out = append(s.out, Directive{Tid: tid, Action: act})
-	}
-	return s.out
-}
-
-// NextEvent implements Policy: directives change when a load passes the
-// trigger.
-func (s *Stall) NextEvent(now uint64) uint64 { return s.tr.nextPast(now, s.trigger) }
-
-// Skip implements Policy.
-func (*Stall) Skip(uint64) {}
-
-// Outstanding returns the number of tracked loads for tid; exposed for the
-// pipeline's consistency checks and tests.
-func (f *Flush) Outstanding(tid int) int { return len(f.tr.loads[tid]) }
-
-// Outstanding returns the number of tracked loads for tid.
-func (s *Stall) Outstanding(tid int) int { return len(s.tr.loads[tid]) }

@@ -266,6 +266,29 @@ func TestFailedCampaign(t *testing.T) {
 	}
 }
 
+// TestSimulatorPanicFailsJob: a tweak that makes the simulator panic (an
+// L2 too large to allocate) fails its job with the panic and its stack,
+// and the daemon stays up to run the next campaign.
+func TestSimulatorPanicFailsJob(t *testing.T) {
+	s := New(Config{Store: tempStore(t)})
+	id := submit(t, s, `{"workloads":["2W1"],"policies":["ICOUNT"],"cycles":1000,"tweaks":[{"l2_size_bytes":3377699720527872}]}`)
+	if state := waitState(t, s, id); state != StateFailed {
+		t.Fatalf("state = %q, want failed", state)
+	}
+	_, st := do(t, s, "GET", "/v1/campaigns/"+id, "")
+	if msg, _ := st["error"].(string); !strings.Contains(msg, "simulator panic") || !strings.Contains(msg, "makeslice") ||
+		!strings.Contains(msg, "goroutine") {
+		t.Fatalf("status error = %q, want the panic and its stack", msg)
+	}
+	if st["failed"].(float64) != 1 {
+		t.Fatalf("status = %v, want one failed job", st)
+	}
+	id = submit(t, s, `{"workloads":["2W1"],"policies":["ICOUNT"],"cycles":1000}`)
+	if state := waitState(t, s, id); state != StateDone {
+		t.Fatalf("next campaign state = %q, want done", state)
+	}
+}
+
 func TestListCampaigns(t *testing.T) {
 	r := simtest.New()
 	s := New(Config{Store: tempStore(t), Runner: r.Run})

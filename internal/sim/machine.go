@@ -181,7 +181,7 @@ func buildMachine(opt Options, reuse bool) (*machine, error) {
 		}
 	}
 
-	policies := make([]policy.Policy, cores)
+	policies := make([]*policy.Policy, cores)
 	for c := range policies {
 		p, err := opt.Policy.Build(&cfg)
 		if err != nil {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cmp"
-	"repro/internal/core"
+	"repro/internal/policy"
 )
 
 // Session is an open, incrementally steppable simulation — the stateful
@@ -41,9 +41,9 @@ type Session struct {
 	// hot path allocation-free.
 	sample Sample
 	totals cmp.Totals
-	// mflush caches the per-core MFLUSH policies (nil entries, or a nil
-	// slice, for other policies) so refreshes skip the type assertion.
-	mflush []*core.MFLUSH
+	// mcregs caches the per-core MCReg files when every core runs
+	// MFLUSH, nil otherwise.
+	mcregs []*policy.MCRegFile
 }
 
 // Open builds the machine for opt and returns a session positioned at
@@ -65,20 +65,19 @@ func open(opt Options, reuse bool) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{opt: opt, m: m, reuse: reuse, mflush: mflushPolicies(m.chip)}, nil
+	return &Session{opt: opt, m: m, reuse: reuse, mcregs: mcregFiles(m.chip)}, nil
 }
 
-// mflushPolicies returns the per-core MFLUSH policies, or nil when any
-// core runs a different policy — caching the type assertions so sample
-// refreshes never repeat them.
-func mflushPolicies(chip *cmp.Chip) []*core.MFLUSH {
-	var out []*core.MFLUSH
+// mcregFiles returns the per-core MCReg files, or nil when any core's
+// policy has none.
+func mcregFiles(chip *cmp.Chip) []*policy.MCRegFile {
+	var out []*policy.MCRegFile
 	for _, c := range chip.Cores() {
-		mf, ok := c.Policy().(*core.MFLUSH)
-		if !ok {
+		f := c.Policy().MCReg()
+		if f == nil {
 			return nil
 		}
-		out = append(out, mf)
+		out = append(out, f)
 	}
 	return out
 }
@@ -169,15 +168,15 @@ func (s *Session) refreshSample() {
 	sm.WastedEnergy = s.totals.WastedEnergy
 	sm.L2Hits = s.totals.L2Hits
 	sm.L2Misses = s.totals.L2Misses
-	if len(s.mflush) == 0 {
+	if len(s.mcregs) == 0 {
 		sm.MCReg = nil
 		return
 	}
 	if sm.MCReg == nil {
-		sm.MCReg = make([][]uint8, len(s.mflush))
+		sm.MCReg = make([][]uint8, len(s.mcregs))
 	}
-	for i, mf := range s.mflush {
-		sm.MCReg[i] = mf.MCReg().AppendSnapshot(sm.MCReg[i][:0])
+	for i, f := range s.mcregs {
+		sm.MCReg[i] = f.AppendSnapshot(sm.MCReg[i][:0])
 	}
 }
 

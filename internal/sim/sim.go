@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cmp"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/isa"
 	"repro/internal/policy"
@@ -78,7 +77,7 @@ func (s PolicySpec) String() string {
 }
 
 // Build instantiates the policy for one core of the given machine.
-func (s PolicySpec) Build(cfg *config.Config) (policy.Policy, error) {
+func (s PolicySpec) Build(cfg *config.Config) (*policy.Policy, error) {
 	threads := cfg.Core.ThreadsPerCore
 	switch s.Kind {
 	case ICOUNT:
@@ -100,7 +99,7 @@ func (s PolicySpec) Build(cfg *config.Config) (policy.Policy, error) {
 		if h <= 0 {
 			h = 1
 		}
-		return core.NewMFLUSHHistory(cfg, h), nil
+		return policy.NewMFLUSH(cfg, h), nil
 	default:
 		return nil, fmt.Errorf("sim: unknown policy kind %d", s.Kind)
 	}

@@ -28,8 +28,14 @@ type Runner struct {
 // New returns an empty runner.
 func New() *Runner { return &Runner{calls: make(map[string]int)} }
 
+// maxSamples bounds the interval samples one Run produces: far above any
+// test's needs, and low enough that a spec with a huge cycle count
+// cannot exhaust memory through the fake.
+const maxSamples = 1 << 16
+
 // Run counts the invocation, honours Gate/Fail, and returns a
-// deterministic fake result derived from the options.
+// deterministic fake result derived from the options. It fails when the
+// options ask for more than maxSamples interval samples.
 func (r *Runner) Run(o sim.Options) (*sim.Result, error) {
 	// Name the result the way sim.Run does: the Name override wins, so
 	// trace-replay jobs (whose Workload is zero) stay distinguishable.
@@ -47,6 +53,9 @@ func (r *Runner) Run(o sim.Options) (*sim.Result, error) {
 	}
 	if r.Fail {
 		return nil, errors.New("synthetic simulator failure")
+	}
+	if o.Interval > 0 && o.Cycles/o.Interval > maxSamples {
+		return nil, fmt.Errorf("simtest: %d cycles at interval %d exceed %d samples", o.Cycles, o.Interval, maxSamples)
 	}
 	res := &sim.Result{
 		Workload:   name,

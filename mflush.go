@@ -24,7 +24,7 @@ package mflush
 
 import (
 	"repro/internal/config"
-	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/synth"
 	"repro/internal/workload"
@@ -119,7 +119,7 @@ func BenchmarkProfiles() []Profile { return synth.Profiles() }
 
 // OperationalEnvironment returns the MFLUSH thresholds (MIN, MAX, MT,
 // suspicious, Barrier behaviour) for a machine with the given core count.
-func OperationalEnvironment(cores int) core.OperationalEnvironment {
+func OperationalEnvironment(cores int) policy.OperationalEnvironment {
 	cfg := config.Default(cores)
-	return core.EnvironmentFor(&cfg)
+	return policy.EnvironmentFor(&cfg)
 }
