@@ -59,7 +59,6 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzMachineReuse -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzReadSpec -fuzztime 10s ./internal/campaign
-	$(GO) test -run '^$$' -fuzz FuzzGangGrouping -fuzztime 10s ./internal/campaign
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzScenarioBinary -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzScenarioJSONL -fuzztime 10s ./internal/trace

@@ -55,11 +55,11 @@ func TestTracesReplayScenario(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs, err := campaign.RunGroup(jobs, nil, nil)
+			rec, err := campaign.RunJob(jobs[0], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := recs[0].Summary
+			want := rec.Summary
 			if got.IPC != want.IPC || got.Flushes != want.Flushes || !reflect.DeepEqual(got.Committed, want.Committed) {
 				t.Fatalf("mflushsim replay diverges from the campaign trace job:\n got IPC %v, %d flushes, committed %v\nwant IPC %v, %d flushes, committed %v",
 					got.IPC, got.Flushes, got.Committed, want.IPC, want.Flushes, want.Committed)

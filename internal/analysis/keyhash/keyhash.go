@@ -1,7 +1,7 @@
 // Package keyhash enforces key/hash coverage on `//mflush:keyed`
 // structs. A keyed struct declares, in its annotation, the methods that
-// derive its content-addressed identity (campaign Job.Key, GangKey,
-// Tweak.canon, WireJob.Job); every field must then either be read —
+// derive its content-addressed identity (campaign Job.Key, Tweak.canon,
+// WireJob.Job); every field must then either be read —
 // directly or through transitively-called same-package helpers — by at
 // least one of those methods, or carry an explicit
 // `//mflush:keyed-ignore` opt-out. The invariant this pins down is the

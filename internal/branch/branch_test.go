@@ -75,18 +75,36 @@ func TestPerceptronBeatsCoinOnBiasedRandom(t *testing.T) {
 	}
 }
 
+// TestPerceptronWeightsSaturate drives weights into both limits. Each
+// round, a random branch sets the newest history bit and one branch
+// copies it; another random bit, and a third branch inverts it. Each
+// copying branch has only its newest-bit weight trained in one
+// direction every time, and with 63 history bits the training threshold
+// (135) is above what one weight can supply, so training never stops:
+// those weights must pin at +weightLimit and -weightLimit, and no
+// weight may pass either.
 func TestPerceptronWeightsSaturate(t *testing.T) {
-	p := NewPerceptron(2, 4)
-	pc := uint64(0)
-	for i := 0; i < 10000; i++ {
-		p.Update(pc, true)
-	}
-	for _, row := range p.weights {
-		for _, w := range row {
-			if w > weightLimit || w < -weightLimit {
-				t.Fatalf("weight %d escaped saturation", w)
+	p := NewPerceptron(4, 63)
+	r := rng.New(1)
+	var lo, hi int16
+	for i := 0; i < 2000; i++ {
+		bit := r.Bool(0.5)
+		p.Update(4, bit) // entry 1: noise
+		p.Update(0, bit) // entry 0: copies the newest bit
+		bit = r.Bool(0.5)
+		p.Update(4, bit)  // entry 1: noise
+		p.Update(8, !bit) // entry 2: inverts the newest bit
+		for _, row := range p.weights {
+			for _, w := range row {
+				lo, hi = min(lo, w), max(hi, w)
 			}
 		}
+	}
+	if lo != -weightLimit || hi != weightLimit {
+		t.Fatalf("weights spanned [%d, %d], want exactly [%d, %d]", lo, hi, -weightLimit, weightLimit)
+	}
+	if p.weights[0][1] != weightLimit || p.weights[2][1] != -weightLimit {
+		t.Fatalf("newest-bit weights = %d, %d, want %d, %d", p.weights[0][1], p.weights[2][1], weightLimit, -weightLimit)
 	}
 }
 

@@ -48,7 +48,7 @@ type flight struct {
 // run is the cluster router: it may send the job to a remote worker
 // (and honour cancellation while the job is still queued) instead of
 // simulating in process. run must return a Record a local run would
-// have produced byte-for-byte (RunGroup over a deterministic simulation
+// have produced byte-for-byte (RunJob over a deterministic simulation
 // does); the cache stamps the job's key on it before persisting.
 // Completed records are appended to the store as they finish, so the
 // cache survives restarts with the same crash-consistency guarantees as

@@ -53,14 +53,10 @@ func TestCacheNeedsStore(t *testing.T) {
 }
 
 // simulate adapts an options-level runner into the cache's job-level
-// runner, executing each miss in process through RunGroup.
+// runner, executing each miss in process through RunJob.
 func simulate(run func(sim.Options) (*sim.Result, error)) func(context.Context, Job) (Record, error) {
 	return func(_ context.Context, j Job) (Record, error) {
-		recs, err := RunGroup([]Job{j}, run, nil)
-		if err != nil {
-			return Record{}, err
-		}
-		return recs[0], nil
+		return RunJob(j, run)
 	}
 }
 

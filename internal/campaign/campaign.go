@@ -61,22 +61,45 @@ func (tw Tweak) IsZero() bool {
 		tw.MainMemoryLatency == 0 && tw.RegReservePerThread == 0
 }
 
-// validate rejects negative knob values: apply would silently skip them
-// (its guards are > 0), so the job would run the baseline machine while
-// its key and label claim a distinct point.
+// Upper bounds on the tweak knobs, far above any point the evaluation
+// sweeps (the paper's machine has 16 MSHR entries per core, a 4 MB L2,
+// a 2-cycle bus, 250-cycle memory and 24 reserved registers per thread).
+// The MSHR and L2 bounds keep one machine's MSHR files (80 bytes per
+// entry per core, on up to the 128 cores a 256-thread scenario builds)
+// and its L2 tag array (8 bytes per 64-byte line, plus 8 per set) under
+// 16 MiB of host memory: at most 2.5 MiB and 8.7 MiB. Nothing is sized
+// by the two latencies; their bounds, 500 and 400 times the paper's
+// values, only reject inputs that are no machine point. A thread cannot
+// reserve more than the 320-register file it shares.
+const (
+	maxMSHREntries         = 256
+	maxL2SizeBytes         = 64 << 20
+	maxBusDelay            = 1000
+	maxMainMemoryLatency   = 100000
+	maxRegReservePerThread = 320
+)
+
+// validate rejects negative knob values, which apply would silently
+// skip (its guards are > 0) so the job would run the baseline machine
+// while its key and label claim a distinct point, and values above the
+// knob's upper bound, which could exhaust host memory before the
+// simulation starts.
 func (tw Tweak) validate() error {
 	for _, f := range []struct {
-		name string
-		v    int
+		name   string
+		v, max int
 	}{
-		{"mshr_entries", tw.MSHREntries},
-		{"l2_size_bytes", tw.L2SizeBytes},
-		{"bus_delay", tw.BusDelay},
-		{"main_memory_latency", tw.MainMemoryLatency},
-		{"reg_reserve_per_thread", tw.RegReservePerThread},
+		{"mshr_entries", tw.MSHREntries, maxMSHREntries},
+		{"l2_size_bytes", tw.L2SizeBytes, maxL2SizeBytes},
+		{"bus_delay", tw.BusDelay, maxBusDelay},
+		{"main_memory_latency", tw.MainMemoryLatency, maxMainMemoryLatency},
+		{"reg_reserve_per_thread", tw.RegReservePerThread, maxRegReservePerThread},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("campaign: tweak %q: negative %s %d", tw.Label(), f.name, f.v)
+		}
+		if f.v > f.max {
+			return fmt.Errorf("campaign: tweak %q: %s %d exceeds the bound %d", tw.Label(), f.name, f.v, f.max)
 		}
 	}
 	return nil
@@ -284,9 +307,9 @@ func (s Spec) Jobs() ([]Job, error) {
 
 // Job is one fully specified simulation of a campaign. Every field is
 // result-determining and therefore key material; keyhash enforces that
-// Key (with GangKey) covers whatever fields this struct grows.
+// Key covers whatever fields this struct grows.
 //
-//mflush:keyed Key GangKey
+//mflush:keyed Key
 type Job struct {
 	// Workload selects the benchmark mix. Zero when Trace is set.
 	Workload workload.Workload

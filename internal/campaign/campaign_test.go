@@ -111,6 +111,50 @@ func TestSpecJobsErrors(t *testing.T) {
 	}
 }
 
+// TestTweakBounds: every tweak knob is admitted at its upper bound and
+// rejected one above it, with a message naming the field and the bound.
+// The two hostile repros (an L2 too large to allocate, an MSHR file that
+// exhausts host memory) fail at expansion, before anything simulates.
+func TestTweakBounds(t *testing.T) {
+	spec := func(tw Tweak) Spec {
+		return Spec{Workloads: []string{"2W1"}, Policies: []string{"ICOUNT"}, Cycles: 1, Tweaks: []Tweak{tw}}
+	}
+	for _, tc := range []struct {
+		field string
+		bound int
+		set   func(*Tweak, int)
+	}{
+		{"mshr_entries", 256, func(tw *Tweak, v int) { tw.MSHREntries = v }},
+		{"l2_size_bytes", 64 << 20, func(tw *Tweak, v int) { tw.L2SizeBytes = v }},
+		{"bus_delay", 1000, func(tw *Tweak, v int) { tw.BusDelay = v }},
+		{"main_memory_latency", 100000, func(tw *Tweak, v int) { tw.MainMemoryLatency = v }},
+		{"reg_reserve_per_thread", 320, func(tw *Tweak, v int) { tw.RegReservePerThread = v }},
+	} {
+		var at, above Tweak
+		tc.set(&at, tc.bound)
+		tc.set(&above, tc.bound+1)
+		if _, err := spec(at).Jobs(); err != nil {
+			t.Errorf("%s at its bound %d: %v", tc.field, tc.bound, err)
+		}
+		_, err := spec(above).Jobs()
+		if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), strconv.Itoa(tc.bound)) {
+			t.Errorf("%s above its bound: err = %v, want one naming the field and %d", tc.field, err, tc.bound)
+		}
+	}
+	for _, body := range []string{
+		`{"workloads":["2W1"],"policies":["ICOUNT"],"cycles":1000,"tweaks":[{"l2_size_bytes":3377699720527872}]}`,
+		`{"workloads":["2W1"],"policies":["ICOUNT"],"cycles":1000,"tweaks":[{"mshr_entries":4000000000000}]}`,
+	} {
+		s, err := ReadSpec(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Jobs(); err == nil || !strings.Contains(err.Error(), "exceeds the bound") {
+			t.Errorf("%s: err = %v, want a bound rejection", body, err)
+		}
+	}
+}
+
 func TestJobKeyContent(t *testing.T) {
 	base := Job{Policy: sim.SpecMFLUSH, Seed: 1, Cycles: 100, Warmup: 50}
 	renamed := base

@@ -37,18 +37,11 @@ type Scheduler struct {
 	// Runner executes one simulation; nil means sim.Run. Tests inject
 	// counting or failing runners here.
 	Runner func(sim.Options) (*sim.Result, error)
-	// GangWidth only sets the width of the execution groups Run
-	// dispatches (GangGroups): up to that many gang-compatible pending
-	// jobs (equal Job.GangKey: one workload, window and machine point)
-	// share one GangRunner call. Below 2 every group is a single job, and
-	// a width-1 group — also any job with no compatible sibling — runs
-	// through Runner. Records, job keys and store contents are
-	// byte-identical at every width (test-enforced). sim.RunGang runs
-	// its members one after another, each to completion, so a width
-	// above 1 adds no parallelism and holds no extra machine; no command
-	// sets it.
+	// GangWidth is ignored: Run executes every job on its own through
+	// Runner. It remains only because the end-to-end benchmark
+	// (bench/mflushperf) still sets it, and goes when that stops.
 	GangWidth int
-	// GangRunner executes one batch; nil means sim.RunGang.
+	// GangRunner is ignored, like GangWidth.
 	GangRunner func([]sim.Options) ([]*sim.Result, error)
 	// OnProgress, when set, is called serially after every job.
 	OnProgress func(Progress)
@@ -90,127 +83,50 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job, store *Store) ([]Record
 		pending = append(pending, i)
 	}
 
-	// complete books job i's finished record: store, report.
-	complete := func(i int, rec Record) error {
+	errs := runPool(ctx, workers, len(jobs), pending, func(i int) error {
 		j := jobs[i]
-		if store != nil {
-			if err := store.Append(rec); err != nil {
-				report(Progress{Job: j, Err: err})
-				return err
-			}
+		rec, err := RunJob(j, s.Runner)
+		if err == nil && store != nil {
+			err = store.Append(rec)
+		}
+		if err != nil {
+			report(Progress{Job: j, Err: err})
+			return err
 		}
 		records[i] = rec
 		report(Progress{Job: j})
 		return nil
-	}
-
-	// The pool's unit of work is one gang group: singletons below
-	// GangWidth 2, else up to GangWidth compatible jobs, executed by
-	// RunGroup. Its records are booked member by member through
-	// complete, so records and stores cannot depend on the width.
-	pendingJobs := make([]Job, len(pending))
-	for k, i := range pending {
-		pendingJobs[k] = jobs[i]
-	}
-	groups := GangGroups(pendingJobs, s.GangWidth)
-	groupIdx := make([]int, len(groups))
-	for g := range groupIdx {
-		groupIdx[g] = g
-	}
-	// jobErrs is written at distinct indices only (each job belongs to
-	// exactly one group) and read after the pool drains, so it needs no
-	// lock.
-	jobErrs := make([]error, len(jobs))
-	gerrs := runPool(ctx, workers, len(groups), groupIdx, func(g int) error {
-		members := groups[g]
-		gjobs := make([]Job, len(members))
-		for k, pi := range members {
-			gjobs[k] = pendingJobs[pi]
-		}
-		recs, err := RunGroup(gjobs, s.Runner, s.GangRunner)
-		if err != nil {
-			for _, pi := range members {
-				i := pending[pi]
-				jobErrs[i] = err
-				report(Progress{Job: jobs[i], Err: err})
-			}
-			return err
-		}
-		var firstErr error
-		for k, pi := range members {
-			i := pending[pi]
-			if jobErrs[i] = complete(i, recs[k]); jobErrs[i] != nil && firstErr == nil {
-				firstErr = jobErrs[i]
-			}
-		}
-		return firstErr
 	})
-	// Groups the cancelled pool never started record their error at the
-	// group level only; spread it over their members so firstError sees
-	// every unfinished job.
-	for g, err := range gerrs {
-		if err == nil {
-			continue
-		}
-		for _, pi := range groups[g] {
-			if i := pending[pi]; jobErrs[i] == nil {
-				jobErrs[i] = err
-			}
-		}
-	}
-	return records, firstError(jobs, jobErrs)
+	return records, firstError(jobs, errs)
 }
 
-// RunGroup executes one execution group (GangGroups) and returns one
-// record per job, in order. A lone job runs through run (nil: sim.Run);
-// a wider group runs through gang (nil: sim.RunGang, which runs the
-// members one at a time). This is the one path that turns jobs into
-// records — the scheduler, cluster workers and the router's local
-// fallback all go through it. An options failure or any member's
-// failure fails the whole group: members share one GangKey, hence one
-// trace file, so a trace that will not load or verify hits them all,
-// and a gang runner returns no results when a member fails. A panic in
-// the simulator fails the group too, with an error carrying the stack,
-// so a hostile spec cannot take down the process that runs it.
-func RunGroup(jobs []Job, run func(sim.Options) (*sim.Result, error), gang func([]sim.Options) ([]*sim.Result, error)) (_ []Record, err error) {
+// RunJob executes one job through run (nil: sim.Run) and returns its
+// record. This is the one path that turns a job into a record — the
+// scheduler, cluster workers and the router's local fallback all go
+// through it. A panic in the simulator fails the job with an error
+// carrying the stack, so a hostile spec cannot take down the process
+// that runs it.
+func RunJob(j Job, run func(sim.Options) (*sim.Result, error)) (_ Record, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("campaign: simulator panic: %v\n%s", p, debug.Stack())
 		}
 	}()
-	opts := make([]sim.Options, len(jobs))
-	for k, j := range jobs {
-		o, err := j.SimOptions()
-		if err != nil {
-			return nil, err
-		}
-		opts[k] = o
-	}
-	var results []*sim.Result
-	if len(opts) == 1 {
-		if run == nil {
-			run = sim.Run
-		}
-		var res *sim.Result
-		res, err = run(opts[0])
-		results = []*sim.Result{res}
-	} else {
-		if gang == nil {
-			gang = sim.RunGang
-		}
-		results, err = gang(opts)
-	}
+	o, err := j.SimOptions()
 	if err != nil {
-		return nil, err
+		return Record{}, err
 	}
-	recs := make([]Record, len(jobs))
-	for k, j := range jobs {
-		recs[k] = NewRecord(j, results[k])
+	if run == nil {
+		run = sim.Run
 	}
-	return recs, nil
+	res, err := run(o)
+	if err != nil {
+		return Record{}, err
+	}
+	return NewRecord(j, res), nil
 }
 
-// NewRecord builds the store record for a completed job. RunGroup is its
+// NewRecord builds the store record for a completed job. RunJob is its
 // one caller, so a record is byte-for-byte identical no matter where the
 // job ran.
 func NewRecord(j Job, res *sim.Result) Record {

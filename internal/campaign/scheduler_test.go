@@ -2,8 +2,11 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -162,5 +165,65 @@ func TestSchedulerReportsJobError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "seed=2") ||
 		!strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestSchedulerIgnoresGangWidth: GangWidth and GangRunner change
+// nothing. A campaign run with them set never calls the gang runner and
+// returns the records and store lines of a plain run.
+func TestSchedulerIgnoresGangWidth(t *testing.T) {
+	jobs, err := Spec{
+		Workloads: []string{"2W1", "2W3"},
+		Policies:  []string{"ICOUNT", "FLUSH-S30", "MFLUSH"},
+		Seeds:     []uint64{1, 2},
+		Cycles:    4000,
+		Warmup:    1000,
+	}.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run := func(name string, sched *Scheduler) (records, lines []string) {
+		path := filepath.Join(dir, name+".jsonl")
+		store, err := OpenStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := sched.Run(context.Background(), jobs, store)
+		store.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, r := range recs {
+			out, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			records = append(records, string(out))
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two workers append in completion order, so compare the lines
+		// as a set.
+		lines = strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+		slices.Sort(lines)
+		return records, lines
+	}
+	plainRecs, plainLines := run("plain", &Scheduler{Workers: 2})
+	gangRecs, gangLines := run("gang", &Scheduler{
+		Workers:   2,
+		GangWidth: 4,
+		GangRunner: func([]sim.Options) ([]*sim.Result, error) {
+			t.Error("GangRunner called")
+			return nil, fmt.Errorf("gang runner called")
+		},
+	})
+	if !slices.Equal(plainRecs, gangRecs) {
+		t.Errorf("records differ with GangWidth 4:\n%s\nvs\n%s", gangRecs, plainRecs)
+	}
+	if len(plainLines) != len(jobs) || !slices.Equal(plainLines, gangLines) {
+		t.Errorf("store lines differ with GangWidth 4:\n%s\nvs\n%s", gangLines, plainLines)
 	}
 }

@@ -48,7 +48,7 @@ type TraceRef struct {
 
 // keyMaterial is the trace axis's contribution to job keys: the
 // content digest under the trace: prefix. Job.workloadID splices it
-// into Key/GangKey material.
+// into Key material.
 func (ref *TraceRef) keyMaterial() string {
 	return TracePrefix + ref.Digest
 }

@@ -133,41 +133,6 @@ func TestTraceWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceGangKeySeparation: trace jobs must never batch with
-// synthetic jobs, and only batch with replays of byte-identical content.
-func TestTraceGangKeySeparation(t *testing.T) {
-	w, _ := workload.ByName("2W1")
-	syn := Job{Workload: w, Policy: mustParse("ICOUNT"), Seed: 1, Cycles: 1000, Warmup: 100}
-	tr := traceJob(&TraceRef{Name: "trace:a", Path: "a", Digest: strings.Repeat("a", 64)})
-	tr2 := traceJob(&TraceRef{Name: "trace:b", Path: "b", Digest: strings.Repeat("b", 64)})
-	same := traceJob(&TraceRef{Name: "trace:a2", Path: "a2", Digest: strings.Repeat("a", 64)})
-	same.Policy = mustParse("MFLUSH")
-
-	if syn.GangKey() == tr.GangKey() {
-		t.Fatal("trace job shares a gang key with a synthetic job")
-	}
-	if tr.GangKey() == tr2.GangKey() {
-		t.Fatal("distinct trace contents share a gang key")
-	}
-	if tr.GangKey() != same.GangKey() {
-		t.Fatal("identical trace contents (different policies) do not share a gang key")
-	}
-	groups := GangGroups([]Job{syn, tr, same, tr2}, 4)
-	for _, g := range groups {
-		hasSyn, hasTrace := false, false
-		for _, i := range g {
-			if []Job{syn, tr, same, tr2}[i].Trace == nil {
-				hasSyn = true
-			} else {
-				hasTrace = true
-			}
-		}
-		if hasSyn && hasTrace {
-			t.Fatalf("group %v mixes trace and synthetic jobs", g)
-		}
-	}
-}
-
 func TestSpecTraceAxis(t *testing.T) {
 	dir := t.TempDir()
 	pathA, digestA := writeScenarioFile(t, dir, "a.trace", "A")

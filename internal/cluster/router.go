@@ -28,6 +28,12 @@ type Router struct {
 	// dispatched to remote workers return their samples only in the
 	// completed record; the worker protocol does not stream them.
 	OnSample func(key string, p sim.SamplePoint)
+	// OnLocalFailure, when non-nil, is called with the job's context
+	// when a local simulation fails, before the job frees its slot. The
+	// daemon cancels the failed job's campaign there, so no job of that
+	// campaign queued for the slot can start after the failure. Set it
+	// before the first Run.
+	OnLocalFailure func(ctx context.Context)
 }
 
 // NewRouter builds a router over coord (nil: always local) running
@@ -78,9 +84,9 @@ func (r *Router) Run(ctx context.Context, j campaign.Job) (campaign.Record, erro
 		j.StreamSamples(&o, r.OnSample)
 		return r.local(o)
 	}
-	recs, err := campaign.RunGroup([]campaign.Job{j}, run, nil)
-	if err != nil {
-		return campaign.Record{}, err
+	rec, err := campaign.RunJob(j, run)
+	if err != nil && r.OnLocalFailure != nil {
+		r.OnLocalFailure(ctx)
 	}
-	return recs[0], nil
+	return rec, err
 }

@@ -243,7 +243,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	// start dispatches one lease's worth of wires. Each wire is decoded
 	// and key-checked; one that fails is posted as a JobFailure straight
-	// away. Every other job runs campaign.RunGroup on its own goroutine.
+	// away. Every other job runs campaign.RunJob on its own goroutine.
 	start := func(wires []campaign.WireJob) {
 		for _, wire := range wires {
 			inflight++
@@ -258,7 +258,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			go func() {
 				began := time.Now()
-				recs, err := campaign.RunGroup([]campaign.Job{j}, w.Runner, nil)
+				rec, err := campaign.RunJob(j, w.Runner)
 				if err != nil {
 					// A trace missing or drifted on this worker's
 					// filesystem fails the job before simulating.
@@ -266,7 +266,7 @@ func (w *Worker) Run(ctx context.Context) error {
 					return
 				}
 				results <- outcome{
-					rec:    recs[0],
+					rec:    rec,
 					key:    wire.Key,
 					cycles: float64(j.Cycles + j.Warmup),
 					secs:   time.Since(began).Seconds(),

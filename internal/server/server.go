@@ -131,6 +131,7 @@ func New(cfg Config) *Server {
 	// and the router's slots are the one bound on local simulations.
 	router := cluster.NewRouter(cfg.Cluster, cfg.Workers, cfg.Runner)
 	router.OnSample = s.samples.publish
+	router.OnLocalFailure = abandonCampaign
 	s.cache = campaign.NewCache(cfg.Store, router.Run)
 	s.sched = &campaign.Scheduler{Workers: maxQueued}
 	if cfg.Cluster != nil {
@@ -315,6 +316,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	c := newRun(id, jobs, time.Now())
 	c.charged = charged
 	ctx, cancel := context.WithCancel(s.baseCtx)
+	ctx = context.WithValue(ctx, abandonKey{}, cancel)
 	c.cancel = cancel
 	s.campaigns[id] = c
 	s.order = append(s.order, id)
@@ -370,6 +372,21 @@ func (s *Server) runCampaign(ctx context.Context, c *run) {
 	// admission slots still charged to them back. The campaign is
 	// settled, so nothing else touches the map.
 	s.release(len(c.charged))
+}
+
+// abandonKey keys a campaign's cancel function in the context its jobs
+// run under.
+type abandonKey struct{}
+
+// abandonCampaign cancels the campaign whose job failed in a local
+// simulation. The router calls it while the job still holds its slot,
+// so a job of the same campaign waiting for that slot sees the
+// cancellation instead of starting; the progress callback's own cancel
+// would come only after the slot is free.
+func abandonCampaign(ctx context.Context) {
+	if cancel, ok := ctx.Value(abandonKey{}).(context.CancelFunc); ok {
+		cancel()
+	}
 }
 
 // evictLocked trims the registry to the retention bound by forgetting

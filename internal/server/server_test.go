@@ -266,17 +266,22 @@ func TestFailedCampaign(t *testing.T) {
 	}
 }
 
-// TestSimulatorPanicFailsJob: a tweak that makes the simulator panic (an
-// L2 too large to allocate) fails its job with the panic and its stack,
-// and the daemon stays up to run the next campaign.
+// TestSimulatorPanicFailsJob: a simulator panic fails its job with the
+// panic and its stack, and the daemon stays up to run the next campaign.
 func TestSimulatorPanicFailsJob(t *testing.T) {
-	s := New(Config{Store: tempStore(t)})
-	id := submit(t, s, `{"workloads":["2W1"],"policies":["ICOUNT"],"cycles":1000,"tweaks":[{"l2_size_bytes":3377699720527872}]}`)
+	r := simtest.New()
+	s := New(Config{Store: tempStore(t), Runner: func(o sim.Options) (*sim.Result, error) {
+		if o.Seed == 13 {
+			panic("synthetic simulator panic")
+		}
+		return r.Run(o)
+	}})
+	id := submit(t, s, `{"workloads":["2W1"],"policies":["ICOUNT"],"seeds":[13],"cycles":1000}`)
 	if state := waitState(t, s, id); state != StateFailed {
 		t.Fatalf("state = %q, want failed", state)
 	}
 	_, st := do(t, s, "GET", "/v1/campaigns/"+id, "")
-	if msg, _ := st["error"].(string); !strings.Contains(msg, "simulator panic") || !strings.Contains(msg, "makeslice") ||
+	if msg, _ := st["error"].(string); !strings.Contains(msg, "simulator panic") || !strings.Contains(msg, "synthetic simulator panic") ||
 		!strings.Contains(msg, "goroutine") {
 		t.Fatalf("status error = %q, want the panic and its stack", msg)
 	}
@@ -286,6 +291,28 @@ func TestSimulatorPanicFailsJob(t *testing.T) {
 	id = submit(t, s, `{"workloads":["2W1"],"policies":["ICOUNT"],"cycles":1000}`)
 	if state := waitState(t, s, id); state != StateDone {
 		t.Fatalf("next campaign state = %q, want done", state)
+	}
+}
+
+// TestHostileTweaksRejected: the two known hostile tweaks — an L2 too
+// large to allocate and an MSHR file that exhausts host memory — are
+// 400s naming the field and its bound, and nothing reaches the
+// simulator.
+func TestHostileTweaksRejected(t *testing.T) {
+	s := New(Config{Store: tempStore(t), Runner: func(o sim.Options) (*sim.Result, error) {
+		t.Errorf("hostile spec reached the simulator: %+v", o)
+		return nil, errors.New("hostile spec simulated")
+	}})
+	for _, tc := range []struct{ field, value, bound string }{
+		{"l2_size_bytes", "3377699720527872", "67108864"},
+		{"mshr_entries", "4000000000000", "256"},
+	} {
+		body := `{"workloads":["2W1"],"policies":["ICOUNT"],"cycles":1000,"tweaks":[{"` + tc.field + `":` + tc.value + `}]}`
+		code, resp := do(t, s, "POST", "/v1/campaigns", body)
+		msg, _ := resp["error"].(string)
+		if code != http.StatusBadRequest || !strings.Contains(msg, tc.field) || !strings.Contains(msg, tc.bound) {
+			t.Errorf("%s: submit = %d %q, want 400 naming the field and the bound %s", body, code, msg, tc.bound)
+		}
 	}
 }
 
