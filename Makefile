@@ -65,6 +65,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzCacheLRU -fuzztime 10s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzTLB -fuzztime 10s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzSleep -fuzztime 10s ./internal/cmp
+	$(GO) test -run '^$$' -fuzz FuzzWindow -fuzztime 10s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzPolicy -fuzztime 10s ./internal/policy
 
 # Crash matrix: build the real mflushd with fault injection compiled in

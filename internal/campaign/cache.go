@@ -69,7 +69,8 @@ func NewCache(store *Store, run func(context.Context, Job) (Record, error)) *Cac
 // whether the result was served without a fresh simulation (from the
 // store or another caller's in-flight run). Errors are never cached: a failed job can be retried. A caller
 // waiting on another caller's in-flight run returns ctx.Err() if ctx is
-// cancelled first; a leader running a local simulation always finishes it
+// cancelled first (the run's failure, if a JobFailure for it is the
+// cause); a leader running a local simulation always finishes it
 // (runs are not interruptible) so the store never loses a completed
 // result. The runner may instead honour the leader's ctx while the job
 // is still queued (remotely or for a local slot); waiters that were not
@@ -87,7 +88,7 @@ func (c *Cache) Do(ctx context.Context, j Job) (rec Record, hit bool, err error)
 		// Note: this wait holds one of the caller's pool workers while
 		// the leader (running on its own caller's pool, so there is no
 		// deadlock) finishes — idle capacity traded for simplicity.
-		if err := c.await(ctx, f); err != nil {
+		if err := c.await(ctx, f, key); err != nil {
 			return Record{}, false, err
 		}
 		if f.err != nil {
@@ -120,18 +121,37 @@ func (c *Cache) Do(ctx context.Context, j Job) (rec Record, hit bool, err error)
 	return f.rec, false, f.err
 }
 
-// await blocks until flight f settles or ctx is cancelled, counted in
-// Waiting meanwhile.
-func (c *Cache) await(ctx context.Context, f *flight) error {
+// await blocks until flight f, running job key, settles or ctx is
+// cancelled, counted in Waiting meanwhile. A caller cancelled because
+// this very job failed gets the failure, as it would once f settled.
+func (c *Cache) await(ctx context.Context, f *flight, key string) error {
 	c.waiting.Add(1)
 	defer c.waiting.Add(-1)
 	select {
 	case <-f.done:
 		return nil
 	case <-ctx.Done():
+		if jf, ok := context.Cause(ctx).(*JobFailure); ok && jf.Key == key {
+			return jf.Err
+		}
 		return ctx.Err()
 	}
 }
+
+// JobFailure is the cause a caller's context is cancelled with when a job
+// the caller shares failed in another caller's run: the daemon abandons
+// every campaign that includes the failed job before the failed run frees
+// its slot. The caller's wait on that job's run returns Err; its other
+// waits return the cancellation.
+type JobFailure struct {
+	// Key is the failed job's key (Job.Key).
+	Key string
+	// Err is the job's error.
+	Err error
+}
+
+// Error returns the failed job's error text.
+func (e *JobFailure) Error() string { return e.Err.Error() }
 
 // Waiting returns how many Do calls are currently blocked on another
 // caller's in-flight run of the same job.

@@ -28,12 +28,12 @@ type Router struct {
 	// dispatched to remote workers return their samples only in the
 	// completed record; the worker protocol does not stream them.
 	OnSample func(key string, p sim.SamplePoint)
-	// OnLocalFailure, when non-nil, is called with the job's context
+	// OnLocalFailure, when non-nil, is called with the job and its error
 	// when a local simulation fails, before the job frees its slot. The
-	// daemon cancels the failed job's campaign there, so no job of that
-	// campaign queued for the slot can start after the failure. Set it
-	// before the first Run.
-	OnLocalFailure func(ctx context.Context)
+	// daemon cancels every campaign that includes the job there, so no
+	// job of those campaigns queued for the slot can start after the
+	// failure. Set it before the first Run.
+	OnLocalFailure func(j campaign.Job, err error)
 }
 
 // NewRouter builds a router over coord (nil: always local) running
@@ -86,7 +86,7 @@ func (r *Router) Run(ctx context.Context, j campaign.Job) (campaign.Record, erro
 	}
 	rec, err := campaign.RunJob(j, run)
 	if err != nil && r.OnLocalFailure != nil {
-		r.OnLocalFailure(ctx)
+		r.OnLocalFailure(j, err)
 	}
 	return rec, err
 }

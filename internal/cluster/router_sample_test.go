@@ -73,33 +73,35 @@ func TestRouterCancelledJobNeverSimulates(t *testing.T) {
 }
 
 // TestRouterLocalFailureHookHoldsSlot: OnLocalFailure runs with the
-// failed job's context while the job still holds its slot, and only for
-// failures.
+// failed job and its error while the job still holds its slot, and only
+// for failures.
 func TestRouterLocalFailureHookHoldsSlot(t *testing.T) {
 	w, _ := workload.ByName("2W1")
 	runner := simtest.New()
+	failure := errors.New("synthetic failure")
 	r := NewRouter(nil, 1, func(o sim.Options) (*sim.Result, error) {
 		if o.Seed == 2 {
-			return nil, errors.New("synthetic failure")
+			return nil, failure
 		}
 		return runner.Run(o)
 	})
-	type key struct{}
-	var calls []any
-	r.OnLocalFailure = func(ctx context.Context) {
+	var calls []uint64
+	r.OnLocalFailure = func(j campaign.Job, err error) {
 		if len(r.slots) != 1 {
 			t.Error("OnLocalFailure ran after the slot was freed")
 		}
-		calls = append(calls, ctx.Value(key{}))
+		if !errors.Is(err, failure) {
+			t.Errorf("OnLocalFailure err = %v, want the simulation's failure", err)
+		}
+		calls = append(calls, j.Seed)
 	}
 	for seed := uint64(1); seed <= 3; seed++ {
-		ctx := context.WithValue(context.Background(), key{}, seed)
 		j := campaign.Job{Workload: w, Policy: sim.SpecICOUNT, Seed: seed, Cycles: 1000}
-		if _, err := r.Run(ctx, j); (err != nil) != (seed == 2) {
+		if _, err := r.Run(context.Background(), j); (err != nil) != (seed == 2) {
 			t.Fatalf("seed %d: err = %v", seed, err)
 		}
 	}
-	if len(calls) != 1 || calls[0] != uint64(2) {
-		t.Fatalf("OnLocalFailure calls = %v, want one with the failed job's context", calls)
+	if len(calls) != 1 || calls[0] != 2 {
+		t.Fatalf("OnLocalFailure calls = %v, want one for the failed job", calls)
 	}
 }

@@ -36,7 +36,8 @@ type Chip struct {
 
 // New builds a chip. policies supplies one IFetch policy per core (cores
 // do not share policy state, matching per-core hardware); sources and
-// dataBases are indexed [core][context].
+// dataBases, each context's data-area base (synth.DataBase), are indexed
+// [core][context].
 func New(cfg config.Config, policies []*policy.Policy,
 	sources [][]trace.Source, dataBases [][]uint64) (*Chip, error) {
 	if err := checkInputs(cfg, policies, sources, dataBases); err != nil {

@@ -24,7 +24,7 @@ func buildChip(t *testing.T, cores int) *Chip {
 			g := uint64(c*cfg.Core.ThreadsPerCore + th)
 			base := (g + 1) << 34
 			srcs = append(srcs, synth.NewGenerator(prof, g+1, base))
-			bs = append(bs, base)
+			bs = append(bs, synth.DataBase(base))
 		}
 		sources = append(sources, srcs)
 		bases = append(bases, bs)
@@ -44,7 +44,7 @@ func TestChipRunsAndProgresses(t *testing.T) {
 	}
 	total := uint64(0)
 	for _, c := range chip.Cores() {
-		for _, n := range c.Committed() {
+		for _, n := range c.AppendCommitted(nil) {
 			total += n
 		}
 	}
@@ -77,7 +77,7 @@ func TestChipDeterminism(t *testing.T) {
 		chip.Run(20000)
 		total := uint64(0)
 		for _, c := range chip.Cores() {
-			for _, n := range c.Committed() {
+			for _, n := range c.AppendCommitted(nil) {
 				total += n
 			}
 		}
@@ -95,7 +95,7 @@ func TestResponsesRoutedToRightCore(t *testing.T) {
 	chip := buildChip(t, 4)
 	chip.Run(60000)
 	for ci, c := range chip.Cores() {
-		for ti, n := range c.Committed() {
+		for ti, n := range c.AppendCommitted(nil) {
 			if n == 0 {
 				t.Errorf("core %d thread %d starved", ci, ti)
 			}

@@ -25,7 +25,7 @@ func chipInputs(cfg *config.Config, seed uint64) ([]*policy.Policy, [][]trace.So
 			prof, _ := synth.ByName(sleepProfiles[(g+int(seed))%len(sleepProfiles)])
 			base := uint64(g+1) << 34
 			srcs = append(srcs, synth.NewGenerator(prof, seed*16+uint64(g), base))
-			bs = append(bs, base)
+			bs = append(bs, synth.DataBase(base))
 		}
 		sources = append(sources, srcs)
 		bases = append(bases, bs)

@@ -64,7 +64,7 @@ func sleepChip(t testing.TB, cores, pol int, seed uint64, tight, lockstep bool) 
 				src = trace.NewSliceSource(farMisses(gen, 20000))
 			}
 			srcs = append(srcs, src)
-			bs = append(bs, base)
+			bs = append(bs, synth.DataBase(base))
 		}
 		sources = append(sources, srcs)
 		bases = append(bases, bs)
@@ -108,7 +108,7 @@ func readSleepState(ch *Chip) sleepState {
 	st := sleepState{now: ch.Now(), l2: ch.L2().Counters().AppendValues(nil)}
 	for _, c := range ch.Cores() {
 		st.counters = append(st.counters, c.Stats().AppendValues(nil))
-		st.committed = append(st.committed, c.Committed())
+		st.committed = append(st.committed, c.AppendCommitted(nil))
 		st.threads = append(st.threads, c.Threads())
 		var tel [4]uint64
 		tel[0], tel[1], tel[2], tel[3] = c.Policy().Telemetry()

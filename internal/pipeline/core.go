@@ -119,7 +119,6 @@ type Core struct {
 	reqPool     mem.RequestPool
 	fetchOrder  []int
 	renameBlock []bool
-	replayTmp   []isa.Inst
 
 	// Event-horizon sleep (see Advance). A sleeping core has wakeAt > 0
 	// and has charged the cycles before sleptFrom to its counters.
@@ -142,18 +141,7 @@ type thread struct {
 	id  int
 	src trace.Source
 	bb  *trace.BBDict
-
-	// pending holds the next correct-path instruction peeked from the
-	// source but not yet consumed by fetch.
-	pending    isa.Inst
-	hasPending bool
-	// replay[replayHead:] holds squashed correct-path instructions
-	// awaiting refetch, in program order. The head index (instead of
-	// re-slicing) and the spare buffer let both consumption and the
-	// flush-time prepend reuse their backing arrays.
-	replay      []isa.Inst
-	replayHead  int
-	replaySpare []isa.Inst
+	win window
 
 	seq     uint64
 	icount  int
@@ -179,8 +167,8 @@ type thread struct {
 }
 
 // New builds a core. sources supplies the correct-path stream per
-// hardware context; dataBases gives each context's address-space base for
-// wrong-path synthesis.
+// hardware context; dataBases gives the base of each context's data area,
+// near which wrong-path loads and stores fall.
 func New(id int, cfg *config.Config, pol *policy.Policy, l2 *mem.L2System,
 	sources []trace.Source, dataBases []uint64) *Core {
 	pageBits := uint(0)
@@ -211,6 +199,7 @@ func New(id int, cfg *config.Config, pol *policy.Policy, l2 *mem.L2System,
 		c.threads = append(c.threads, &thread{
 			id:     t,
 			bb:     &trace.BBDict{},
+			win:    window{buf: make([]isa.Inst, cfg.Core.ROBPerThread+frontQCapacity+1)},
 			rob:    newRing(cfg.Core.ROBPerThread),
 			frontQ: newRing(frontQCapacity),
 		})
@@ -231,12 +220,10 @@ func (c *Core) Reset(pol *policy.Policy, sources []trace.Source, dataBases []uin
 		panic(fmt.Sprintf("pipeline: core %d needs %d sources/bases, got %d/%d",
 			c.ID, cfg.Core.ThreadsPerCore, len(sources), len(dataBases)))
 	}
-	// A flush-stalled thread's load descriptor would stay out of its
-	// uop's recycling (freeUOp); the stall ends here.
 	for _, t := range c.threads {
+		// A flush-stalled thread's load descriptor would stay out of its
+		// uop's recycling (freeUOp); the stall ends here.
 		t.flushLoad = nil
-	}
-	for _, t := range c.threads {
 		for t.rob.len() > 0 {
 			c.recycle(t.rob.popFront())
 		}
@@ -276,28 +263,25 @@ func (c *Core) Reset(pol *policy.Policy, sources []trace.Source, dataBases []uin
 	c.stats.Reset()
 	c.fetchOrder = c.fetchOrder[:0]
 	clear(c.renameBlock)
-	c.replayTmp = c.replayTmp[:0]
 	c.wakeAt, c.sleptFrom, c.probing = 0, 0, false
 	c.probeBase, c.idleDelta = c.probeBase[:0], c.idleDelta[:0]
 	for i, t := range c.threads {
+		clear(t.win.buf)
 		t.rob.reset()
 		t.frontQ.reset()
 		*t = thread{
-			id:  i,
-			src: sources[i],
-			bb:  t.bb,
-			// Both replay buffers hold instructions by value; only their
-			// capacity carries over.
-			replay:      t.replay[:0],
-			replaySpare: t.replaySpare[:0],
-			rob:         t.rob,
-			frontQ:      t.frontQ,
+			id:     i,
+			src:    sources[i],
+			bb:     t.bb,
+			win:    window{buf: t.win.buf},
+			rob:    t.rob,
+			frontQ: t.frontQ,
 		}
 		// Wrong-path pollution stays within a few pages of the
 		// thread's own space: wrong paths re-execute nearby code on
 		// stale pointers, they do not wander the whole heap (and a
 		// wider span would thrash the TLB unrealistically).
-		*t.bb = *trace.NewBBDict(dataBases[i]+1<<30, 2*uint64(cfg.Mem.PageBytes))
+		*t.bb = *trace.NewBBDict(dataBases[i], 2*uint64(cfg.Mem.PageBytes))
 	}
 }
 
@@ -310,18 +294,9 @@ func (c *Core) Energy() *energy.Account { return &c.energy }
 // Stats returns the core's event counters.
 func (c *Core) Stats() *stats.Set { return &c.stats }
 
-// Committed returns per-thread committed instruction counts.
-func (c *Core) Committed() []uint64 {
-	out := make([]uint64, len(c.threads))
-	for i, t := range c.threads {
-		out[i] = t.committed
-	}
-	return out
-}
-
 // AppendCommitted appends the per-thread committed counts to dst and
-// returns the extended slice — the allocation-free form of Committed for
-// per-interval samplers (pass dst[:0] of a reused buffer).
+// returns the extended slice; per-interval samplers pass dst[:0] of a
+// reused buffer, so it allocates nothing.
 func (c *Core) AppendCommitted(dst []uint64) []uint64 {
 	for _, t := range c.threads {
 		dst = append(dst, t.committed)
@@ -501,15 +476,12 @@ func (c *Core) flushSubmits(now uint64) bool {
 }
 
 // Tick advances the core one cycle, whether or not it sleeps (the
-// lock-step form of Advance).
-func (c *Core) Tick(now uint64) { c.tick(now) }
-
-// tick runs the stages for one cycle, in reverse pipeline order so a
-// result produced this cycle is consumed no earlier than the next. It
-// reports whether any stage acted: changed any state beyond bumping a
+// lock-step form of Advance). It runs the stages in reverse pipeline order
+// so a result produced this cycle is consumed no earlier than the next,
+// and reports whether any stage acted: changed any state beyond bumping a
 // counter. A tick that did not act only bumps the counters of the
 // conditions that blocked it.
-func (c *Core) tick(now uint64) bool {
+func (c *Core) Tick(now uint64) bool {
 	submitted := c.flushSubmits(now)
 	committed := c.commitStage(now)
 	wrote := c.writebackStage(now)
@@ -536,7 +508,7 @@ func (c *Core) Advance(now uint64) {
 		}
 		c.wake(now)
 	}
-	if c.tick(now) {
+	if c.Tick(now) {
 		c.probing = false
 		return
 	}
@@ -656,6 +628,7 @@ func (c *Core) commitStage(now uint64) bool {
 				break
 			}
 			t.rob.popFront()
+			t.win.retire()
 			if u.HasPReg {
 				c.freePRegs++
 				c.heldPRegs[u.Tid]--
@@ -1043,49 +1016,30 @@ func (c *Core) doFlush(t *thread, li *policy.LoadInfo, now uint64) {
 
 // ---- squash ----
 
-// squashYounger removes every uop of t younger than afterSeq. forFlush
-// selects the energy attribution (FLUSH waste vs wrong-path) and whether
-// correct-path instructions are captured for replay.
+// squashYounger removes every uop of t younger than afterSeq, youngest
+// first. forFlush selects the energy attribution (FLUSH waste vs
+// wrong-path). The correct-path instructions a flush removes are fetched
+// again: the window's cursor moves back over them. A mispredict squash
+// removes only the wrong-path uops fetched past its branch.
 func (c *Core) squashYounger(t *thread, afterSeq uint64, forFlush bool, now uint64) {
-	replayTmp := c.replayTmp[:0]
-
-	// Front-end queue, youngest first.
-	for t.frontQ.len() > 0 && t.frontQ.back().Seq > afterSeq {
-		u := t.frontQ.popBack()
-		c.undoUop(t, u, forFlush, &replayTmp, now)
+	undone := 0
+	// The front-end queue holds the youngest uops, then the ROB.
+	for _, r := range [...]*ring{t.frontQ, t.rob} {
+		for r.len() > 0 && r.back().Seq > afterSeq {
+			u := r.popBack()
+			if !u.WrongPath {
+				undone++
+			}
+			c.undoUop(t, u, forFlush, now)
+		}
 	}
-	// ROB tail, youngest first.
-	for t.rob.len() > 0 && t.rob.back().Seq > afterSeq {
-		u := t.rob.popBack()
-		c.undoUop(t, u, forFlush, &replayTmp, now)
+	if undone > 0 && !forFlush {
+		panic("pipeline: a mispredict squash removed correct-path uops")
 	}
-
-	if len(replayTmp) > 0 {
-		t.prependReplay(replayTmp)
-	}
-	c.replayTmp = replayTmp[:0]
+	t.win.cursor -= undone
 }
 
-// prependReplay pushes squashed instructions (given youngest-first) ahead
-// of the thread's existing replay queue, reversing them into program
-// order. The spare buffer is swapped in so steady-state flushes allocate
-// nothing.
-func (t *thread) prependReplay(tmp []isa.Inst) {
-	rem := t.replay[t.replayHead:]
-	buf := t.replaySpare[:0]
-	for i := len(tmp) - 1; i >= 0; i-- {
-		buf = append(buf, tmp[i])
-	}
-	buf = append(buf, rem...)
-	t.replaySpare = t.replay[:0]
-	t.replay = buf
-	t.replayHead = 0
-}
-
-func (c *Core) undoUop(t *thread, u *UOp, forFlush bool, replay *[]isa.Inst, now uint64) {
-	if u.Squashed {
-		return
-	}
+func (c *Core) undoUop(t *thread, u *UOp, forFlush bool, now uint64) {
 	u.Squashed = true
 
 	// Energy attribution happens before state is torn down so the stage
@@ -1121,9 +1075,6 @@ func (c *Core) undoUop(t *thread, u *UOp, forFlush bool, replay *[]isa.Inst, now
 	}
 	if u.Inst.Class.IsControl() && !u.WrongPath {
 		c.pred.RAS[t.id].Restore(u.RASTop, u.RASDepth)
-	}
-	if forFlush && !u.WrongPath {
-		*replay = append(*replay, u.Inst)
 	}
 	// Recycle now unless the uop is still resident in the wheel or an
 	// MSHR waiter list; those sites recycle it when they drop it.
@@ -1198,36 +1149,30 @@ func (c *Core) canFetch(t *thread, now uint64) bool {
 
 // peekInst returns the next instruction to fetch without consuming it.
 func (t *thread) peekInst() *isa.Inst {
+	w := &t.win
 	if t.wrongPath {
-		t.bb.InstAt(t.wpPC, &t.pending)
-		return &t.pending
+		t.bb.InstAt(t.wpPC, &w.wp)
+		if w.fresh {
+			// Known bug (ROADMAP item 2): the wrong path overwrites the
+			// drawn correct-path instruction that fetch has not reached.
+			*w.at(w.tail - 1) = w.wp
+		}
+		return &w.wp
 	}
-	if t.replayHead < len(t.replay) {
-		return &t.replay[t.replayHead]
+	if w.cursor == w.tail {
+		t.src.Next(w.draw())
 	}
-	if !t.hasPending {
-		t.src.Next(&t.pending)
-		t.hasPending = true
-	}
-	return &t.pending
+	return w.at(w.cursor)
 }
 
 // consumeInst commits the peeked instruction.
 func (t *thread) consumeInst() {
+	w := &t.win
 	if t.wrongPath {
 		t.wpPC += 4
-		return
+	} else if w.cursor++; w.cursor == w.tail {
+		w.fresh = false
 	}
-	if t.replayHead < len(t.replay) {
-		t.replayHead++
-		if t.replayHead == len(t.replay) {
-			// Drained: rewind so the buffer capacity is reused.
-			t.replay = t.replay[:0]
-			t.replayHead = 0
-		}
-		return
-	}
-	t.hasPending = false
 }
 
 func (c *Core) fetchThread(t *thread, now uint64, max int) int {
@@ -1326,23 +1271,36 @@ func (c *Core) predictControl(t *thread, u *UOp, now uint64) bool {
 
 // ---- invariant checks (used by tests) ----
 
-// CheckInvariants validates resource conservation and the wakeup state
-// (ready bits against producer counts, producer counts against wakeup
-// lists); it returns an error describing the first violation.
+// CheckInvariants validates resource conservation, the instruction
+// windows' bookkeeping and the wakeup state (ready bits against producer
+// counts, producer counts against wakeup lists); it returns an error
+// describing the first violation.
 func (c *Core) CheckInvariants() error {
 	pool := c.cfg.Core.PhysRegs - c.cfg.Core.ThreadsPerCore*isa.NumArchRegs
 	totalHeld := 0
 	for tid, t := range c.threads {
-		held := 0
+		held, correct := 0, 0
 		for i := 0; i < t.rob.len(); i++ {
-			if t.rob.at(i).HasPReg {
+			u := t.rob.at(i)
+			if u.HasPReg {
 				held++
+			}
+			if !u.WrongPath {
+				correct++
 			}
 		}
 		for i := 0; i < t.frontQ.len(); i++ {
-			if t.frontQ.at(i).HasPReg {
+			u := t.frontQ.at(i)
+			if u.HasPReg {
 				return fmt.Errorf("pipeline: front-end uop holds a register")
 			}
+			if !u.WrongPath {
+				correct++
+			}
+		}
+		if w := &t.win; correct != w.cursor || w.cursor > w.tail || w.tail > len(w.buf) {
+			return fmt.Errorf("pipeline: thread %d instruction window drifted: %d correct-path uops in flight, cursor %d, tail %d, capacity %d",
+				tid, correct, w.cursor, w.tail, len(w.buf))
 		}
 		if held != c.heldPRegs[tid] {
 			return fmt.Errorf("pipeline: thread %d held-register count drifted: counted=%d tracked=%d",
@@ -1358,27 +1316,19 @@ func (c *Core) CheckInvariants() error {
 			c.freePRegs, totalHeld, pool)
 	}
 	for _, q := range []*queue{c.intQ, c.fpQ, c.lsQ} {
-		n := 0
-		q.scan(func(u *UOp) bool {
-			if u.Squashed {
-				n++ // squashed uop left in a queue
-			}
-			return true
-		})
-		if n > 0 {
-			return fmt.Errorf("pipeline: %d squashed uops resident in an issue queue", n)
-		}
-		if err := q.checkReady(); err != nil {
-			return err
-		}
 		var err error
 		q.scan(func(u *UOp) bool {
-			if want := c.pendingProducers(u); int(u.waitSrc) != want {
+			if u.Squashed {
+				err = fmt.Errorf("pipeline: squashed thread %d uop %d resident in an issue queue", u.Tid, u.Seq)
+			} else if want := c.pendingProducers(u); int(u.waitSrc) != want {
 				err = fmt.Errorf("pipeline: thread %d uop %d waits on %d producers, %d unexecuted ones list it",
 					u.Tid, u.Seq, u.waitSrc, want)
 			}
 			return err == nil
 		})
+		if err == nil {
+			err = q.checkReady()
+		}
 		if err != nil {
 			return err
 		}

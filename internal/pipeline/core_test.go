@@ -7,6 +7,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/policy"
+	"repro/internal/synth"
 	"repro/internal/trace"
 )
 
@@ -32,7 +33,7 @@ func newHarness(t *testing.T, threads int, pol *policy.Policy, srcs ...trace.Sou
 	l2 := mem.NewL2System(cfg)
 	bases := make([]uint64, threads)
 	for i := range bases {
-		bases[i] = uint64(i+1) << 34
+		bases[i] = synth.DataBase(uint64(i+1) << 34)
 	}
 	if pol == nil {
 		pol = policy.NewICOUNT()
@@ -92,7 +93,7 @@ func TestIndependentALUThroughput(t *testing.T) {
 	h := newHarness(t, 1, nil, src)
 	h.warm(t, 6000)
 	h.run(t, 2000)
-	committed := h.core.Committed()[0]
+	committed := h.core.Threads()[0].Committed
 	ipc := float64(committed) / 2000
 	if ipc > 4.0 {
 		t.Fatalf("IPC %.2f exceeds the 4 int units", ipc)
@@ -111,7 +112,7 @@ func TestDependencyChainSerialises(t *testing.T) {
 	h := newHarness(t, 1, nil, src)
 	h.warm(t, 6000)
 	h.run(t, 2000)
-	ipc := float64(h.core.Committed()[0]) / 2000
+	ipc := float64(h.core.Threads()[0].Committed) / 2000
 	if ipc > 1.05 {
 		t.Fatalf("dependent chain IPC %.2f exceeds 1", ipc)
 	}
@@ -133,7 +134,7 @@ func TestLoadHitThroughputBoundByLSUnits(t *testing.T) {
 	h := newHarness(t, 1, nil, src)
 	h.warm(t, 6000)
 	h.run(t, 3000)
-	ipc := float64(h.core.Committed()[0]) / 3000
+	ipc := float64(h.core.Threads()[0].Committed) / 3000
 	if ipc > 2.0 {
 		t.Fatalf("load IPC %.2f exceeds the 2 ld/st units", ipc)
 	}
@@ -170,7 +171,7 @@ func TestWellPredictedBranchesCommit(t *testing.T) {
 	if mispredictRate > 0.10 {
 		t.Fatalf("mispredict rate %.3f too high for a fixed taken branch", mispredictRate)
 	}
-	if h.core.Committed()[0] == 0 {
+	if h.core.Threads()[0].Committed == 0 {
 		t.Fatal("nothing committed")
 	}
 }
@@ -206,7 +207,7 @@ func TestMispredictsSquashWrongPath(t *testing.T) {
 	if h.core.Energy().WrongPathTotal() == 0 {
 		t.Fatal("mispredicts squashed no wrong-path work")
 	}
-	if h.core.Committed()[0] == 0 {
+	if h.core.Threads()[0].Committed == 0 {
 		t.Fatal("no forward progress despite mispredicts")
 	}
 	// FLUSH waste must be zero under ICOUNT: no flush mechanism ran.
@@ -255,7 +256,7 @@ func TestFlushProtectsCoScheduledThread(t *testing.T) {
 		h := newHarness(t, 2, pol, missyLoadSource(1<<16), aluSource())
 		h.warm(t, 6000)
 		h.run(t, 8000)
-		return h.core.Committed()[1] // the ILP thread
+		return h.core.Threads()[1].Committed // the ILP thread
 	}
 	cfg := config.Default(1)
 	icount := run(policy.NewICOUNT())
@@ -295,7 +296,7 @@ func TestFlushedThreadReplaysAndProgresses(t *testing.T) {
 		missyLoadSource(1<<16), aluSource())
 	h.warm(t, 6000)
 	h.run(t, 12000)
-	if got := h.core.Committed()[0]; got == 0 {
+	if got := h.core.Threads()[0].Committed; got == 0 {
 		t.Fatal("flushed thread starved completely")
 	}
 }
@@ -323,7 +324,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		h := newHarness(t, 2, policy.NewFlushS(cfg.Core.ThreadsPerCore, 50),
 			missyLoadSource(1<<14), aluSource())
 		h.run(t, 5000)
-		c := h.core.Committed()
+		c := h.core.AppendCommitted(nil)
 		return c[0], c[1], h.core.Stats().String()
 	}
 	a0, a1, as := run()

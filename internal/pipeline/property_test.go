@@ -131,25 +131,47 @@ func TestPropertyICountNonNegative(t *testing.T) {
 	}
 }
 
-// TestPropertyReplayPreservesProgramOrder checks the replay mechanism:
-// the flushed thread keeps committing (replays are not dropped) and its
-// committed count is monotone (replays never commit twice — enforced by
-// the per-thread ROB pop discipline, validated by CheckInvariants inside
-// run).
+// stampSource wraps a branch-free source and stamps each instruction's
+// stream index into Target, so every uop names the instruction of the
+// stream it carries.
+func stampSource(src trace.Source) trace.Source {
+	var n uint64
+	return funcSource(func(out *isa.Inst) {
+		src.Next(out)
+		out.Target = n
+		n++
+	})
+}
+
+// TestPropertyReplayPreservesProgramOrder: across flushes and refetches a
+// thread holds exactly its source's instructions, in program order. The
+// sources are branch-free, so there is no wrong path, and they stamp each
+// instruction's stream index: after every burst, each thread's ROB and
+// front-end queue must hold consecutive indices starting at its committed
+// count.
 func TestPropertyReplayPreservesProgramOrder(t *testing.T) {
 	cfg := config.Default(1)
 	h := newHarness(t, 2, policy.NewFlushS(cfg.Core.ThreadsPerCore, 30),
-		missyLoadSource(1<<16), aluSource())
-	var last uint64
+		stampSource(missyLoadSource(1<<16)), stampSource(aluSource()))
 	for burst := 0; burst < 10; burst++ {
 		h.run(t, 2000)
-		cur := h.core.Committed()[0]
-		if cur < last {
-			t.Fatalf("committed count went backwards: %d -> %d", last, cur)
+		for tid, th := range h.core.threads {
+			next := th.committed
+			for _, r := range []*ring{th.rob, th.frontQ} {
+				for i := 0; i < r.len(); i++ {
+					if got := r.at(i).Inst.Target; got != next {
+						t.Fatalf("burst %d: thread %d holds instruction %d where %d is next in program order",
+							burst, tid, got, next)
+					}
+					next++
+				}
+			}
 		}
-		last = cur
 	}
-	if last == 0 {
+	if h.core.Stats().Get("policy.flushes") == 0 {
+		t.Fatal("FLUSH never engaged")
+	}
+	if h.core.Threads()[0].Committed == 0 {
 		t.Fatal("flushed thread never committed")
 	}
 }

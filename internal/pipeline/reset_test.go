@@ -7,6 +7,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/policy"
 	"repro/internal/resettest"
+	"repro/internal/synth"
 	"repro/internal/trace"
 )
 
@@ -37,7 +38,8 @@ func TestResetMatchesNew(t *testing.T) {
 		srcs := func(seed uint64) []trace.Source {
 			return []trace.Source{newRandomSource(seed, bases[0]), newRandomSource(seed+1, bases[1])}
 		}
-		c := New(0, &cfg, policy.NewFlushS(2, 5), l2, srcs(1), bases)
+		dataBases := []uint64{synth.DataBase(bases[0]), synth.DataBase(bases[1])}
+		c := New(0, &cfg, policy.NewFlushS(2, 5), l2, srcs(1), dataBases)
 		// Step under event-horizon sleep, as a chip does.
 		now := uint64(0)
 		for ; now < 50000 && (now < 500 || !stop.at(c)); now++ {
@@ -53,9 +55,9 @@ func TestResetMatchesNew(t *testing.T) {
 			t.Fatalf("%s: the core never stopped in the wanted state", stop.name)
 		}
 		l2.Reset(cfg)
-		c.Reset(policy.NewFlushNS(2), srcs(7), bases)
+		c.Reset(policy.NewFlushNS(2), srcs(7), dataBases)
 		l2b := mem.NewL2System(cfg)
-		fresh := New(0, &cfg, policy.NewFlushNS(2), l2b, srcs(7), bases)
+		fresh := New(0, &cfg, policy.NewFlushNS(2), l2b, srcs(7), dataBases)
 		if d := resettest.Diff(fresh, c, "uopFree", "loadFree", "reqPool"); d != "" {
 			t.Fatalf("%s: reset core differs from a new one at %s", stop.name, d)
 		}

@@ -152,12 +152,14 @@ func (r *ring) reset() {
 func (r *ring) len() int   { return r.size }
 func (r *ring) full() bool { return r.size == len(r.buf) }
 
-// wrap folds an index in [0, 2*len) back into range: the ring is hot
-// enough that an integer divide per access is measurable, and all callers
-// produce offsets below twice the capacity.
-func (r *ring) wrap(i int) int {
-	if i >= len(r.buf) {
-		i -= len(r.buf)
+// wrap folds an index in [0, 2*n) back into [0, n): the ring and the
+// window are hot enough that an integer divide per access is measurable,
+// and all callers produce offsets below twice the capacity.
+//
+//mflush:hotpath
+func wrap(i, n int) int {
+	if i >= n {
+		i -= n
 	}
 	return i
 }
@@ -166,7 +168,7 @@ func (r *ring) push(u *UOp) {
 	if r.full() {
 		panic("pipeline: ring overflow")
 	}
-	r.buf[r.wrap(r.head+r.size)] = u
+	r.buf[wrap(r.head+r.size, len(r.buf))] = u
 	r.size++
 }
 
@@ -183,7 +185,7 @@ func (r *ring) popFront() *UOp {
 		panic("pipeline: pop from empty ring")
 	}
 	r.buf[r.head] = nil
-	r.head = r.wrap(r.head + 1)
+	r.head = wrap(r.head+1, len(r.buf))
 	r.size--
 	return u
 }
@@ -192,7 +194,7 @@ func (r *ring) back() *UOp {
 	if r.size == 0 {
 		return nil
 	}
-	return r.buf[r.wrap(r.head+r.size-1)]
+	return r.buf[wrap(r.head+r.size-1, len(r.buf))]
 }
 
 func (r *ring) popBack() *UOp {
@@ -200,7 +202,7 @@ func (r *ring) popBack() *UOp {
 	if u == nil {
 		panic("pipeline: pop from empty ring")
 	}
-	r.buf[r.wrap(r.head+r.size-1)] = nil
+	r.buf[wrap(r.head+r.size-1, len(r.buf))] = nil
 	r.size--
 	return u
 }
@@ -210,7 +212,51 @@ func (r *ring) at(i int) *UOp {
 	if i < 0 || i >= r.size {
 		panic("pipeline: ring index out of range")
 	}
-	return r.buf[r.wrap(r.head+i)]
+	return r.buf[wrap(r.head+i, len(r.buf))]
+}
+
+// window is a thread's correct-path instruction supply, in program order:
+// from the oldest uncommitted instruction, at slot head, to the newest
+// drawn from the source. cursor and tail count from head. Fetch reads at
+// cursor, so cursor is also the number of correct-path uops in flight,
+// and the source is drawn from only when cursor reaches tail. A FLUSH
+// moves cursor back over the instructions it squashed, which are then
+// fetched again from where they are, and commit advances head.
+// Wrong-path instructions are synthesised into wp and never enter the
+// window. The capacity is one more than a thread's ROB plus front-end
+// queue, for the instruction drawn ahead of fetch.
+type window struct {
+	buf          []isa.Inst
+	head         int
+	cursor, tail int
+	fresh        bool // the instruction at tail-1 is drawn but never fetched
+	wp           isa.Inst
+}
+
+// at returns the instruction i places after head.
+//
+//mflush:hotpath
+func (w *window) at(i int) *isa.Inst { return &w.buf[wrap(w.head+i, len(w.buf))] }
+
+// draw claims the slot at tail for the next instruction of the source.
+//
+//mflush:hotpath
+func (w *window) draw() *isa.Inst {
+	if w.tail == len(w.buf) {
+		panic("pipeline: instruction window overflow")
+	}
+	w.tail++
+	w.fresh = true
+	return w.at(w.tail - 1)
+}
+
+// retire drops the oldest instruction at its commit.
+//
+//mflush:hotpath
+func (w *window) retire() {
+	w.head = wrap(w.head+1, len(w.buf))
+	w.cursor--
+	w.tail--
 }
 
 // queue is a shared issue queue: a bounded collection preserving age

@@ -65,7 +65,9 @@ type run struct {
 	id      string
 	jobs    []campaign.Job
 	created time.Time
-	cancel  context.CancelFunc
+	cancel  context.CancelCauseFunc
+	// keys holds the keys of all the campaign's jobs.
+	keys map[string]bool
 	// charged holds the keys of jobs that occupy admission-queue slots
 	// (uncached at submit); slots are released as these jobs finish.
 	// Only the serialised progress callback and the post-settle cleanup

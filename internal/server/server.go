@@ -131,7 +131,7 @@ func New(cfg Config) *Server {
 	// and the router's slots are the one bound on local simulations.
 	router := cluster.NewRouter(cfg.Cluster, cfg.Workers, cfg.Runner)
 	router.OnSample = s.samples.publish
-	router.OnLocalFailure = abandonCampaign
+	router.OnLocalFailure = s.abandonJob
 	s.cache = campaign.NewCache(cfg.Store, router.Run)
 	s.sched = &campaign.Scheduler{Workers: maxQueued}
 	if cfg.Cluster != nil {
@@ -277,10 +277,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// size is admitted even under load. (A job can only gain cache
 	// entries between here and execution, never lose them, so the charge
 	// is an upper bound.)
-	charged := make(map[string]bool)
+	keys, charged := make(map[string]bool, len(jobs)), make(map[string]bool)
 	for _, j := range jobs {
+		key := j.Key()
+		keys[key] = true
 		if !s.cache.Contains(j) {
-			charged[j.Key()] = true
+			charged[key] = true
 		}
 	}
 	// A campaign with more uncached jobs than the whole queue can never
@@ -314,9 +316,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.nextID++
 	id := fmt.Sprintf("c%06d", s.nextID)
 	c := newRun(id, jobs, time.Now())
-	c.charged = charged
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	ctx = context.WithValue(ctx, abandonKey{}, cancel)
+	c.keys, c.charged = keys, charged
+	ctx, cancel := context.WithCancelCause(s.baseCtx)
 	c.cancel = cancel
 	s.campaigns[id] = c
 	s.order = append(s.order, id)
@@ -338,7 +339,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // settles its terminal state.
 func (s *Server) runCampaign(ctx context.Context, c *run) {
 	defer s.wg.Done()
-	defer c.cancel() // release the context once settled
+	defer c.cancel(nil) // release the context once settled
 	// Sampled jobs stream live interval points; route the ones belonging
 	// to this campaign into its SSE subscribers for as long as it runs.
 	// A sampled campaign also publishes its latest interval IPC as a
@@ -363,7 +364,7 @@ func (s *Server) runCampaign(ctx context.Context, c *run) {
 			// would occupy queue slots and machine time for a result the
 			// client can no longer use whole. Jobs already simulated are
 			// in the cache, so a corrected resubmission reuses them.
-			c.cancel()
+			c.cancel(nil)
 		}
 		c.onProgress(p)
 	})
@@ -374,18 +375,20 @@ func (s *Server) runCampaign(ctx context.Context, c *run) {
 	s.release(len(c.charged))
 }
 
-// abandonKey keys a campaign's cancel function in the context its jobs
-// run under.
-type abandonKey struct{}
-
-// abandonCampaign cancels the campaign whose job failed in a local
-// simulation. The router calls it while the job still holds its slot,
-// so a job of the same campaign waiting for that slot sees the
-// cancellation instead of starting; the progress callback's own cancel
-// would come only after the slot is free.
-func abandonCampaign(ctx context.Context) {
-	if cancel, ok := ctx.Value(abandonKey{}).(context.CancelFunc); ok {
-		cancel()
+// abandonJob cancels every campaign that includes job j, which failed
+// with err in a local simulation. The router calls it while j still
+// holds its slot, so no job of those campaigns waiting for that slot
+// starts after the failure; a campaign's progress callback would cancel
+// it only once the slot is free. A campaign waiting on j's run still
+// reports j's failure (campaign.JobFailure).
+func (s *Server) abandonJob(j campaign.Job, err error) {
+	cause := &campaign.JobFailure{Key: j.Key(), Err: err}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range s.campaigns {
+		if c.keys[cause.Key] {
+			c.cancel(cause)
+		}
 	}
 }
 
@@ -495,7 +498,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Idempotent: cancelling a settled campaign changes nothing.
-	c.cancel()
+	c.cancel(nil)
 	writeJSON(w, http.StatusAccepted, c.status())
 }
 

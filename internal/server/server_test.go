@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -497,6 +498,44 @@ func TestFirstFailureAbandonsRemainingJobs(t *testing.T) {
 	_, st := do(t, s, "GET", "/v1/campaigns/"+id, "")
 	if st["failed"].(float64) != 1 || st["completed"].(float64) != 0 {
 		t.Fatalf("status after abandon = %v", st)
+	}
+}
+
+// TestFailureAbandonsJoinedCampaign: campaign b joins a's in-flight run
+// of job J and queues its own job K for the one local slot, which J
+// holds. J fails: b must be abandoned before the slot frees, so K never
+// simulates, and b reports J's failure as its own.
+func TestFailureAbandonsJoinedCampaign(t *testing.T) {
+	gate, started := make(chan struct{}), make(chan struct{})
+	var ranK atomic.Int32
+	runner := func(o sim.Options) (*sim.Result, error) {
+		if o.Seed == 2 {
+			ranK.Add(1)
+			return simtest.New().Run(o)
+		}
+		close(started)
+		<-gate
+		return nil, errors.New("synthetic simulator failure")
+	}
+	s := New(Config{Store: tempStore(t), Runner: runner, Workers: 1})
+	a := submit(t, s, `{"workloads":["2W1"],"policies":["ICOUNT"],"seeds":[1],"cycles":1000}`)
+	<-started
+	b := submit(t, s, `{"workloads":["2W1"],"policies":["ICOUNT"],"seeds":[1,2],"cycles":1000}`)
+	simtest.WaitFor(t, 10*time.Second, func() bool {
+		_, misses := s.cache.Stats()
+		return s.cache.Waiting() == 1 && misses == 2
+	}, "campaign b never joined a's run and queued its own job")
+	close(gate)
+	for _, id := range []string{a, b} {
+		if state := waitState(t, s, id); state != StateFailed {
+			t.Fatalf("campaign %s state = %q, want %q", id, state, StateFailed)
+		}
+		if _, st := do(t, s, "GET", "/v1/campaigns/"+id, ""); st["failed"].(float64) != 1 {
+			t.Fatalf("campaign %s status = %v, want one failed job", id, st)
+		}
+	}
+	if n := ranK.Load(); n != 0 {
+		t.Fatalf("campaign b's queued job simulated %d times after the failure it shared", n)
 	}
 }
 

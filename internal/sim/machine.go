@@ -197,7 +197,7 @@ func buildMachine(opt Options, reuse bool) (*machine, error) {
 		}
 	}
 	sources := make([][]trace.Source, cores)
-	bases := make([][]uint64, cores)
+	dataBases := make([][]uint64, cores)
 	for c := 0; c < cores; c++ {
 		for t := 0; t < threadsPerCore; t++ {
 			g := c*threadsPerCore + t
@@ -214,12 +214,12 @@ func buildMachine(opt Options, reuse bool) (*machine, error) {
 				src = m.generator(g, profiles[g%len(profiles)], seed, base)
 			}
 			sources[c] = append(sources[c], src)
-			bases[c] = append(bases[c], base)
+			dataBases[c] = append(dataBases[c], synth.DataBase(base))
 		}
 	}
 
 	if m.chip == nil {
-		chip, err := cmp.New(cfg, policies, sources, bases)
+		chip, err := cmp.New(cfg, policies, sources, dataBases)
 		if err != nil {
 			return nil, err
 		}
@@ -227,11 +227,11 @@ func buildMachine(opt Options, reuse bool) (*machine, error) {
 		if reuse {
 			runtime.AddCleanup(m, forgetMachine, pooledMachine{poolKey(chip.Config()), weak.Make(m)})
 		}
-	} else if err := m.chip.Reset(cfg, policies, sources, bases); err != nil {
+	} else if err := m.chip.Reset(cfg, policies, sources, dataBases); err != nil {
 		return nil, err
 	}
 	if len(profiles) > 0 {
-		m.prewarm(profiles, bases)
+		m.prewarm(profiles, dataBases)
 	}
 	return m, nil
 }
@@ -259,25 +259,24 @@ func (m *machine) generator(g int, prof synth.Profile, seed, base uint64) *synth
 // prewarming them would only distort LRU state.
 //
 // The filled L2 depends only on its geometry, fixed per machine, and the
-// footprint layout. The layout does not depend on the seed: the address
+// footprint layout. The layout does not depend on the seed: the data
 // bases come from the thread slots (ReplayStream). So a machine keeps the
 // L2 image of its last prewarm, and a job with the same layout copies it
 // back instead of refilling.
-func (m *machine) prewarm(profiles []synth.Profile, bases [][]uint64) {
+func (m *machine) prewarm(profiles []synth.Profile, dataBases [][]uint64) {
 	l2 := m.chip.L2().Cache()
 	geom := m.chip.Config().Mem.L2
 	capBytes, line := uint64(2*geom.SizeBytes), uint64(geom.LineBytes)
 	m.layout = m.layout[:0]
 	idx := 0
-	for c := range bases {
-		for t := range bases[c] {
+	for c := range dataBases {
+		for t := range dataBases[c] {
 			prof := profiles[idx%len(profiles)]
 			idx++
 			if prof.FootprintBytes > capBytes {
 				continue
 			}
-			// Matches the generator's data placement (base + 1GB).
-			dataBase := bases[c][t] + 1<<30
+			dataBase := dataBases[c][t]
 			m.layout = append(m.layout, span{next: dataBase, end: dataBase + prof.FootprintBytes})
 		}
 	}

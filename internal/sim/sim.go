@@ -320,11 +320,8 @@ func collect(chip *cmp.Chip, opt Options, cycles uint64) (*Result, error) {
 	}
 	var total uint64
 	for _, c := range chip.Cores() {
-		var coreTotal uint64
-		for _, n := range c.Committed() {
-			res.Committed = append(res.Committed, n)
-			coreTotal += n
-		}
+		res.Committed = c.AppendCommitted(res.Committed)
+		coreTotal := c.CommittedTotal()
 		total += coreTotal
 		res.PerCore = append(res.PerCore, float64(coreTotal)/float64(cycles))
 		res.Energy.Merge(c.Energy())

@@ -69,6 +69,10 @@ const (
 	linesPerPage = pageBytes / lineBytes
 )
 
+// DataBase returns where the data area of the address space at addrBase
+// starts: code and data live far apart.
+func DataBase(addrBase uint64) uint64 { return addrBase + 1<<30 }
+
 // NewGenerator builds a generator. addrBase offsets both the code and the
 // data space so co-scheduled instances do not share cache lines (SPEC
 // multiprogrammed workloads share nothing). The profile must validate.
@@ -96,7 +100,7 @@ func (g *Generator) Reset(prof Profile, seed uint64, addrBase uint64) {
 		r:         r,
 		blocks:    g.blocks,
 		codeBase:  addrBase,
-		dataBase:  addrBase + 1<<30, // code and data live far apart
+		dataBase:  DataBase(addrBase),
 		coldLines: max(int(prof.FootprintBytes/lineBytes), 1),
 		coldPages: max(int(prof.FootprintBytes/pageBytes), 1),
 		hotLines:  max(int(prof.HotBytes/lineBytes), 1),

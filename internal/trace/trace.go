@@ -138,14 +138,16 @@ func hashPC(pc uint64) uint64 {
 	return x
 }
 
-// InstAt synthesises the static instruction at pc. Wrong-path streams are
-// mostly ALU work with occasional loads; control instructions fall
-// through (wrong paths are never followed further).
+// InstAt synthesises the static instruction at pc, overwriting every
+// field of out. Wrong-path streams are mostly ALU work with occasional
+// loads; control instructions fall through (wrong paths are never
+// followed further).
 func (d *BBDict) InstAt(pc uint64, out *isa.Inst) {
 	h := hashPC(pc)
 	out.PC = pc
 	out.Taken = false
 	out.Target = 0
+	out.Addr = 0
 	out.MissLatency = 0
 	out.Dest = isa.Reg(1 + (h>>8)%62)
 	out.Src1 = isa.Reg(1 + (h>>16)%62)

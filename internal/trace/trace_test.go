@@ -57,13 +57,18 @@ func TestReadScenarioRejectsLegacyGarbage(t *testing.T) {
 	}
 }
 
+// TestBBDictDeterministic: the instruction synthesised at a pc depends on
+// the pc alone, not on what the output held before.
 func TestBBDictDeterministic(t *testing.T) {
 	d := NewBBDict(0x10000, 1<<16)
-	var a, b isa.Inst
-	d.InstAt(0x4000, &a)
-	d.InstAt(0x4000, &b)
-	if a != b {
-		t.Fatalf("dictionary nondeterministic: %+v vs %+v", a, b)
+	for pc := uint64(0x4000); pc < 0x4000+64*4; pc += 4 {
+		var a isa.Inst
+		b := isa.Inst{PC: 1, Class: isa.ClassStore, Dest: 2, Src1: 3, Src2: 4, Addr: 5, Taken: true, MissLatency: 6, Target: 7}
+		d.InstAt(pc, &a)
+		d.InstAt(pc, &b)
+		if a != b {
+			t.Fatalf("pc %#x: dictionary nondeterministic: %+v vs %+v", pc, a, b)
+		}
 	}
 }
 
