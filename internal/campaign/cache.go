@@ -20,8 +20,8 @@ import (
 // hits are indistinguishable from recomputation, forever.
 type Cache struct {
 	// run executes a miss: it sees the whole Job and the leader's
-	// context, so it may route the job to a remote worker (the cluster
-	// router) instead of simulating in process.
+	// context, so it may route the job to a remote worker (the daemon's
+	// executor does) instead of simulating in process.
 	run func(context.Context, Job) (Record, error)
 	// store serves every completed record from disk, so the cache's
 	// memory does not grow with the results it has seen.
@@ -45,7 +45,7 @@ type flight struct {
 // NewCache returns a cache backed by store executing misses with run,
 // which receives the full Job and the leader caller's context. store is
 // required: NewCache panics on a nil one. The daemon's
-// run is the cluster router: it may send the job to a remote worker
+// run is its job executor: it may send the job to a remote worker
 // (and honour cancellation while the job is still queued) instead of
 // simulating in process. run must return a Record a local run would
 // have produced byte-for-byte (RunJob over a deterministic simulation

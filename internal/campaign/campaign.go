@@ -187,12 +187,33 @@ func ReadSpec(r io.Reader) (Spec, error) {
 	return s, nil
 }
 
+// Upper bounds on a job's budget. maxCycles bounds cycles and warmup
+// each; it admits the paper's 120M-cycle runs with room to spare. The
+// simulator keeps every interval sample in the result, so maxSamples
+// bounds cycles/interval; a 120M-cycle run can still sample every 2k
+// cycles.
+const (
+	maxCycles  = 1 << 30
+	maxSamples = 1 << 16
+)
+
 // Jobs expands the spec into its cartesian product, deterministically
 // ordered workload-major, then policy, then tweak, then seed. Unknown
 // workload or policy names fail the whole expansion.
 func (s Spec) Jobs() ([]Job, error) {
 	if s.Cycles == 0 {
 		return nil, fmt.Errorf("campaign: spec needs a positive cycle budget")
+	}
+	for _, f := range []struct {
+		name string
+		v    uint64
+	}{{"cycles", s.Cycles}, {"warmup", s.Warmup}} {
+		if f.v > maxCycles {
+			return nil, fmt.Errorf("campaign: spec: %s %d exceeds the bound %d", f.name, f.v, maxCycles)
+		}
+	}
+	if s.Interval > 0 && s.Cycles/s.Interval > maxSamples {
+		return nil, fmt.Errorf("campaign: spec: cycles/interval %d/%d exceeds the bound of %d samples", s.Cycles, s.Interval, maxSamples)
 	}
 	if len(s.Workloads) == 0 || len(s.Policies) == 0 {
 		return nil, fmt.Errorf("campaign: spec needs at least one workload and one policy")
@@ -404,20 +425,6 @@ func (j Job) SimOptions() (sim.Options, error) {
 		o.Tweak = tw.apply
 	}
 	return o, nil
-}
-
-// StreamSamples wires o (built from this job) to republish its live
-// interval sample points keyed by the job's content hash — the one
-// hook behind mflushd's sample SSE events, shared by the daemon's
-// local runner and the cluster router's local fallback so the two
-// execution modes cannot diverge in what they stream. A no-op for
-// unsampled jobs or a nil publish.
-func (j Job) StreamSamples(o *sim.Options, publish func(key string, p sim.SamplePoint)) {
-	if o.Interval == 0 || publish == nil {
-		return
-	}
-	key := j.Key()
-	o.OnSample = func(p sim.SamplePoint) { publish(key, p) }
 }
 
 // String names the job for progress lines and errors.

@@ -155,6 +155,33 @@ func TestTweakBounds(t *testing.T) {
 	}
 }
 
+// TestBudgetBounds: a spec's cycles and warmup are bounded at 2^30 each
+// and its interval samples per job at 2^16; a spec at a bound expands, a
+// spec past one fails naming the field and the bound.
+func TestBudgetBounds(t *testing.T) {
+	for _, tc := range []struct {
+		field     string
+		bound     uint64
+		at, above Spec
+	}{
+		{"cycles", 1 << 30, Spec{Cycles: 1 << 30}, Spec{Cycles: 1<<30 + 1}},
+		{"warmup", 1 << 30, Spec{Cycles: 1, Warmup: 1 << 30}, Spec{Cycles: 1, Warmup: 1<<30 + 1}},
+		{"cycles/interval", 1 << 16, Spec{Cycles: 1 << 16, Interval: 1}, Spec{Cycles: 1<<16 + 1, Interval: 1}},
+		{"cycles/interval", 1 << 16, Spec{Cycles: 1 << 30, Interval: 1 << 14}, Spec{Cycles: 1 << 30, Interval: 1<<14 - 1}},
+	} {
+		for _, s := range []*Spec{&tc.at, &tc.above} {
+			s.Workloads, s.Policies = []string{"2W1"}, []string{"ICOUNT"}
+		}
+		if _, err := tc.at.Jobs(); err != nil {
+			t.Errorf("%s at its bound %d: %v", tc.field, tc.bound, err)
+		}
+		_, err := tc.above.Jobs()
+		if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), strconv.FormatUint(tc.bound, 10)) {
+			t.Errorf("%s above its bound: err = %v, want one naming the field and %d", tc.field, err, tc.bound)
+		}
+	}
+}
+
 func TestJobKeyContent(t *testing.T) {
 	base := Job{Policy: sim.SpecMFLUSH, Seed: 1, Cycles: 100, Warmup: 50}
 	renamed := base

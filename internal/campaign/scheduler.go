@@ -102,7 +102,7 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job, store *Store) ([]Record
 
 // RunJob executes one job through run (nil: sim.Run) and returns its
 // record. This is the one path that turns a job into a record — the
-// scheduler, cluster workers and the router's local fallback all go
+// scheduler, cluster workers and the daemon's local runs all go
 // through it. A panic in the simulator fails the job with an error
 // carrying the stack, so a hostile spec cannot take down the process
 // that runs it.

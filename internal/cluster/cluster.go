@@ -9,9 +9,9 @@
 // Worker, a pull loop over the daemon's /v1/workers HTTP endpoints
 // (cmd/mflushworker is its binary).
 //
-// The layer sits *under* campaign.Cache, not beside it: the daemon
-// routes each cache miss through a Router, which sends it to the fleet
-// (or runs it locally when no workers are live), and the cache remains
+// The layer sits *under* campaign.Cache, not beside it: the daemon's job
+// executor (internal/server) dispatches each cache miss to the fleet,
+// or runs it locally when no workers are live, and the cache remains
 // the single writer to the JSONL store. Determinism makes the whole
 // arrangement exactly-once in effect: the cache single-flights each key,
 // the coordinator re-issues only leases whose worker is gone, and a
@@ -44,7 +44,8 @@ var (
 	ErrClosed = errors.New("cluster: coordinator closed")
 	// ErrNoWorkers reports that no live worker can run the job — either
 	// none was registered at dispatch, or every worker died while it was
-	// queued. The Router maps it to a local-simulation fallback.
+	// queued. The daemon's job executor falls back to a local
+	// simulation on it.
 	ErrNoWorkers = errors.New("cluster: no live workers")
 	// ErrUnknownWorker reports a worker ID the coordinator does not
 	// know — never issued, deregistered, or dropped after missing
@@ -556,7 +557,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, j campaign.Job) (campaign.Re
 }
 
 // LiveWorkers returns how many registered workers are within their
-// lease TTL — the Router's remote-vs-local routing signal.
+// lease TTL.
 func (c *Coordinator) LiveWorkers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -183,7 +183,7 @@ func TestDuplicateResultDiscarded(t *testing.T) {
 
 // TestFleetDeathStrandsToErrNoWorkers: when the last worker dies with
 // jobs queued or leased, every dispatcher is released with ErrNoWorkers
-// (the Router's cue to fall back to local simulation) instead of
+// (the daemon's cue to fall back to local simulation) instead of
 // waiting for a fleet that no longer exists.
 func TestFleetDeathStrandsToErrNoWorkers(t *testing.T) {
 	const ttl = 150 * time.Millisecond
@@ -386,44 +386,5 @@ func TestWorkerIDsNeverCollideAcrossCoordinators(t *testing.T) {
 	}
 	if _, err := c2.Lease(w1.ID, 1, 0, Liveness{}); !errors.Is(err, ErrUnknownWorker) {
 		t.Fatalf("stale-coordinator ID accepted by new coordinator: %v", err)
-	}
-}
-
-// TestRouterFallsBackWithoutFleet: the router runs jobs locally when no
-// coordinator is attached and when the fleet is empty.
-func TestRouterFallsBackWithoutFleet(t *testing.T) {
-	j := testJobs(t, 1)[0]
-	for name, coord := range map[string]*Coordinator{
-		"nil-coordinator": nil,
-		"empty-fleet":     newTestCoordinator(t, time.Minute),
-	} {
-		r := simtest.New()
-		router := NewRouter(coord, 2, r.Run)
-		rec, err := router.Run(context.Background(), j)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if rec.Key != j.Key() || r.Total() != 1 {
-			t.Fatalf("%s: rec=%+v local runs=%d", name, rec, r.Total())
-		}
-	}
-}
-
-// TestRouterLocalBoundHonoursContext: a job waiting for a local slot
-// aborts when its campaign is cancelled.
-func TestRouterLocalBoundHonoursContext(t *testing.T) {
-	r := simtest.New()
-	r.Gate = make(chan struct{})
-	defer close(r.Gate)
-	router := NewRouter(nil, 1, r.Run)
-	jobs := testJobs(t, 1)
-	go router.Run(context.Background(), jobs[0]) // occupies the only slot
-	for r.Total() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := router.Run(ctx, jobs[1]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("slot wait under cancelled ctx = %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
@@ -66,10 +67,9 @@ type run struct {
 	jobs    []campaign.Job
 	created time.Time
 	cancel  context.CancelCauseFunc
-	// keys holds the keys of all the campaign's jobs.
-	keys map[string]bool
 	// charged holds the keys of jobs that occupy admission-queue slots
-	// (uncached at submit); slots are released as these jobs finish.
+	// (uncached at submit), which are also the keys the server indexes
+	// the campaign under; slots are released as these jobs finish.
 	// Only the serialised progress callback and the post-settle cleanup
 	// touch it.
 	charged map[string]bool
@@ -85,7 +85,8 @@ type run struct {
 	// ipc, for sampled campaigns, is this run's pre-resolved
 	// mflush_campaign_interval_ipc series; onSample mirrors the latest
 	// interval IPC into it (nil — a no-op — when nothing is sampled).
-	ipc *metrics.Gauge
+	// Atomic because samples can arrive before runCampaign resolves it.
+	ipc atomic.Pointer[metrics.Gauge]
 
 	mu        sync.Mutex
 	state     string
@@ -104,38 +105,20 @@ func newRun(id string, jobs []campaign.Job, now time.Time) *run {
 		state:    StateRunning,
 		subs:     make(map[chan sseEvent]struct{}),
 	}
-	// Each sampled job fires Cycles/Interval times; budget the SSE
-	// buffers for the whole series, within reason. Saturate in uint64
-	// before converting: a hostile-but-valid spec (cycles 2^63,
-	// interval 1) must clamp to the cap, not overflow int negative and
-	// panic the channel make in subscribe.
+	// Each sampled job fires Cycles/Interval times, at most 2^16 (the
+	// spec's sample bound); budget the SSE buffers for the whole series,
+	// within reason.
 	const maxSampleBudget = 4096
-	var budget uint64
 	for _, j := range jobs {
 		if j.Interval > 0 {
 			if c.jobNames == nil {
 				c.jobNames = make(map[string]string)
 			}
 			c.jobNames[j.Key()] = j.String()
-			if n := j.Cycles / j.Interval; n > maxSampleBudget {
-				budget = maxSampleBudget
-			} else if budget += n; budget > maxSampleBudget {
-				budget = maxSampleBudget
-			}
+			c.sampleBudget = min(c.sampleBudget+int(j.Cycles/j.Interval), maxSampleBudget)
 		}
 	}
-	c.sampleBudget = int(budget)
 	return c
-}
-
-// sampledKeys returns the keys of the campaign's sampled jobs — the
-// sample-hub subscription set.
-func (c *run) sampledKeys() []string {
-	keys := make([]string, 0, len(c.jobNames))
-	for k := range c.jobNames {
-		keys = append(keys, k)
-	}
-	return keys
 }
 
 // sampleEvent is the data payload of one SSE "sample" event: a live
@@ -154,7 +137,7 @@ type sampleEvent struct {
 // non-blocking, so a slow subscriber drops samples rather than stalling
 // the simulation.
 func (c *run) onSample(key string, p sim.SamplePoint) {
-	c.ipc.Set(p.IntervalIPC)
+	c.ipc.Load().Set(p.IntervalIPC)
 	c.mu.Lock()
 	c.broadcastLocked(sseEvent{name: "sample", data: sampleEvent{
 		Job: c.jobNames[key], Key: key, Sample: p,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -122,21 +123,90 @@ func TestSSESampleEvents(t *testing.T) {
 	}
 }
 
-// TestSampleBudgetOverflow: a hostile-but-valid spec (cycles 2^63,
-// interval 1) must clamp the sample budget instead of overflowing it
-// negative — a negative channel capacity would panic the SSE handler.
+// TestSSESampleEventsJoinedCampaign: a campaign whose jobs join another
+// campaign's in-flight sampled runs streams those runs' live samples as
+// well: both SSE streams see all 16 sample events from 4 simulations.
+func TestSSESampleEventsJoinedCampaign(t *testing.T) {
+	r := simtest.New()
+	r.Gate = make(chan struct{})
+	s := New(Config{Store: tempStore(t), Runner: r.Run, Workers: 2})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	var streams []*http.Response
+	for range 2 {
+		sub := postSpec(t, ts, sampledSpec)
+		resp, err := ts.Client().Get(ts.URL + sub.EventsURL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		streams = append(streams, resp)
+	}
+	// Release the first campaign's runs only once the second waits on all
+	// four of them.
+	simtest.WaitFor(t, 10*time.Second, func() bool { return s.cache.Waiting() == 4 },
+		"the second campaign never joined the first one's runs")
+	close(r.Gate)
+
+	for i, resp := range streams {
+		var (
+			samples  int
+			terminal string
+			event    string
+		)
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			line := sc.Text()
+			switch {
+			case strings.HasPrefix(line, "event: "):
+				event = strings.TrimPrefix(line, "event: ")
+			case strings.HasPrefix(line, "data: "):
+				switch event {
+				case "sample":
+					samples++
+				case "status", "progress":
+				default:
+					terminal = event
+				}
+			}
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if terminal != StateDone || samples != 16 {
+			t.Fatalf("campaign %d: terminal %q with %d sample events, want %q with 16", i+1, terminal, samples, StateDone)
+		}
+	}
+	if r.Total() != 4 {
+		t.Fatalf("%d simulations, want 4", r.Total())
+	}
+}
+
+// TestSampleBudgetOverflow: the largest sampled spec the admission
+// bounds allow (2^30 cycles and warmup at 2^16 samples) must clamp the
+// SSE sample budget instead of sizing a buffer for every sample, and a
+// spec beyond them (cycles 2^63, interval 1) is refused with a 400.
 func TestSampleBudgetOverflow(t *testing.T) {
 	gate := make(chan struct{}) // hold the job so the campaign stays live
 	defer close(gate)
-	// Released, the job fails instead of simulating: a fake run of 2^63
-	// cycles at interval 1 would outlive the test, appending samples
-	// until the test binary runs out of memory.
+	// Released, the job fails instead of simulating 2^30 cycles.
 	runner := func(sim.Options) (*sim.Result, error) {
 		<-gate
 		return nil, errors.New("held job released")
 	}
 	s := New(Config{Store: tempStore(t), Runner: runner, Workers: 1})
-	id := submit(t, s, `{"workloads":["2W1"],"policies":["ICOUNT"],"cycles":9223372036854775808,"interval":1}`)
+	code, resp := do(t, s, "POST", "/v1/campaigns", `{"workloads":["2W1"],"policies":["ICOUNT"],"cycles":9223372036854775808,"interval":1}`)
+	if code != http.StatusBadRequest || !strings.Contains(resp["error"].(string), "cycles 9223372036854775808 exceeds the bound 1073741824") {
+		t.Fatalf("2^63-cycle spec = %d %v, want 400 naming the cycles bound", code, resp)
+	}
+	id := submit(t, s, `{"workloads":["2W1"],"policies":["ICOUNT"],"cycles":1073741824,"warmup":1073741824,"interval":16384}`)
+	s.mu.Lock()
+	budget := s.campaigns[id].sampleBudget
+	s.mu.Unlock()
+	if budget != 4096 {
+		t.Fatalf("sample budget %d for 65536 samples, want the 4096 cap", budget)
+	}
 	// Subscribing must not panic; the recorder returns the status event.
 	req := httptest.NewRequest("GET", "/v1/campaigns/"+id+"/events", nil)
 	ctx, cancel := context.WithCancel(req.Context())

@@ -22,9 +22,13 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
+	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -72,8 +76,9 @@ type Config struct {
 type Server struct {
 	cache        *campaign.Cache
 	sched        *campaign.Scheduler
-	cluster      *cluster.Coordinator // nil: single-process mode
-	samples      *sampleHub           // live interval samples, keyed by job
+	cluster      *cluster.Coordinator                   // nil: single-process mode
+	runner       func(sim.Options) (*sim.Result, error) // Config.Runner, or sim.Run
+	slots        chan struct{}                          // bounds local simulations only
 	mux          *http.ServeMux
 	registry     *metrics.Registry // /metrics families (server + cluster)
 	m            serverMetrics
@@ -92,6 +97,13 @@ type Server struct {
 	nextID    int
 	campaigns map[string]*run
 	order     []string // campaign IDs in admission order
+	// byKey indexes the running campaigns by the keys of the jobs they
+	// hold admission slots for: filled at admission, and a campaign
+	// leaves a key's entry when that job reports progress or the
+	// campaign settles. A job's live samples and its local failure reach
+	// the campaigns listed here. An entry's slice is replaced, never
+	// modified in place, so readers use it after dropping mu.
+	byKey map[string][]*run //mflush:guarded-by mu
 	// drainTimes is a ring of recent job-completion times;
 	// retryAfterLocked derives the queue's observed drain rate from it
 	// to size the Retry-After of a 429.
@@ -112,27 +124,32 @@ func New(cfg Config) *Server {
 	if maxCampaigns <= 0 {
 		maxCampaigns = 1000
 	}
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	runner := cfg.Runner
+	if runner == nil {
+		runner = sim.Run
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cluster:      cfg.Cluster,
-		samples:      newSampleHub(),
+		runner:       runner,
+		slots:        make(chan struct{}, workers),
 		maxQueued:    maxQueued,
 		maxCampaigns: maxCampaigns,
 		baseCtx:      ctx,
 		stopAll:      cancel,
 		campaigns:    make(map[string]*run),
+		byKey:        make(map[string][]*run),
 	}
-	// Every cache miss goes through the router: to the fleet when live
-	// workers exist (cluster mode), otherwise to a local simulation
-	// bounded by Workers — with no coordinator that is every job. Each
-	// campaign's scheduler pool is sized for the admission queue rather
-	// than the core count: admission already caps uncached jobs at
-	// maxQueued, a dispatch parked on a remote worker is a cheap wait,
-	// and the router's slots are the one bound on local simulations.
-	router := cluster.NewRouter(cfg.Cluster, cfg.Workers, cfg.Runner)
-	router.OnSample = s.samples.publish
-	router.OnLocalFailure = s.abandonJob
-	s.cache = campaign.NewCache(cfg.Store, router.Run)
+	// Every cache miss goes through runJob. Each campaign's scheduler
+	// pool is sized for the admission queue rather than the core count:
+	// admission already caps uncached jobs at maxQueued, a dispatch
+	// parked on a remote worker is a cheap wait, and runJob's slots are
+	// the one bound on local simulations.
+	s.cache = campaign.NewCache(cfg.Store, s.runJob)
 	s.sched = &campaign.Scheduler{Workers: maxQueued}
 	if cfg.Cluster != nil {
 		// The coordinator may have replayed an interrupted campaign
@@ -277,12 +294,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// size is admitted even under load. (A job can only gain cache
 	// entries between here and execution, never lose them, so the charge
 	// is an upper bound.)
-	keys, charged := make(map[string]bool, len(jobs)), make(map[string]bool)
+	charged := make(map[string]bool)
 	for _, j := range jobs {
-		key := j.Key()
-		keys[key] = true
 		if !s.cache.Contains(j) {
-			charged[key] = true
+			charged[j.Key()] = true
 		}
 	}
 	// A campaign with more uncached jobs than the whole queue can never
@@ -316,10 +331,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.nextID++
 	id := fmt.Sprintf("c%06d", s.nextID)
 	c := newRun(id, jobs, time.Now())
-	c.keys, c.charged = keys, charged
+	c.charged = charged
 	ctx, cancel := context.WithCancelCause(s.baseCtx)
 	c.cancel = cancel
 	s.campaigns[id] = c
+	for key := range charged {
+		s.byKey[key] = append(s.byKey[key], c)
+	}
 	s.order = append(s.order, id)
 	s.evictLocked()
 	s.wg.Add(1)
@@ -340,24 +358,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) runCampaign(ctx context.Context, c *run) {
 	defer s.wg.Done()
 	defer c.cancel(nil) // release the context once settled
-	// Sampled jobs stream live interval points; route the ones belonging
-	// to this campaign into its SSE subscribers for as long as it runs.
-	// A sampled campaign also publishes its latest interval IPC as a
-	// labeled gauge; the child is resolved here, outside every lock the
-	// sample path holds, and its series leaves /metrics with the run.
+	// A sampled campaign publishes its latest interval IPC as a labeled
+	// gauge; the child is resolved here, outside every lock the sample
+	// path holds, and its series leaves /metrics with the run.
 	if len(c.jobNames) > 0 {
-		c.ipc = s.m.campaignIPC.WithLabelValues(c.id)
+		c.ipc.Store(s.m.campaignIPC.WithLabelValues(c.id))
 		defer s.m.campaignIPC.Delete(c.id)
 	}
-	unsubscribe := s.samples.subscribe(c.sampledKeys(), c.onSample)
-	defer unsubscribe()
 	records, err := s.sched.RunCached(ctx, c.jobs, s.cache, func(p campaign.Progress) {
 		// Release the job's admission slot, if it was charged one (jobs
 		// already cached at submit never were). Callbacks are serialised,
 		// so the map needs no extra locking.
 		if key := p.Job.Key(); c.charged[key] {
 			delete(c.charged, key)
-			s.release(1)
+			s.release(c, key)
 		}
 		if p.Err != nil {
 			// First failure abandons the campaign's remaining jobs: they
@@ -372,24 +386,66 @@ func (s *Server) runCampaign(ctx context.Context, c *run) {
 	// Jobs skipped by cancellation produced no progress report; give any
 	// admission slots still charged to them back. The campaign is
 	// settled, so nothing else touches the map.
-	s.release(len(c.charged))
+	s.release(c, slices.Collect(maps.Keys(c.charged))...)
 }
 
-// abandonJob cancels every campaign that includes job j, which failed
-// with err in a local simulation. The router calls it while j still
-// holds its slot, so no job of those campaigns waiting for that slot
-// starts after the failure; a campaign's progress callback would cancel
-// it only once the slot is free. A campaign waiting on j's run still
-// reports j's failure (campaign.JobFailure).
-func (s *Server) abandonJob(j campaign.Job, err error) {
-	cause := &campaign.JobFailure{Key: j.Key(), Err: err}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.campaigns {
-		if c.keys[cause.Key] {
+// runJob executes one cache miss; every job the daemon simulates goes
+// through it. With a coordinator the job goes to the worker fleet and
+// falls back to a local run when no worker is live (ErrNoWorkers) or
+// the coordinator is closed (ErrClosed). A local run waits for one of
+// the Workers slots. Cancelling ctx aborts a job still waiting for a
+// slot or unleased in the fleet queue; a job already simulating, here
+// or on a worker, finishes. Determinism makes the two paths
+// byte-interchangeable.
+//
+// A local run streams its live interval samples to every campaign
+// indexed under the job's key. Its failure cancels those campaigns
+// while the job still holds its slot, so no job of theirs queued for
+// that slot starts after the failure; a campaign waiting on this run
+// still reports the job as failed (campaign.JobFailure).
+func (s *Server) runJob(ctx context.Context, j campaign.Job) (campaign.Record, error) {
+	if s.cluster != nil {
+		rec, err := s.cluster.Dispatch(ctx, j)
+		if !errors.Is(err, cluster.ErrNoWorkers) && !errors.Is(err, cluster.ErrClosed) {
+			return rec, err
+		}
+	}
+	select {
+	case s.slots <- struct{}{}:
+	case <-ctx.Done():
+		return campaign.Record{}, ctx.Err()
+	}
+	defer func() { <-s.slots }()
+	// A free slot and a cancelled context can be ready at once, and select
+	// picks either: the cancellation wins.
+	if err := ctx.Err(); err != nil {
+		return campaign.Record{}, err
+	}
+	key := j.Key()
+	rec, err := campaign.RunJob(j, func(o sim.Options) (*sim.Result, error) {
+		if o.Interval > 0 {
+			o.OnSample = func(p sim.SamplePoint) {
+				for _, c := range s.runsOf(key) {
+					c.onSample(key, p)
+				}
+			}
+		}
+		return s.runner(o)
+	})
+	if err != nil {
+		cause := &campaign.JobFailure{Key: key, Err: err}
+		for _, c := range s.runsOf(key) {
 			c.cancel(cause)
 		}
 	}
+	return rec, err
+}
+
+// runsOf returns the running campaigns indexed under job key.
+func (s *Server) runsOf(key string) []*run {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.byKey[key]
 }
 
 // evictLocked trims the registry to the retention bound by forgetting
@@ -417,23 +473,30 @@ func (s *Server) evictLocked() {
 	s.order = kept
 }
 
-// release returns n admission slots to the queue bound and stamps the
-// completions into the drain-rate ring.
-func (s *Server) release(n int) {
-	if n == 0 {
+// release returns the admission slots that campaign c holds for the
+// jobs with the given keys, drops c from the index under those keys and
+// stamps the completions into the drain-rate ring.
+func (s *Server) release(c *run, keys ...string) {
+	if len(keys) == 0 {
 		return
 	}
 	now := time.Now()
 	s.mu.Lock()
-	s.queued -= n
-	for i := 0; i < n; i++ {
+	defer s.mu.Unlock()
+	s.queued -= len(keys)
+	for _, key := range keys {
+		runs := slices.DeleteFunc(slices.Clone(s.byKey[key]), func(r *run) bool { return r == c })
+		if len(runs) == 0 {
+			delete(s.byKey, key)
+		} else {
+			s.byKey[key] = runs
+		}
 		s.drainTimes[s.drainIdx] = now
 		s.drainIdx = (s.drainIdx + 1) % len(s.drainTimes)
 		if s.drainCount < len(s.drainTimes) {
 			s.drainCount++
 		}
 	}
-	s.mu.Unlock()
 }
 
 // retryAfterLocked estimates how many seconds until need admission
