@@ -25,7 +25,7 @@
 // locally otherwise. Leases of dead workers are re-issued after
 // -lease-ttl, so a killed worker never loses work.
 //
-// The coordinator queue itself is durable: every enqueue, lease and
+// The coordinator queue itself is durable: every enqueue and
 // acknowledgement is write-ahead-logged (fsynced) under -state-dir
 // (default: state/ beside -store) before it takes effect, and a
 // restarted daemon replays the log — resuming the interrupted campaign
@@ -124,8 +124,8 @@ func run() error {
 		defer coord.Close()
 		cfg.Cluster = coord
 		if rec := coord.Recovered(); len(rec.Jobs) > 0 || len(rec.Orphans) > 0 {
-			log.Printf("mflushd: recovered queue from %s: %d jobs to resume (%d leases forfeited), %d acknowledged results to confirm",
-				*stateDir, len(rec.Jobs), len(rec.Forfeited), len(rec.Orphans))
+			log.Printf("mflushd: recovered queue from %s: %d jobs to resume, %d acknowledged results to confirm",
+				*stateDir, len(rec.Jobs), len(rec.Orphans))
 		}
 	}
 	srv := server.New(cfg)

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -11,8 +12,8 @@ import (
 // write-ahead log in internal/cluster): records are appended as single
 // newline-terminated Writes, so a kill mid-write tears exactly one
 // unterminated fragment off the end of the file and nothing else.
-// RecoverJSONL is the matching reader: it repairs that one legal kind of
-// damage and refuses everything else.
+// AppendJSONL is that writer; RecoverJSONL is the matching reader, which
+// repairs that one legal kind of damage and refuses everything else.
 
 // CorruptJSONLError reports a newline-terminated line that failed to
 // parse during RecoverJSONL. A terminated line is never a torn write —
@@ -77,4 +78,29 @@ func RecoverJSONL(path string, line func(data []byte) error) (*os.File, error) {
 	// file concurrently (unsupported, but it happens) interleave whole
 	// lines — wasted duplicate work, never byte-level corruption.
 	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+}
+
+// AppendJSONL appends lines — one or more newline-terminated records —
+// to f (opened in append mode by RecoverJSONL) as a single Write, then
+// calls sync, if non-nil, to make them durable. On any failure, a short
+// write or a sync error alike, it truncates f back to where the append
+// began, so a failed append leaves no fragment for the next successful
+// one to glue a record onto mid-file. It returns the file size after the
+// append, which is exact while f has a single writer.
+func AppendJSONL(f *os.File, lines []byte, sync func() error) (int64, error) {
+	start, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return 0, err
+	}
+	_, err = f.Write(lines)
+	if err == nil && sync != nil {
+		err = sync()
+	}
+	if err != nil {
+		if terr := f.Truncate(start); terr != nil {
+			return 0, fmt.Errorf("%w (truncating the failed append also failed: %v)", err, terr)
+		}
+		return 0, err
+	}
+	return start + int64(len(lines)), nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
@@ -139,8 +138,9 @@ func (s *Store) Get(key string) (Record, bool) {
 	return rec, true
 }
 
-// Append persists one completed record. Each record is a single Write
-// of one full line, so a kill tears at most the line in flight.
+// Append persists one completed record as a single Write of one full
+// line (AppendJSONL), so a kill tears at most the line in flight and a
+// failed write leaves nothing behind.
 func (s *Store) Append(rec Record) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
@@ -149,12 +149,7 @@ func (s *Store) Append(rec Record) error {
 	line = append(line, '\n')
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := s.f.Write(line); err != nil {
-		return fmt.Errorf("campaign: append record: %w", err)
-	}
-	// An O_APPEND write leaves the file offset just past the bytes it
-	// wrote, wherever other writers put theirs.
-	end, err := s.f.Seek(0, io.SeekCurrent)
+	end, err := AppendJSONL(s.f, line, nil)
 	if err != nil {
 		return fmt.Errorf("campaign: append record: %w", err)
 	}

@@ -1,11 +1,12 @@
 // Package cluster distributes campaign jobs across a fleet of worker
 // processes. The daemon side is a Coordinator — a lease-based job queue
-// write-ahead-logged under a state directory: workers register, lease
-// batches of content-hash-keyed jobs, simulate them, and post the
-// results back; a worker that stops heartbeating for a lease TTL is
-// presumed dead and its leased jobs are re-issued, so a killed worker
-// never loses work, and a restarted daemon replays the log, so a killed
-// daemon does not either. The worker side is
+// whose jobs and results are write-ahead-logged under a state directory
+// (leases live in memory only): workers register, lease batches of
+// content-hash-keyed jobs, simulate them, and post the results back; a
+// worker that stops heartbeating for a lease TTL is presumed dead and
+// its leased jobs are re-issued, so a killed worker never loses work,
+// and a restarted daemon replays the log, so a killed daemon does not
+// either. The worker side is
 // Worker, a pull loop over the daemon's /v1/workers HTTP endpoints
 // (cmd/mflushworker is its binary).
 //
@@ -69,8 +70,9 @@ type Config struct {
 	// DefaultLeaseTTL). Workers heartbeat at a fraction of it.
 	LeaseTTL time.Duration
 	// StateDir holds the queue's write-ahead log: OpenCoordinator logs
-	// every transition under this directory and replays the log at boot,
-	// so a daemon restart resumes mid-campaign. Required.
+	// every job and result transition under this directory and replays
+	// the log at boot, so a daemon restart resumes mid-campaign.
+	// Required.
 	StateDir string
 	// CompactEvery bounds the WAL tail: once this many records
 	// accumulate since the last snapshot, the next transition folds the
@@ -107,8 +109,8 @@ type Coordinator struct {
 	tasks   map[string]*task // every queued-or-leased job by key
 	pending []*task          // FIFO of unleased tasks
 	// Lease lifecycle counters behind /metrics: every grant, every TTL
-	// expiry, every forfeiture (clean deregister requeues plus leases a
-	// dead incarnation held). Requeues is expired plus forfeited.
+	// expiry, every forfeiture (clean deregister requeues). Requeues is
+	// expired plus forfeited.
 	leasesIssued    uint64
 	leasesExpired   uint64
 	leasesForfeited uint64
@@ -165,13 +167,13 @@ type task struct {
 }
 
 // OpenCoordinator returns a running coordinator whose queue is durable
-// under cfg.StateDir: every transition is write-ahead-logged (and
-// fsynced) before it takes effect, and opening an existing state
-// directory replays the log, re-queueing the dead incarnation's
-// unfinished jobs (leases forfeited — their worker IDs belong to a dead
-// epoch) and carrying its acknowledged-but-possibly-unpersisted results
-// forward. Recovered() reports what was restored. An empty StateDir is
-// an error.
+// under cfg.StateDir: every job and result transition is
+// write-ahead-logged (and fsynced) before it takes effect, and opening
+// an existing state directory replays the log, re-queueing the dead
+// incarnation's unfinished jobs as plain pending (its leases died with
+// its worker IDs' epoch) and carrying its acknowledged-but-possibly-
+// unpersisted results forward. Recovered() reports what was restored.
+// An empty StateDir is an error.
 func OpenCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.StateDir == "" {
 		return nil, errors.New("cluster: Config.StateDir is required")
@@ -215,8 +217,6 @@ func OpenCoordinator(cfg Config) (*Coordinator, error) {
 		c.tasks[wire.Key] = t
 		c.pending = append(c.pending, t)
 	}
-	// Forfeited leases become plain pending jobs; count the churn.
-	c.leasesForfeited += uint64(len(c.recovery.Forfeited))
 	for _, rec := range c.recovery.Orphans {
 		c.settled[rec.Key] = rec
 	}
@@ -289,12 +289,12 @@ func (c *Coordinator) shutdownLocked() {
 	c.wal.close()
 }
 
-// snapshotLocked flattens the current queue into WAL records: live
-// tasks in queue order (pending first, then leased — sorted by key for
-// determinism — with their lease records), jobs this build could not
-// decode, and acknowledged results not yet confirmed persisted (the
-// Persisted check prunes confirmed ones here, which is what bounds the
-// WAL). The caller holds c.mu.
+// snapshotLocked flattens the current queue into WAL records: one
+// enqueue per live task in queue order (pending first, then leased,
+// sorted by key for determinism), jobs this build could not decode,
+// and acknowledged results not yet confirmed persisted (the Persisted
+// check prunes confirmed ones here, which is what bounds the WAL). The
+// caller holds c.mu.
 func (c *Coordinator) snapshotLocked() []walRecord {
 	var recs []walRecord
 	seen := make(map[string]bool, len(c.tasks))
@@ -315,12 +315,8 @@ func (c *Coordinator) snapshotLocked() []walRecord {
 	}
 	sort.Strings(leasedKeys)
 	for _, key := range leasedKeys {
-		t := c.tasks[key]
-		wire := t.job.Wire()
+		wire := c.tasks[key].job.Wire()
 		recs = append(recs, walRecord{Op: opEnqueue, Job: &wire})
-		if t.leasedBy != "" {
-			recs = append(recs, walRecord{Op: opLease, Key: key, Worker: t.leasedBy})
-		}
 	}
 	for i := range c.unresolved {
 		recs = append(recs, walRecord{Op: opEnqueue, Job: &c.unresolved[i]})
@@ -352,10 +348,10 @@ func (c *Coordinator) maybeCompactLocked() {
 	c.wal.compact(c.snapshotLocked())
 }
 
-// logBestEffort appends transitions that only affect scheduling, not
-// correctness (requeues, withdrawals): if the append fails, replay
-// re-derives a safe state anyway — a missed requeue record merely
-// leaves a lease to forfeit at the next boot. The caller holds c.mu.
+// logBestEffort appends withdrawals, which only affect scheduling, not
+// correctness: if the append fails, the next boot merely re-queues a
+// job no one is waiting for, and the recovery dispatcher attaches to or
+// withdraws it. The caller holds c.mu.
 func (c *Coordinator) logBestEffort(recs ...walRecord) {
 	if len(recs) == 0 {
 		return
@@ -430,21 +426,19 @@ func (c *Coordinator) wakeLocked() {
 }
 
 // dropWorkerLocked removes w from the fleet and takes back its leases:
-// each leased task goes back on pending, logged as a requeue. It returns
-// how many leases it took back, for the caller to count as expired or
-// forfeited. The caller holds c.mu.
+// each leased task goes back on pending. Leases are memory-only, so
+// nothing is logged. It returns how many leases it took back, for the
+// caller to count as expired or forfeited. The caller holds c.mu.
 func (c *Coordinator) dropWorkerLocked(w *workerState) uint64 {
-	requeues := make([]walRecord, 0, len(w.leased))
-	for key, t := range w.leased {
+	n := uint64(len(w.leased))
+	for _, t := range w.leased {
 		t.leasedBy = ""
 		c.pending = append(c.pending, t)
-		requeues = append(requeues, walRecord{Op: opRequeue, Key: key})
 	}
 	clear(w.leased)
 	c.pm.remove(w)
 	delete(c.workers, w.id)
-	c.logBestEffort(requeues...)
-	return uint64(len(requeues))
+	return n
 }
 
 // removeLocked takes a task out of the queue: out of tasks, and out of
@@ -675,18 +669,9 @@ func (c *Coordinator) Lease(workerID string, max int, wait time.Duration, live L
 			return nil, nil
 		}
 		if len(c.pending) > 0 {
+			// Grants are memory-only: a crash forgets them, and the next
+			// boot re-queues every unsettled job as plain pending.
 			n := min(max, len(c.pending))
-			// The grants go durable before the worker sees the batch, so
-			// a crash right after the response still knows which worker
-			// holds these jobs.
-			grants := make([]walRecord, 0, n)
-			for _, t := range c.pending[:n] {
-				grants = append(grants, walRecord{Op: opLease, Key: t.job.Key(), Worker: workerID})
-			}
-			if err := c.wal.append(grants...); err != nil {
-				c.mu.Unlock()
-				return nil, err
-			}
 			faultpoint.Hit("cluster.lease.granted")
 			batch := make([]campaign.WireJob, 0, n)
 			grantedAt := time.Now()
@@ -699,9 +684,6 @@ func (c *Coordinator) Lease(workerID string, max int, wait time.Duration, live L
 			c.leasesIssued += uint64(n)
 			c.pm.update(w)
 			c.pending = append(c.pending[:0], c.pending[n:]...)
-			// Compact only after the grants are reflected in memory, so
-			// a snapshot here cannot drop them.
-			c.maybeCompactLocked()
 			c.mu.Unlock()
 			return batch, nil
 		}

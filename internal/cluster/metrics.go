@@ -100,7 +100,7 @@ func (c *Coordinator) RegisterMetrics(r *metrics.Registry) {
 		locked(func() float64 { return float64(c.leasesIssued) }))
 	r.CounterFunc("mflush_leases_expired_total", "Leases taken back from workers that missed their TTL.",
 		locked(func() float64 { return float64(c.leasesExpired) }))
-	r.CounterFunc("mflush_leases_forfeited_total", "Leases forfeited by departing workers or a dead daemon incarnation.",
+	r.CounterFunc("mflush_leases_forfeited_total", "Leases forfeited by departing workers.",
 		locked(func() float64 { return float64(c.leasesForfeited) }))
 
 	// Recovery is a boot-time fact: set once from what the WAL replay
@@ -109,8 +109,6 @@ func (c *Coordinator) RegisterMetrics(r *metrics.Registry) {
 		Set(float64(len(c.recovery.Jobs)))
 	r.Gauge("mflush_recovered_orphan_results", "Acknowledged results carried over from the WAL at the last boot.").
 		Set(float64(len(c.recovery.Orphans)))
-	r.Gauge("mflush_recovered_forfeited_leases", "Dead-incarnation leases forfeited during the last boot's WAL replay.").
-		Set(float64(len(c.recovery.Forfeited)))
 
 	pm := &perWorkerMetrics{
 		leased:    r.GaugeVec("mflush_fleet_worker_leased", "Jobs currently leased, per worker.", "worker", "name"),

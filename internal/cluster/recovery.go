@@ -9,24 +9,21 @@ import (
 )
 
 // walState is the queue state a WAL replay reconstructs: which jobs are
-// live (enqueued, unacknowledged) in what order, which of them the dead
-// incarnation had leased out, and which results were durably
-// acknowledged but possibly never confirmed in the result store. Every
-// apply is idempotent — the same record can arrive twice when a crash
-// between a compaction's snapshot rename and its tail truncation leaves
-// a stale tail behind the fresh snapshot.
+// live (enqueued, unacknowledged) in what order, and which results were
+// durably acknowledged but possibly never confirmed in the result
+// store. Every apply is idempotent — the same record can arrive twice
+// when a crash between a compaction's snapshot rename and its tail
+// truncation leaves a stale tail behind the fresh snapshot.
 type walState struct {
-	order  []string                    // enqueue order of live job keys (may hold settled stragglers; liveOrder filters)
-	jobs   map[string]campaign.WireJob // live jobs by key
-	leases map[string]string           // live key -> worker ID holding its lease
-	acked  map[string]campaign.Record  // durably acknowledged results by key
+	order []string                    // enqueue order of live job keys (may hold settled stragglers; liveOrder filters)
+	jobs  map[string]campaign.WireJob // live jobs by key
+	acked map[string]campaign.Record  // durably acknowledged results by key
 }
 
 func newWALState() *walState {
 	return &walState{
-		jobs:   make(map[string]campaign.WireJob),
-		leases: make(map[string]string),
-		acked:  make(map[string]campaign.Record),
+		jobs:  make(map[string]campaign.WireJob),
+		acked: make(map[string]campaign.Record),
 	}
 }
 
@@ -51,40 +48,25 @@ func (s *walState) apply(r walRecord) error {
 		}
 		s.jobs[key] = *r.Job
 		s.order = append(s.order, key)
-	case opLease:
-		if r.Key == "" || r.Worker == "" {
-			return errors.New("lease record without key and worker")
-		}
-		if _, live := s.jobs[r.Key]; live {
-			s.leases[r.Key] = r.Worker
-		}
-	case opRequeue:
-		if r.Key == "" {
-			return errors.New("requeue record without a key")
-		}
-		delete(s.leases, r.Key)
+	case "lease", "requeue":
+		// Lease grants and take-backs, logged by older builds. No
+		// recovery decision ever read them (a dead epoch's leases are
+		// void), so they are skipped and the boot compaction drops them.
 	case opAck:
 		if r.Rec == nil || r.Rec.Key == "" {
 			return errors.New("ack record without a result")
 		}
-		s.settle(r.Rec.Key)
+		delete(s.jobs, r.Rec.Key)
 		s.acked[r.Rec.Key] = *r.Rec
 	case opFail, opDequeue:
 		if r.Key == "" {
 			return fmt.Errorf("%s record without a key", r.Op)
 		}
-		s.settle(r.Key)
+		delete(s.jobs, r.Key)
 	default:
 		return fmt.Errorf("unknown op %q", r.Op)
 	}
 	return nil
-}
-
-// settle removes a job from the live set (its slot in order becomes a
-// straggler liveOrder skips).
-func (s *walState) settle(key string) {
-	delete(s.jobs, key)
-	delete(s.leases, key)
 }
 
 // liveOrder returns the keys of live jobs in their original enqueue
@@ -106,14 +88,10 @@ func (s *walState) liveOrder() []string {
 // it to resume an interrupted campaign: re-dispatch Jobs, and append
 // Orphans to the result store if they are missing there.
 type Recovery struct {
-	// Jobs are the enqueued-but-unacknowledged jobs, re-queued for
-	// dispatch in their original order.
+	// Jobs are the enqueued-but-unacknowledged jobs, re-queued as plain
+	// pending for dispatch in their original order — whether or not the
+	// dead incarnation had leased them, since its worker IDs are void.
 	Jobs []campaign.WireJob
-	// Forfeited maps recovered job keys to the worker IDs that held
-	// their leases when the previous incarnation died. Those IDs belong
-	// to dead registrations — a restarted daemon issues fresh epochs —
-	// so the leases are forfeited and the jobs are plain pending again.
-	Forfeited map[string]string
 	// Orphans are results the dead incarnation acknowledged durably (the
 	// worker saw HTTP 200) but may never have written to the result
 	// store. Replaying them into the store is idempotent: records are
@@ -124,12 +102,9 @@ type Recovery struct {
 // recoveryFromState converts a replayed walState into the exported
 // Recovery view, with deterministic ordering.
 func recoveryFromState(st *walState) Recovery {
-	r := Recovery{Forfeited: make(map[string]string, len(st.leases))}
+	var r Recovery
 	for _, key := range st.liveOrder() {
 		r.Jobs = append(r.Jobs, st.jobs[key])
-	}
-	for key, worker := range st.leases {
-		r.Forfeited[key] = worker
 	}
 	for _, rec := range st.acked {
 		r.Orphans = append(r.Orphans, rec)

@@ -14,20 +14,23 @@ import (
 )
 
 // The coordinator's write-ahead log. The coordinator appends one JSONL
-// record per queue transition — job enqueued, lease granted, lease
-// re-issued, result acknowledged, job withdrawn — fsyncing before the
-// transition takes effect, so every state change a caller or worker has
-// observed survives a crash. The log lives in two files under the state
-// directory:
+// record per job transition — job enqueued, result acknowledged, job
+// failed or withdrawn — fsyncing before the transition takes effect, so
+// every job a caller has handed over and every result a worker has seen
+// accepted survives a crash. Leases are not logged: after a restart
+// every worker ID belongs to a dead epoch, so a recovered job is plain
+// pending whether or not it was leased, and the lease table is rebuilt
+// in memory as workers re-register. The log lives in two files under
+// the state directory:
 //
 //	queue.snap   the last compaction: the whole queue state as a flat
 //	             record list, written to a temp file and renamed into
 //	             place, so it is always complete.
 //	queue.wal    the tail: every transition since that compaction,
-//	             appended with the same single-Write-per-line torn-tail
-//	             discipline as campaign.Store (campaign.RecoverJSONL
-//	             repairs a kill mid-append by dropping the one
-//	             unterminated fragment).
+//	             appended with campaign.AppendJSONL, the same
+//	             single-Write-per-batch, truncate-on-failure discipline
+//	             as campaign.Store (campaign.RecoverJSONL repairs a kill
+//	             mid-append by dropping the one unterminated fragment).
 //
 // Replay (boot) applies the snapshot, then the repaired tail, with
 // idempotent semantics — re-applying a transition to a state that
@@ -40,24 +43,22 @@ import (
 // WAL record operations (the "op" field).
 const (
 	opEnqueue = "enqueue" // a job entered the queue (carries the wire job)
-	opLease   = "lease"   // a pending job was leased to a worker
-	opRequeue = "requeue" // a lease was taken back and the job re-queued
 	opAck     = "ack"     // a result was accepted (carries the full record)
 	opFail    = "fail"    // a deterministic worker-side failure settled the job
 	opDequeue = "dequeue" // the job left the queue without a result (withdrawn)
 )
 
 // walRecord is one JSONL line of the log. Which fields are set depends
-// on Op: enqueue carries Job; lease and requeue carry Key (and Worker
-// for lease); ack carries Rec; fail and dequeue carry Key (and Error
-// for fail).
+// on Op: enqueue carries Job; ack carries Rec; fail and dequeue carry
+// Key (and Error for fail). State directories written by older builds
+// also hold "lease" lines (Key plus a "worker" field that decoding
+// ignores) and "requeue" lines; replay skips both.
 type walRecord struct {
-	Op     string            `json:"op"`
-	Job    *campaign.WireJob `json:"job,omitempty"`
-	Key    string            `json:"key,omitempty"`
-	Worker string            `json:"worker,omitempty"`
-	Rec    *campaign.Record  `json:"rec,omitempty"`
-	Error  string            `json:"error,omitempty"`
+	Op    string            `json:"op"`
+	Job   *campaign.WireJob `json:"job,omitempty"`
+	Key   string            `json:"key,omitempty"`
+	Rec   *campaign.Record  `json:"rec,omitempty"`
+	Error string            `json:"error,omitempty"`
 }
 
 // State-directory file names.
@@ -133,8 +134,9 @@ func applyWALLine(st *walState, line []byte) error {
 
 // append marshals recs into one buffer and lands them with a single
 // Write and a single fsync, so a kill tears at most one record and a
-// batch (a multi-job lease, a worker's result post) costs one sync. The
-// transition must not take effect in memory until append returns nil.
+// batch (a worker's result post) costs one sync. A failed write or sync
+// truncates the tail back to where the batch began. The transition must
+// not take effect in memory until append returns nil.
 func (w *wal) append(recs ...walRecord) error {
 	var buf bytes.Buffer
 	for _, r := range recs {
@@ -145,9 +147,6 @@ func (w *wal) append(recs ...walRecord) error {
 		buf.Write(line)
 		buf.WriteByte('\n')
 	}
-	if err := faultpoint.Check("wal.append.err"); err != nil {
-		return err
-	}
 	faultpoint.Hit("wal.append.before")
 	if faultpoint.Active("wal.append.torn") {
 		// Land half the batch mid-record, then die: exactly the torn
@@ -157,14 +156,15 @@ func (w *wal) append(recs ...walRecord) error {
 		faultpoint.Hit("wal.append.torn")
 	}
 	start := time.Now()
-	if _, err := w.tail.Write(buf.Bytes()); err != nil {
+	var wrote time.Time
+	_, err := campaign.AppendJSONL(w.tail, buf.Bytes(), func() error {
+		wrote = time.Now()
+		w.appendH.Observe(wrote.Sub(start).Seconds())
+		faultpoint.Hit("wal.sync.before")
+		return w.tail.Sync()
+	})
+	if err != nil {
 		return fmt.Errorf("cluster: wal append: %w", err)
-	}
-	wrote := time.Now()
-	w.appendH.Observe(wrote.Sub(start).Seconds())
-	faultpoint.Hit("wal.sync.before")
-	if err := w.tail.Sync(); err != nil {
-		return fmt.Errorf("cluster: wal sync: %w", err)
 	}
 	w.fsyncH.Observe(time.Since(wrote).Seconds())
 	w.tailRecs += len(recs)
@@ -179,10 +179,6 @@ func (w *wal) append(recs ...walRecord) error {
 // truncation the stale tail re-applies records the new snapshot already
 // absorbed, which replay's idempotence makes harmless.
 func (w *wal) compact(snapshot []walRecord) error {
-	faultpoint.Hit("wal.compact.before")
-	if err := faultpoint.Check("wal.compact.err"); err != nil {
-		return err
-	}
 	start := time.Now()
 	var buf bytes.Buffer
 	for _, r := range snapshot {

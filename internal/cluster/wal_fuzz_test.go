@@ -39,11 +39,14 @@ func FuzzWALReplay(f *testing.F) {
 		return out
 	}
 	wireA, wireB := jobs[0].Wire(), jobs[1].Wire()
-	full := marshal(
+	// Older builds also logged lease grants and take-backs; replay must
+	// keep accepting (and ignoring) them.
+	full := append(marshal(
 		walRecord{Op: opEnqueue, Job: &wireA},
 		walRecord{Op: opEnqueue, Job: &wireB},
-		walRecord{Op: opLease, Key: wireB.Key, Worker: "w-1"},
-	)
+	), `{"op":"lease","key":"`+wireB.Key+`","worker":"w-1"}
+{"op":"requeue","key":"`+wireB.Key+`"}
+`...)
 	f.Add(marshal(walRecord{Op: opEnqueue, Job: &wireA}), full)
 	f.Add(full, full[:len(full)-7]) // torn tail: mid-record kill
 	f.Add([]byte("{\n"), []byte(nil))

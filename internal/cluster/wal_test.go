@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/metrics"
 	"repro/internal/simtest"
 )
 
@@ -56,8 +57,8 @@ func writeWALFile(t *testing.T, path string, recs ...walRecord) {
 // TestWALRestartResumesQueue is the golden-state test: a coordinator
 // killed mid-campaign — some jobs pending, one leased, one acked —
 // must reopen to exactly the pre-crash state minus the unacknowledged
-// in-flight transitions: the ack survives as an orphan, the lease is
-// forfeited back to pending, and the queue order is preserved.
+// in-flight transitions: the ack survives as an orphan, the leased job
+// comes back as plain pending, and the queue order is preserved.
 func TestWALRestartResumesQueue(t *testing.T) {
 	cfg := Config{LeaseTTL: time.Minute, StateDir: t.TempDir()}
 	c1, err := OpenCoordinator(cfg)
@@ -98,17 +99,14 @@ func TestWALRestartResumesQueue(t *testing.T) {
 	if !reflect.DeepEqual(gotKeys, wantKeys) {
 		t.Errorf("recovered jobs = %v, want %v", gotKeys, wantKeys)
 	}
-	if want := map[string]string{jobs[1].Key(): w.ID}; !reflect.DeepEqual(rec.Forfeited, want) {
-		t.Errorf("forfeited = %v, want %v", rec.Forfeited, want)
-	}
 	if len(rec.Orphans) != 1 || !reflect.DeepEqual(rec.Orphans[0], rec0) {
 		t.Errorf("orphans = %+v, want exactly the acked record", rec.Orphans)
 	}
-	if got := c2.Requeues(); got != 1 {
-		t.Errorf("requeues = %d, want 1 (the forfeited lease)", got)
-	}
 	if got := c2.Pending(); got != 3 {
 		t.Errorf("pending = %d, want 3", got)
+	}
+	if got := c2.Requeues(); got != 0 {
+		t.Errorf("requeues = %d after restart, want 0 (leases are not logged)", got)
 	}
 
 	// The resumed queue must actually drain: a fresh worker leases the
@@ -197,11 +195,10 @@ func TestWALStaleTailIdempotent(t *testing.T) {
 		walRecord{Op: opEnqueue, Job: &wireA},
 		walRecord{Op: opAck, Rec: &recB},
 	)
-	// Stale pre-compaction tail: both enqueues, B's lease and ack.
+	// Stale pre-compaction tail: both enqueues and B's ack.
 	writeWALFile(t, filepath.Join(dir, walFile),
 		walRecord{Op: opEnqueue, Job: &wireA},
 		walRecord{Op: opEnqueue, Job: &wireB},
-		walRecord{Op: opLease, Key: wireB.Key, Worker: "w000001-dead"},
 		walRecord{Op: opAck, Rec: &recB},
 	)
 	c, err := OpenCoordinator(Config{LeaseTTL: time.Minute, StateDir: dir})
@@ -212,9 +209,6 @@ func TestWALStaleTailIdempotent(t *testing.T) {
 	rec := c.Recovered()
 	if len(rec.Jobs) != 1 || rec.Jobs[0].Key != wireA.Key {
 		t.Errorf("recovered jobs = %+v, want only job A once", rec.Jobs)
-	}
-	if len(rec.Forfeited) != 0 {
-		t.Errorf("forfeited = %v, want none (B's lease settled)", rec.Forfeited)
 	}
 	if len(rec.Orphans) != 1 || !reflect.DeepEqual(rec.Orphans[0], recB) {
 		t.Errorf("orphans = %+v, want exactly B's record once", rec.Orphans)
@@ -307,7 +301,7 @@ func TestWALCompactionPrunesPersisted(t *testing.T) {
 	}
 	defer c2.Close()
 	rec := c2.Recovered()
-	if len(rec.Jobs) != 0 || len(rec.Forfeited) != 0 || len(rec.Orphans) != 0 {
+	if len(rec.Jobs) != 0 || len(rec.Orphans) != 0 {
 		t.Errorf("recovered %+v, want a clean slate (everything persisted)", rec)
 	}
 }
@@ -440,5 +434,171 @@ func TestWALConcurrentAckCompaction(t *testing.T) {
 		if want, ok := recs[orphan.Key]; !ok || !reflect.DeepEqual(orphan, want) {
 			t.Errorf("settled record %s differs after the compaction storm", orphan.Key)
 		}
+	}
+}
+
+// TestWALLegacyLeaseRecordsIgnored boots a state directory in the
+// format older builds wrote, which logged every lease grant ("lease",
+// with the holding worker) and take-back ("requeue"), also in the
+// snapshot. Replay must recover the same jobs in the same order and the
+// same orphans those builds did — every live job plain pending — and
+// the boot compaction must rewrite the state without the lease lines.
+func TestWALLegacyLeaseRecordsIgnored(t *testing.T) {
+	jobs := testJobs(t, 1, 2, 3)
+	a, b, c, d, e := jobs[0], jobs[1], jobs[2], jobs[3], jobs[4]
+	recC, recE := testRecord(t, c), testRecord(t, e)
+	raw := func(v any) string {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	enqueue := func(j campaign.Job) string { return `{"op":"enqueue","job":` + raw(j.Wire()) + `}` }
+	ack := func(rec campaign.Record) string { return `{"op":"ack","rec":` + raw(rec) + `}` }
+	lease := func(j campaign.Job, worker string) string {
+		return `{"op":"lease","key":"` + j.Key() + `","worker":"` + worker + `"}`
+	}
+	requeue := func(j campaign.Job) string { return `{"op":"requeue","key":"` + j.Key() + `"}` }
+	stateDir := t.TempDir()
+	write := func(name string, lines ...string) {
+		if err := os.WriteFile(filepath.Join(stateDir, name), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(snapFile,
+		enqueue(a), enqueue(b), lease(b, "w000001-dead"),
+		enqueue(c), lease(c, "w000001-dead"), ack(recE))
+	write(walFile,
+		requeue(b), lease(b, "w000002-dead"), ack(recC),
+		enqueue(d), lease(d, "w000002-dead"), requeue(d), lease(a, "w000002-dead"))
+
+	cfg := Config{LeaseTTL: time.Minute, StateDir: stateDir}
+	for boot := 1; boot <= 2; boot++ {
+		coord, err := OpenCoordinator(cfg)
+		if err != nil {
+			t.Fatalf("boot %d: %v", boot, err)
+		}
+		rec := coord.Recovered()
+		var gotKeys []string
+		for _, wj := range rec.Jobs {
+			gotKeys = append(gotKeys, wj.Key)
+		}
+		if want := []string{a.Key(), b.Key(), d.Key()}; !reflect.DeepEqual(gotKeys, want) {
+			t.Errorf("boot %d: recovered jobs = %v, want %v", boot, gotKeys, want)
+		}
+		wantOrphans := []campaign.Record{recC, recE}
+		if recE.Key < recC.Key {
+			wantOrphans = []campaign.Record{recE, recC}
+		}
+		if !reflect.DeepEqual(rec.Orphans, wantOrphans) {
+			t.Errorf("boot %d: orphans = %+v, want C's and E's records", boot, rec.Orphans)
+		}
+		if got := coord.Pending(); got != 3 {
+			t.Errorf("boot %d: pending = %d, want 3", boot, got)
+		}
+		for _, name := range []string{snapFile, walFile} {
+			data, err := os.ReadFile(filepath.Join(stateDir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, op := range []string{`"op":"lease"`, `"op":"requeue"`} {
+				if strings.Contains(string(data), op) {
+					t.Errorf("boot %d: %s still holds %s after the boot compaction", boot, name, op)
+				}
+			}
+		}
+		coord.Close()
+	}
+}
+
+// TestLeaseWritesNothingDurable: leases are memory-only. Granting a
+// lease, reaping a leased worker after its TTL and deregistering a
+// leased worker must leave the WAL untouched, while Dispatch and
+// Complete still append.
+func TestLeaseWritesNothingDurable(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenCoordinator(Config{LeaseTTL: time.Minute, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	reg := metrics.NewRegistry()
+	c.RegisterMetrics(reg)
+	durable := func() (int64, float64) {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, walFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size(), scrapeValues(t, reg)["mflush_wal_append_seconds_count"]
+	}
+
+	var ids []string
+	for _, name := range []string{"reaped", "leaver", "stayer"} {
+		w, err := c.Register(name, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, w.ID)
+	}
+	reaped, leaver, stayer := ids[0], ids[1], ids[2]
+	jobs := testJobs(t, 1, 2)
+	for i, j := range jobs {
+		dispatchAsync(c, j)
+		waitPending(t, c, i+1)
+	}
+	size0, appends0 := durable()
+	if appends0 != float64(len(jobs)) {
+		t.Fatalf("WAL appends after %d dispatches = %v, want one each", len(jobs), appends0)
+	}
+	unchanged := func(what string) {
+		t.Helper()
+		if size, appends := durable(); size != size0 || appends != appends0 {
+			t.Errorf("%s wrote to the WAL: %d bytes and %v appends, want %d and %v",
+				what, size, appends, size0, appends0)
+		}
+	}
+
+	for _, id := range []string{reaped, leaver} {
+		if batch, err := c.Lease(id, 1, 0, Liveness{}); err != nil || len(batch) != 1 {
+			t.Fatalf("lease: %v (%d jobs)", err, len(batch))
+		}
+	}
+	unchanged("a lease")
+	// Age the first worker past its TTL; the next call reaps it inline.
+	c.mu.Lock()
+	c.workers[reaped].lastSeen = time.Now().Add(-2 * time.Minute)
+	c.mu.Unlock()
+	if got := c.LiveWorkers(); got != 2 {
+		t.Fatalf("live workers after the reap = %d, want 2", got)
+	}
+	unchanged("a TTL reap")
+	if err := c.Deregister(leaver); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("a deregister")
+	if got := c.Requeues(); got != 2 {
+		t.Errorf("requeues = %d, want 2 (one expired, one forfeited)", got)
+	}
+
+	batch, err := c.Lease(stayer, len(jobs), 0, Liveness{})
+	if err != nil || len(batch) != len(jobs) {
+		t.Fatalf("lease the requeued jobs: %v (%d jobs)", err, len(batch))
+	}
+	var recs []campaign.Record
+	for _, wj := range batch {
+		j, err := wj.Job()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, testRecord(t, j))
+	}
+	if acc, _, err := c.Complete(stayer, recs, nil); err != nil || acc != len(jobs) {
+		t.Fatalf("complete: %v (accepted %d)", err, acc)
+	}
+	if size, appends := durable(); size <= size0 || appends != appends0+1 {
+		t.Errorf("Complete: %d bytes and %v appends, want more than %d bytes and %v appends",
+			size, appends, size0, appends0+1)
 	}
 }

@@ -342,9 +342,8 @@ func reference(t *testing.T) (map[string]string, map[string]string) {
 // requires the restarted daemon to finish the campaign with results
 // byte-identical to the uninterrupted reference.
 //
-// wal.append.torn is armed with a plain crash (every hit, so the first):
-// the tear writes half a record before dying, and arming it with an
-// error instead would corrupt the log mid-file — the point exists
+// wal.append.torn is armed with a plain crash (every hit, so the
+// first): the tear writes half a record before dying — the point exists
 // precisely to leave a torn tail for recovery to repair.
 func TestCrashMatrix(t *testing.T) {
 	if testing.Short() {

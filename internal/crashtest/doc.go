@@ -8,7 +8,7 @@
 //
 // The tests only exist under the faultpoint build tag — `make crashtest`
 // runs them; a plain `go test ./...` compiles this package to nothing,
-// so the matrix never slows the ordinary suite. internal/faultpoint
-// documents the injection points and the MFLUSH_FAULTPOINTS syntax the
-// matrix drives the daemon with.
+// so the matrix never slows the ordinary suite. The matrix arms each
+// point through MFLUSH_FAULTPOINTS with `crash` (the first hit) or
+// `crash@N` (the Nth), the only actions internal/faultpoint provides.
 package crashtest

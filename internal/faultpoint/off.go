@@ -1,24 +1,20 @@
 //go:build !faultpoint
 
-// Package faultpoint injects crashes, delays and errors at named points
-// in the code under test. In ordinary builds (this file) every hook is
-// a constant no-op the compiler inlines away, so threading a faultpoint
-// through a production path — the cluster WAL's append/fsync/compact,
-// the lease and ack paths — costs nothing. Building with `-tags
-// faultpoint` swaps in the real registry: points are armed either
-// programmatically (Set, from in-process tests) or through the
-// MFLUSH_FAULTPOINTS environment variable (for real binaries, the crash
-// matrix in internal/crashtest), and a hit can SIGKILL the process
-// mid-operation, sleep, or surface an injected error.
+// Package faultpoint injects crashes at named points in the code under
+// test. In ordinary builds (this file) every hook is a constant no-op
+// the compiler inlines away, so threading a faultpoint through a
+// production path — the cluster WAL's append/fsync/compact, the lease
+// and ack paths — costs nothing. Building with `-tags faultpoint` swaps
+// in the real registry: points are armed either programmatically (Set,
+// from in-process tests) or through the MFLUSH_FAULTPOINTS environment
+// variable (for real binaries, the crash matrix in internal/crashtest),
+// and an armed hit SIGKILLs the process mid-operation.
 //
 // The arming syntax, shared by Set and MFLUSH_FAULTPOINTS (which holds
 // a semicolon-separated list of name=action pairs):
 //
 //	crash        SIGKILL the process at the point
 //	crash@N      SIGKILL on the Nth hit (1-based), so earlier hits pass
-//	delay:DUR    sleep DUR (time.ParseDuration) at the point
-//	error:MSG    make Check at the point return an error with MSG
-//	error@N:MSG  as error:MSG, but only on the Nth hit
 package faultpoint
 
 // Active reports whether the named point would fire on its next hit.
@@ -30,16 +26,10 @@ package faultpoint
 func Active(string) bool { return false }
 
 // Hit marks the named point. In ordinary builds it does nothing; with
-// the faultpoint tag it crashes or delays when the point is armed.
+// the faultpoint tag it crashes when the point is armed.
 //
 //mflush:hotpath-ok
 func Hit(string) {}
-
-// Check marks the named point and returns its injected error, if any.
-// Ordinary builds always return nil.
-//
-//mflush:hotpath-ok
-func Check(string) error { return nil }
 
 // Enabled reports whether fault injection is compiled in at all — false
 // here; the crash matrix uses it to refuse running against a binary

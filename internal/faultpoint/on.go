@@ -9,27 +9,20 @@ import (
 	"strings"
 	"sync"
 	"syscall"
-	"time"
 )
 
-// action is one armed faultpoint: what to do and on which hit.
-type action struct {
-	kind  string // "crash", "delay", "error"
-	nth   int    // fire on this hit (1-based); 0 means every hit
-	delay time.Duration
-	msg   string
-}
-
 var (
-	mu     sync.Mutex
-	armed  map[string]action
+	mu sync.Mutex
+	// armed maps each armed point to the hit it crashes on (1-based; 0
+	// means every hit); counts holds each armed point's hits so far.
+	armed  map[string]int
 	counts map[string]int
 )
 
 // init arms every point listed in MFLUSH_FAULTPOINTS, so a real binary
 // built with this tag is driven purely by its environment.
 func init() {
-	armed = make(map[string]action)
+	armed = make(map[string]int)
 	counts = make(map[string]int)
 	env := os.Getenv("MFLUSH_FAULTPOINTS")
 	if env == "" {
@@ -60,68 +53,30 @@ func Set(name, spec string) error {
 		delete(counts, name)
 		return nil
 	}
-	a, err := parse(spec)
+	nth, err := parse(spec)
 	if err != nil {
 		return fmt.Errorf("faultpoint: %s: %w", name, err)
 	}
-	armed[name] = a
+	armed[name] = nth
 	counts[name] = 0
 	return nil
 }
 
-// Reset disarms every point and zeroes every hit counter.
-func Reset() {
-	mu.Lock()
-	defer mu.Unlock()
-	armed = make(map[string]action)
-	counts = make(map[string]int)
-}
-
-// parse decodes one action spec.
-func parse(spec string) (action, error) {
-	kind, rest, _ := strings.Cut(spec, ":")
-	var a action
-	if base, nth, ok := strings.Cut(kind, "@"); ok {
-		n, err := strconv.Atoi(nth)
-		if err != nil || n < 1 {
-			return action{}, fmt.Errorf("bad hit count %q", nth)
-		}
-		kind, a.nth = base, n
+// parse decodes one action spec into the hit it fires on (0: every
+// hit).
+func parse(spec string) (int, error) {
+	kind, nth, counted := strings.Cut(spec, "@")
+	if kind != "crash" {
+		return 0, fmt.Errorf("unknown action %q", kind)
 	}
-	a.kind = kind
-	switch kind {
-	case "crash":
-	case "delay":
-		d, err := time.ParseDuration(rest)
-		if err != nil {
-			return action{}, fmt.Errorf("bad delay %q: %w", rest, err)
-		}
-		a.delay = d
-	case "error":
-		if rest == "" {
-			rest = "injected fault"
-		}
-		a.msg = rest
-	default:
-		return action{}, fmt.Errorf("unknown action %q", kind)
+	if !counted {
+		return 0, nil
 	}
-	return a, nil
-}
-
-// fire consumes one hit of the named point and returns the action to
-// perform now, if the point is armed for this hit.
-func fire(name string) (action, bool) {
-	mu.Lock()
-	defer mu.Unlock()
-	a, ok := armed[name]
-	if !ok {
-		return action{}, false
+	n, err := strconv.Atoi(nth)
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("bad hit count %q", nth)
 	}
-	counts[name]++
-	if a.nth != 0 && counts[name] != a.nth {
-		return action{}, false
-	}
-	return a, true
+	return n, nil
 }
 
 // Active reports whether the named point would fire on its next hit,
@@ -130,48 +85,25 @@ func fire(name string) (action, bool) {
 func Active(name string) bool {
 	mu.Lock()
 	defer mu.Unlock()
-	a, ok := armed[name]
-	if !ok {
-		return false
-	}
-	return a.nth == 0 || counts[name]+1 == a.nth
+	nth, ok := armed[name]
+	return ok && (nth == 0 || counts[name]+1 == nth)
 }
 
-// Hit marks the named point, crashing or delaying if it is armed for
-// this hit. A crash is a SIGKILL of the whole process — no deferred
-// functions, no flushes — exactly the failure the WAL must survive.
+// Hit marks the named point and crashes if it is armed for this hit. A
+// crash is a SIGKILL of the whole process — no deferred functions, no
+// flushes — exactly the failure the WAL must survive.
 func Hit(name string) {
-	a, ok := fire(name)
-	if !ok {
-		return
+	mu.Lock()
+	nth, ok := armed[name]
+	if ok {
+		counts[name]++
+		ok = nth == 0 || counts[name] == nth
 	}
-	switch a.kind {
-	case "crash":
+	mu.Unlock()
+	if ok {
 		syscall.Kill(os.Getpid(), syscall.SIGKILL)
 		select {} // SIGKILL is not synchronous; never execute past the point
-	case "delay":
-		time.Sleep(a.delay)
 	}
-}
-
-// Check marks the named point like Hit and additionally returns the
-// injected error when the point is armed with an error action.
-func Check(name string) error {
-	a, ok := fire(name)
-	if !ok {
-		return nil
-	}
-	switch a.kind {
-	case "crash":
-		syscall.Kill(os.Getpid(), syscall.SIGKILL)
-		select {}
-	case "delay":
-		time.Sleep(a.delay)
-		return nil
-	case "error":
-		return fmt.Errorf("faultpoint %s: %s", name, a.msg)
-	}
-	return nil
 }
 
 // Enabled reports that fault injection is compiled in.
