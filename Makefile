@@ -89,9 +89,10 @@ lint:
 	$(GO) run ./cmd/mflushvet ./...
 
 # Documentation checks: markdown links in README/CAMPAIGNS/ARCHITECTURE/
-# API resolve, every markdown file a Go comment names exists, and every
-# exported identifier in internal/server and internal/campaign has a doc
-# comment (mirrors the CI docs job).
+# API resolve, every Test/Fuzz/Benchmark name they cite exists, every
+# markdown file a Go comment names exists, and every exported identifier
+# in internal/server and internal/campaign has a doc comment (mirrors
+# the CI docs job).
 docscheck:
 	$(GO) test ./internal/docs/
 

@@ -16,10 +16,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"text/tabwriter"
 
+	"repro/internal/campaign"
 	"repro/internal/config"
 	"repro/internal/energy"
 	"repro/internal/experiments"
@@ -82,7 +84,9 @@ func run(args []string, out io.Writer) error {
 
 // parseScale adds the scale flags to fs, parses args and returns the
 // Config they select: experiments.Quick under -quick, else Default, with
-// any -warmup, -cycles or -seed given explicitly taking precedence.
+// any -warmup, -cycles or -seed given explicitly taking precedence. A
+// budget the campaign engine would reject fails here, before anything
+// prints.
 func parseScale(fs *flag.FlagSet, args []string) (experiments.Config, error) {
 	warmup := fs.Uint64("warmup", experiments.Default.Warmup, "warm-up cycles (excluded from measurement)")
 	cycles := fs.Uint64("cycles", experiments.Default.Cycles, "measured cycles per simulation")
@@ -105,7 +109,22 @@ func parseScale(fs *flag.FlagSet, args []string) (experiments.Config, error) {
 			cfg.Seed = *seed
 		}
 	})
+	// The engine owns the budget bounds: expanding a one-job spec at
+	// this scale checks them.
+	probe := campaign.Spec{Workloads: []string{"2W1"}, Policies: []string{"ICOUNT"}, Cycles: cfg.Cycles, Warmup: cfg.Warmup}
+	if _, err := probe.Jobs(); err != nil {
+		return experiments.Config{}, fmt.Errorf("bad scale: %w", err)
+	}
 	return cfg, nil
+}
+
+// pct renders the fraction f as a percentage in format, or n/a when f
+// is undefined: a share or speedup over zero.
+func pct(format string, f float64) string {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return "n/a"
+	}
+	return fmt.Sprintf(format, f*100)
 }
 
 func header(out io.Writer, title string) {
@@ -171,9 +190,9 @@ func figure2(out io.Writer, cfg experiments.Config) error {
 	w := tabbed(out)
 	fmt.Fprintln(w, "workload\tICOUNT IPC\tFLUSH-S30 IPC\tspeedup")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%+.1f%%\n", r.Workload, r.ICOUNT, r.FlushS30, r.Speedup*100)
+		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%s\n", r.Workload, r.ICOUNT, r.FlushS30, pct("%+.1f%%", r.Speedup))
 	}
-	fmt.Fprintf(w, "average\t\t\t%+.1f%%\n", avg*100)
+	fmt.Fprintf(w, "average\t\t\t%s\n", pct("%+.1f%%", avg))
 	w.Flush()
 	fmt.Fprintln(out, "paper: FLUSH speedups up to 93%, average 22%")
 	return nil
@@ -188,8 +207,8 @@ func figure3(out io.Writer, cfg experiments.Config) error {
 	w := tabbed(out)
 	fmt.Fprintln(w, "threads\tcores\tICOUNT IPC\tFLUSH-S30 IPC\tavg speedup")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%dW\t%d\t%.3f\t%.3f\t%+.1f%%\n",
-			r.Threads, r.Cores, r.ICOUNT, r.FlushS30, r.AvgSpeedup*100)
+		fmt.Fprintf(w, "%dW\t%d\t%.3f\t%.3f\t%s\n",
+			r.Threads, r.Cores, r.ICOUNT, r.FlushS30, pct("%+.1f%%", r.AvgSpeedup))
 	}
 	w.Flush()
 	fmt.Fprintln(out, "paper: the single-core 22% advantage shrinks with core count and")
@@ -206,6 +225,11 @@ func figure4(out io.Writer, cfg experiments.Config) error {
 	w := tabbed(out)
 	fmt.Fprintln(w, "threads\tcores\thits\tmean\tp50\tp90\tmax\t20-70cy share")
 	for _, r := range rows {
+		if r.Hits == 0 {
+			// Every statistic of an empty distribution is undefined.
+			fmt.Fprintf(w, "%dW\t%d\t0\tn/a\tn/a\tn/a\tn/a\tn/a\n", r.Threads, r.Cores)
+			continue
+		}
 		fmt.Fprintf(w, "%dW\t%d\t%d\t%.1f\t%d\t%d\t%d\t%.0f%%\n",
 			r.Threads, r.Cores, r.Hits, r.Mean, r.P50, r.P90, r.Max, r.Frac20to70*100)
 	}
@@ -224,7 +248,7 @@ func figure4(out io.Writer, cfg experiments.Config) error {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%dW", r.Threads)
 		for _, b := range r.Buckets {
-			fmt.Fprintf(w, "\t%.0f%%", float64(b)/float64(r.Hits)*100)
+			fmt.Fprintf(w, "\t%s", pct("%.0f%%", float64(b)/float64(r.Hits)))
 		}
 		fmt.Fprintln(w)
 	}
@@ -300,7 +324,7 @@ func figure8(out io.Writer, cfg experiments.Config) error {
 	ic, s30, s100, mf := experiments.Figure8Averages(rows)
 	fmt.Fprintf(w, "average\t%.3f\t%.3f\t%.3f\t%.3f\n", ic, s30, s100, mf)
 	w.Flush()
-	fmt.Fprintf(out, "MFLUSH vs FLUSH-S100: %+.1f%%\n", (mf/s100-1)*100)
+	fmt.Fprintf(out, "MFLUSH vs FLUSH-S100: %s\n", pct("%+.1f%%", mf/s100-1))
 	fmt.Fprintln(out, "paper: MFLUSH within ~2% of FLUSH-S100 with no a-priori trigger;")
 	fmt.Fprintln(out, "FLUSH-S30 sometimes loses to ICOUNT")
 	return nil
@@ -368,15 +392,11 @@ func figure11(out io.Writer, cfg experiments.Config) error {
 	w := tabbed(out)
 	fmt.Fprintln(w, "workload\tFLUSH-S30\tFLUSH-S100\tMFLUSH\tMFLUSH vs S100")
 	for _, r := range rows {
-		saving := 0.0
-		if r.FlushS100 > 0 {
-			saving = (1 - r.MFLUSH/r.FlushS100) * 100
-		}
-		fmt.Fprintf(w, "%s\t%.0f\t%.0f\t%.0f\t%+.0f%%\n",
-			r.Workload, r.FlushS30, r.FlushS100, r.MFLUSH, -saving)
+		fmt.Fprintf(w, "%s\t%.0f\t%.0f\t%.0f\t%s\n",
+			r.Workload, r.FlushS30, r.FlushS100, r.MFLUSH, pct("%+.0f%%", -(1-r.MFLUSH/r.FlushS100)))
 	}
 	s30, s100, mf, saving := experiments.Figure11Averages(rows)
-	fmt.Fprintf(w, "total\t%.0f\t%.0f\t%.0f\t%+.0f%%\n", s30, s100, mf, -saving*100)
+	fmt.Fprintf(w, "total\t%.0f\t%.0f\t%.0f\t%s\n", s30, s100, mf, pct("%+.0f%%", -saving))
 	w.Flush()
 	fmt.Fprintln(out, "paper: MFLUSH wastes ~20% less energy than FLUSH-S100, which in")
 	fmt.Fprintln(out, "turn wastes ~10% more than FLUSH-S30")

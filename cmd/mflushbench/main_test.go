@@ -40,20 +40,51 @@ func TestOutputGolden(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownFigure: a bad figure or a budget the campaign
+// engine rejects fails before anything prints.
 func TestRunRejectsUnknownFigure(t *testing.T) {
 	var out bytes.Buffer
-	for _, fig := range []string{"12", "-1"} {
-		if err := run([]string{"-fig", fig}, &out); err == nil || !strings.Contains(err.Error(), "no figure") {
-			t.Errorf("-fig %s: err = %v", fig, err)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fig", "12"}, "no figure"},
+		{[]string{"-fig", "-1"}, "no figure"},
+		{[]string{"-ablations", "-cycles", "0"}, "positive cycle budget"},
+		{[]string{"-fig", "2", "-cycles", "1073741825"}, "exceeds the bound"},
+		{[]string{"-fig", "2", "-warmup", "1073741825"}, "exceeds the bound"},
+	} {
+		if err := run(c.args, &out); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want one containing %q", c.args, err, c.want)
 		}
 	}
 	if out.Len() != 0 {
-		t.Errorf("rejected figure wrote output: %q", out.String())
+		t.Errorf("rejected run wrote output: %q", out.String())
+	}
+}
+
+// TestUndefinedPrintsNA: a window too short to measure an L2 hit or a
+// committed instruction leaves shares and speedups undefined; they
+// print as n/a, never NaN, and an empty histogram's max prints no -1.
+func TestUndefinedPrintsNA(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fig", "4", "-warmup", "0", "-cycles", "30"},
+		{"-fig", "2", "-warmup", "0", "-cycles", "1"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		got := out.String()
+		if strings.Contains(got, "NaN") || strings.Contains(got, " -1 ") || !strings.Contains(got, "n/a") {
+			t.Errorf("%v printed:\n%s", args, got)
+		}
 	}
 }
 
 // TestParseScale: -quick only lowers the defaults, so -warmup, -cycles
-// and -seed given explicitly still win.
+// and -seed given explicitly still win; a zero measured window or a
+// budget above 2^30 cycles is rejected.
 func TestParseScale(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -63,6 +94,7 @@ func TestParseScale(t *testing.T) {
 		{[]string{"-quick"}, experiments.Quick},
 		{[]string{"-quick", "-seed", "3"}, experiments.Config{Warmup: 60000, Cycles: 60000, Seed: 3}},
 		{[]string{"-quick", "-cycles", "5000"}, experiments.Config{Warmup: 60000, Cycles: 5000, Seed: 1}},
+		{[]string{"-warmup", "0", "-cycles", "1073741824"}, experiments.Config{Warmup: 0, Cycles: 1 << 30, Seed: 1}},
 	} {
 		cfg, err := parseScale(flag.NewFlagSet("mflushbench", flag.ContinueOnError), c.args)
 		if err != nil {
@@ -70,6 +102,16 @@ func TestParseScale(t *testing.T) {
 		}
 		if cfg != c.want {
 			t.Errorf("%v: config %+v, want %+v", c.args, cfg, c.want)
+		}
+	}
+	for _, args := range [][]string{
+		{"-cycles", "0"},
+		{"-quick", "-cycles", "0"},
+		{"-cycles", "1073741825"},
+		{"-warmup", "1073741825"},
+	} {
+		if _, err := parseScale(flag.NewFlagSet("mflushbench", flag.ContinueOnError), args); err == nil {
+			t.Errorf("%v: accepted", args)
 		}
 	}
 }

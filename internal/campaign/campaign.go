@@ -7,9 +7,9 @@
 // for export (CSV, JSON, text tables).
 //
 // The paper's evaluation is exactly such a grid — every figure is a
-// sweep over workloads and policies on one machine point — so the
-// figure generators in internal/experiments run through this package's
-// scheduler too.
+// sweep over workloads and policies, the ablations over machine tweaks
+// too — so each figure in internal/experiments is a Spec run through
+// Scheduler.Run and a fold over the records it returns.
 package campaign
 
 import (
@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/config"
@@ -28,7 +29,8 @@ import (
 // Tweak is a named, declarative machine-configuration delta: the knobs
 // the evaluation sweeps (MSHR size, L2 capacity, bus transfer delay,
 // main-memory latency, per-thread register reservation). A zero field
-// leaves the paper's default; the zero Tweak is the baseline machine.
+// leaves the paper's default, except RegReservePerThread, which leaves
+// it only when nil; the zero Tweak is the baseline machine.
 // Declarative fields — unlike sim.Options.Tweak's opaque function — can
 // be serialised into spec files and hashed into job keys. keyhash
 // holds every field to canon's coverage.
@@ -51,14 +53,16 @@ type Tweak struct {
 	// MainMemoryLatency overrides the L2-miss service latency.
 	MainMemoryLatency int `json:"main_memory_latency,omitempty"`
 	// RegReservePerThread overrides the per-thread rename-register
-	// reservation.
-	RegReservePerThread int `json:"reg_reserve_per_thread,omitempty"`
+	// reservation. Zero is a machine point of its own (no reservation:
+	// one fully shared pool), so the field is a pointer and only nil
+	// keeps the paper's default.
+	RegReservePerThread *int `json:"reg_reserve_per_thread,omitempty"`
 }
 
 // IsZero reports whether the tweak leaves the machine at its defaults.
 func (tw Tweak) IsZero() bool {
 	return tw.MSHREntries == 0 && tw.L2SizeBytes == 0 && tw.BusDelay == 0 &&
-		tw.MainMemoryLatency == 0 && tw.RegReservePerThread == 0
+		tw.MainMemoryLatency == 0 && tw.RegReservePerThread == nil
 }
 
 // Upper bounds on the tweak knobs, far above any point the evaluation
@@ -79,12 +83,16 @@ const (
 	maxRegReservePerThread = 320
 )
 
-// validate rejects negative knob values, which apply would silently
-// skip (its guards are > 0) so the job would run the baseline machine
-// while its key and label claim a distinct point, and values above the
-// knob's upper bound, which could exhaust host memory before the
-// simulation starts.
+// validate rejects negative knob values, which are no machine point
+// (apply would skip most of them, so the job would run the baseline
+// machine while its key and label claim a distinct point), and values
+// above the knob's upper bound, which could exhaust host memory before
+// the simulation starts.
 func (tw Tweak) validate() error {
+	reserve := 0
+	if tw.RegReservePerThread != nil {
+		reserve = *tw.RegReservePerThread
+	}
 	for _, f := range []struct {
 		name   string
 		v, max int
@@ -93,7 +101,7 @@ func (tw Tweak) validate() error {
 		{"l2_size_bytes", tw.L2SizeBytes, maxL2SizeBytes},
 		{"bus_delay", tw.BusDelay, maxBusDelay},
 		{"main_memory_latency", tw.MainMemoryLatency, maxMainMemoryLatency},
-		{"reg_reserve_per_thread", tw.RegReservePerThread, maxRegReservePerThread},
+		{"reg_reserve_per_thread", reserve, maxRegReservePerThread},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("campaign: tweak %q: negative %s %d", tw.Label(), f.name, f.v)
@@ -119,13 +127,23 @@ func (tw Tweak) Label() string {
 
 // canon renders the content fields (not the name) in a fixed order; job
 // keys hash this, so renaming a tweak never invalidates stored results.
+// A nil reservation prints 0 and an explicit 0 prints "none", so every
+// job without an explicit zero keeps the key it was stored under.
 func (tw Tweak) canon() string {
-	return fmt.Sprintf("mshr=%d l2=%d bus=%d mem=%d reserve=%d",
+	reserve := "0"
+	if r := tw.RegReservePerThread; r != nil {
+		reserve = strconv.Itoa(*r)
+		if *r == 0 {
+			reserve = "none"
+		}
+	}
+	return fmt.Sprintf("mshr=%d l2=%d bus=%d mem=%d reserve=%s",
 		tw.MSHREntries, tw.L2SizeBytes, tw.BusDelay, tw.MainMemoryLatency,
-		tw.RegReservePerThread)
+		reserve)
 }
 
-// apply mutates the machine configuration; zero fields are left alone.
+// apply mutates the machine configuration; zero (nil) fields are left
+// alone.
 func (tw Tweak) apply(c *config.Config) {
 	if tw.MSHREntries > 0 {
 		c.Core.MSHREntries = tw.MSHREntries
@@ -139,8 +157,8 @@ func (tw Tweak) apply(c *config.Config) {
 	if tw.MainMemoryLatency > 0 {
 		c.Mem.MainMemoryLatency = tw.MainMemoryLatency
 	}
-	if tw.RegReservePerThread > 0 {
-		c.Core.RegReservePerThread = tw.RegReservePerThread
+	if tw.RegReservePerThread != nil {
+		c.Core.RegReservePerThread = *tw.RegReservePerThread
 	}
 }
 

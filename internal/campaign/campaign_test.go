@@ -128,7 +128,7 @@ func TestTweakBounds(t *testing.T) {
 		{"l2_size_bytes", 64 << 20, func(tw *Tweak, v int) { tw.L2SizeBytes = v }},
 		{"bus_delay", 1000, func(tw *Tweak, v int) { tw.BusDelay = v }},
 		{"main_memory_latency", 100000, func(tw *Tweak, v int) { tw.MainMemoryLatency = v }},
-		{"reg_reserve_per_thread", 320, func(tw *Tweak, v int) { tw.RegReservePerThread = v }},
+		{"reg_reserve_per_thread", 320, func(tw *Tweak, v int) { tw.RegReservePerThread = &v }},
 	} {
 		var at, above Tweak
 		tc.set(&at, tc.bound)
@@ -144,6 +144,7 @@ func TestTweakBounds(t *testing.T) {
 	for _, body := range []string{
 		`{"workloads":["2W1"],"policies":["ICOUNT"],"cycles":1000,"tweaks":[{"l2_size_bytes":3377699720527872}]}`,
 		`{"workloads":["2W1"],"policies":["ICOUNT"],"cycles":1000,"tweaks":[{"mshr_entries":4000000000000}]}`,
+		`{"workloads":["2W1"],"policies":["ICOUNT"],"cycles":1000,"tweaks":[{"reg_reserve_per_thread":321}]}`,
 	} {
 		s, err := ReadSpec(strings.NewReader(body))
 		if err != nil {
@@ -151,6 +152,24 @@ func TestTweakBounds(t *testing.T) {
 		}
 		if _, err := s.Jobs(); err == nil || !strings.Contains(err.Error(), "exceeds the bound") {
 			t.Errorf("%s: err = %v, want a bound rejection", body, err)
+		}
+	}
+	// An explicit zero reservation is a machine point of its own, not
+	// a duplicate of the baseline; a negative one is no machine.
+	for body, wantErr := range map[string]string{
+		`{"workloads":["2W1"],"policies":["ICOUNT"],"cycles":1000,"tweaks":[{},{"reg_reserve_per_thread":0}]}`: "",
+		`{"workloads":["2W1"],"policies":["ICOUNT"],"cycles":1000,"tweaks":[{"reg_reserve_per_thread":-1}]}`:   "negative reg_reserve_per_thread",
+	} {
+		s, err := ReadSpec(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, err := s.Jobs()
+		switch {
+		case wantErr == "" && (err != nil || len(jobs) != 2):
+			t.Errorf("%s: %d jobs, err = %v, want 2 jobs", body, len(jobs), err)
+		case wantErr != "" && (err == nil || !strings.Contains(err.Error(), wantErr)):
+			t.Errorf("%s: err = %v, want one containing %q", body, err, wantErr)
 		}
 	}
 }
@@ -196,6 +215,7 @@ func TestJobKeyContent(t *testing.T) {
 		func(j *Job) { j.Policy = sim.SpecICOUNT },
 		func(j *Job) { j.Tweak.MSHREntries = 8 },
 		func(j *Job) { j.Tweak.MainMemoryLatency = 400 },
+		func(j *Job) { j.Tweak.RegReservePerThread = intp(0) },
 	} {
 		j := base
 		mutate(&j)
@@ -203,11 +223,28 @@ func TestJobKeyContent(t *testing.T) {
 			t.Errorf("parameter change did not change key: %v", j)
 		}
 	}
+	// A nil and a positive reservation keep the keys stored before the
+	// field became a pointer.
+	reserve48 := base
+	reserve48.Tweak.RegReservePerThread = intp(48)
+	for _, c := range []struct {
+		j    Job
+		want string
+	}{
+		{base, "4a8a35f66e8a41457453e721b0dc01fa"},
+		{reserve48, "57a3f8160436a59e8753b714f408a947"},
+	} {
+		if got := c.j.Key(); got != c.want {
+			t.Errorf("key of %v = %s, want the frozen %s", c.j, got, c.want)
+		}
+	}
 }
+
+func intp(v int) *int { return &v }
 
 func TestTweakApplyAndLabel(t *testing.T) {
 	tw := Tweak{MSHREntries: 8, L2SizeBytes: 3072 * 256, BusDelay: 4,
-		MainMemoryLatency: 400, RegReservePerThread: 48}
+		MainMemoryLatency: 400, RegReservePerThread: intp(48)}
 	cfg := config.Default(1)
 	j := Job{Tweak: tw, Cycles: 10}
 	opt := j.Options()
@@ -222,6 +259,12 @@ func TestTweakApplyAndLabel(t *testing.T) {
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("tweaked config invalid: %v", err)
+	}
+	// An explicit zero reservation applies: a fully shared pool.
+	cfg = config.Default(1)
+	(Job{Tweak: Tweak{RegReservePerThread: intp(0)}, Cycles: 10}).Options().Tweak(&cfg)
+	if cfg.Core.RegReservePerThread != 0 {
+		t.Fatalf("explicit zero reservation applied as %d", cfg.Core.RegReservePerThread)
 	}
 	if (Tweak{}).Label() != "baseline" {
 		t.Fatal("zero tweak label")

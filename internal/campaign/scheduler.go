@@ -34,8 +34,10 @@ type Scheduler struct {
 	// simulator is deterministic per job, so the worker count never
 	// changes campaign output.
 	Workers int
-	// Runner executes one simulation; nil means sim.Run. Tests inject
-	// counting or failing runners here.
+	// Runner executes one simulation; nil means sim.Run. A caller that
+	// needs more of a result than its record's Summary wraps sim.Run
+	// here (Figure 4 merges each result's hit-latency histogram);
+	// tests inject counting or failing runners.
 	Runner func(sim.Options) (*sim.Result, error)
 	// GangWidth is ignored: Run executes every job on its own through
 	// Runner. It remains only because the end-to-end benchmark
@@ -230,30 +232,6 @@ func firstError(jobs []Job, errs []error) error {
 		return fmt.Errorf("campaign: %s: %w", jobs[i], err)
 	}
 	return ctxErr
-}
-
-// RunAll executes raw sim.Options concurrently (bounded by GOMAXPROCS)
-// and returns results in input order — the scheduler entry point for
-// callers like internal/experiments whose grids are built in Go rather
-// than declared as a Spec.
-func RunAll(ctx context.Context, opts []sim.Options) ([]*sim.Result, error) {
-	results := make([]*sim.Result, len(opts))
-	all := make([]int, len(opts))
-	for i := range all {
-		all[i] = i
-	}
-	errs := runPool(ctx, runtime.GOMAXPROCS(0), len(opts), all, func(i int) error {
-		var err error
-		results[i], err = sim.Run(opts[i])
-		return err
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s/%s: %w",
-				opts[i].Workload.Name, opts[i].Policy, err)
-		}
-	}
-	return results, nil
 }
 
 // runPool is the shared bounded worker pool: it executes fn(i) for each

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,7 +14,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // fakeResult builds a minimal well-formed Result (Summary needs a
@@ -21,50 +21,6 @@ import (
 func fakeResult(o sim.Options) *sim.Result {
 	return &sim.Result{Workload: o.Workload.Name, Policy: o.Policy.String(),
 		Cycles: o.Cycles, IPC: float64(o.Seed), HitLatency: stats.NewHistogram(8)}
-}
-
-// tinyOptions builds a small real-simulation option set.
-func tinyOptions(t *testing.T, name string, p sim.PolicySpec) sim.Options {
-	t.Helper()
-	w, ok := workload.ByName(name)
-	if !ok {
-		t.Fatalf("no workload %s", name)
-	}
-	return sim.Options{Workload: w, Policy: p, Warmup: 4000, Cycles: 4000, Seed: 1}
-}
-
-func TestRunAllOrderAndParallelism(t *testing.T) {
-	opts := []sim.Options{
-		tinyOptions(t, "2W1", sim.SpecICOUNT),
-		tinyOptions(t, "4W1", sim.SpecICOUNT),
-		tinyOptions(t, "2W1", sim.SpecMFLUSH),
-	}
-	res, err := RunAll(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("result count = %d", len(res))
-	}
-	if res[0].Workload != "2W1" || res[1].Workload != "4W1" || res[2].Policy != "MFLUSH" {
-		t.Fatal("results out of order")
-	}
-}
-
-func TestRunAllPropagatesErrors(t *testing.T) {
-	bad := sim.Options{Workload: workload.Workload{Name: "bad", Letters: "!"},
-		Policy: sim.SpecICOUNT, Warmup: 100, Cycles: 100}
-	if _, err := RunAll(context.Background(), []sim.Options{bad}); err == nil {
-		t.Fatal("error not propagated")
-	}
-}
-
-func TestRunAllCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunAll(ctx, []sim.Options{tinyOptions(t, "2W1", sim.SpecICOUNT)}); err == nil {
-		t.Fatal("cancelled context accepted")
-	}
 }
 
 func TestSchedulerOrderProgressAndInjection(t *testing.T) {
@@ -155,7 +111,9 @@ func TestResumeRelabelsRenamedTweak(t *testing.T) {
 func TestSchedulerReportsJobError(t *testing.T) {
 	jobs, _ := Spec{Workloads: []string{"2W1"}, Policies: []string{"ICOUNT"},
 		Seeds: []uint64{1, 2}, Cycles: 100}.Jobs()
+	var calls atomic.Int64
 	sched := &Scheduler{Runner: func(o sim.Options) (*sim.Result, error) {
+		calls.Add(1)
 		if o.Seed == 2 {
 			return nil, fmt.Errorf("boom")
 		}
@@ -165,6 +123,14 @@ func TestSchedulerReportsJobError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "seed=2") ||
 		!strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v", err)
+	}
+	// A context cancelled before Run starts fails the campaign with the
+	// context's own error, and nothing simulates.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	calls.Store(0)
+	if _, err := sched.Run(ctx, jobs, nil); !errors.Is(err, context.Canceled) || calls.Load() != 0 {
+		t.Fatalf("pre-cancelled run: err = %v after %d simulations", err, calls.Load())
 	}
 }
 

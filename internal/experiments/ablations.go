@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/config"
-	"repro/internal/sim"
-	"repro/internal/workload"
+	"repro/internal/campaign"
 )
 
 // The ablations quantify the design choices behind MFLUSH: the MCReg
@@ -25,32 +23,22 @@ type AblationRow struct {
 	Flushes  uint64
 }
 
-// ablation runs every workload under every variant and returns one row
-// per pair, workload-major, with variant k labelled labels[k].
-func ablation(cfg Config, ws []workload.Workload, variants []sim.Options, labels []string) ([]AblationRow, error) {
-	res, err := grid(cfg, ws, variants)
+// runAblation runs spec and folds its records, one per workload ×
+// variant in job order, into rows; variant k (a policy, or a policy and
+// tweak pair) is labelled labels[k].
+func runAblation(cfg Config, spec campaign.Spec, labels []string) ([]AblationRow, error) {
+	recs, err := run(cfg, spec, nil)
 	if err != nil {
 		return nil, err
 	}
-	var rows []AblationRow
-	for i, w := range ws {
-		for k, r := range res[i] {
-			rows = append(rows, AblationRow{
-				Workload: w.Name, Variant: labels[k],
-				IPC: r.IPC, Wasted: r.WastedEnergy(), Flushes: r.Flushes,
-			})
+	rows := make([]AblationRow, len(recs))
+	for i, r := range recs {
+		rows[i] = AblationRow{
+			Workload: r.Workload, Variant: labels[i%len(labels)],
+			IPC: r.Summary.IPC, Wasted: r.Summary.WastedEnergy, Flushes: r.Summary.Flushes,
 		}
 	}
 	return rows, nil
-}
-
-// named resolves workload names that are known to exist.
-func named(names ...string) []workload.Workload {
-	ws := make([]workload.Workload, len(names))
-	for i, n := range names {
-		ws[i], _ = workload.ByName(n)
-	}
-	return ws
 }
 
 // MCRegHistoryDepths are the history configurations swept by
@@ -61,13 +49,14 @@ var MCRegHistoryDepths = []int{1, 2, 4, 8}
 // (paper §4.1: "the MCReg registers admit more complex configurations,
 // involving queues") on a contended and an uncontended workload.
 func AblationMCRegHistory(cfg Config) ([]AblationRow, error) {
-	var specs []sim.PolicySpec
+	spec := campaign.Spec{Workloads: []string{"4W3", "8W3"}}
 	var labels []string
 	for _, depth := range MCRegHistoryDepths {
-		specs = append(specs, sim.PolicySpec{Kind: sim.MFLUSH, History: depth})
+		// MFLUSH-H1 parses as plain MFLUSH, the same policy.
+		spec.Policies = append(spec.Policies, fmt.Sprintf("MFLUSH-H%d", depth))
 		labels = append(labels, fmt.Sprintf("MCReg history %d", depth))
 	}
-	return ablation(cfg, named("4W3", "8W3"), policies(specs...), labels)
+	return runAblation(cfg, spec, labels)
 }
 
 // AblationResponseAction compares the two response actions the paper
@@ -75,17 +64,8 @@ func AblationMCRegHistory(cfg Config) ([]AblationRow, error) {
 // resources) — plus MFLUSH, which blends them through the Preventive
 // State.
 func AblationResponseAction(cfg Config) ([]AblationRow, error) {
-	specs := []sim.PolicySpec{
-		sim.SpecICOUNT,
-		sim.SpecStallS(30),
-		sim.SpecFlushS(30),
-		sim.SpecMFLUSH,
-	}
-	var labels []string
-	for _, spec := range specs {
-		labels = append(labels, spec.String())
-	}
-	return ablation(cfg, named("2W3", "8W3"), policies(specs...), labels)
+	policies := []string{"ICOUNT", "STALL-S30", "FLUSH-S30", "MFLUSH"}
+	return runAblation(cfg, campaign.Spec{Workloads: []string{"2W3", "8W3"}, Policies: policies}, policies)
 }
 
 // MSHRSizes are the per-core MSHR capacities swept by AblationMSHR.
@@ -95,16 +75,14 @@ var MSHRSizes = []int{4, 8, 16, 32}
 // each thread's memory-level parallelism and therefore both the clog a
 // blocked thread causes and the work a flush destroys.
 func AblationMSHR(cfg Config) ([]AblationRow, error) {
-	var variants []sim.Options
+	spec := campaign.Spec{Workloads: []string{"8W3"}, Policies: []string{"MFLUSH"}}
 	var labels []string
 	for _, size := range MSHRSizes {
-		variants = append(variants, sim.Options{
-			Policy: sim.SpecMFLUSH,
-			Tweak:  func(c *config.Config) { c.Core.MSHREntries = size },
-		})
-		labels = append(labels, fmt.Sprintf("MSHR %d", size))
+		label := fmt.Sprintf("MSHR %d", size)
+		spec.Tweaks = append(spec.Tweaks, campaign.Tweak{Name: label, MSHREntries: size})
+		labels = append(labels, label)
 	}
-	return ablation(cfg, named("8W3"), variants, labels)
+	return runAblation(cfg, spec, labels)
 }
 
 // RegReserveSizes are the per-thread rename-register reservations swept by
@@ -116,16 +94,17 @@ var RegReserveSizes = []int{0, 16, 24, 48, 96}
 // the mechanism behind the paper's ICOUNT pathology (reserve 0 recreates a
 // fully shared pool; 96 approaches a static partition).
 func AblationRegReserve(cfg Config) ([]AblationRow, error) {
-	var variants []sim.Options
+	spec := campaign.Spec{Workloads: []string{"2W3"}, Policies: []string{"ICOUNT", "FLUSH-S30"}}
+	for _, reserve := range RegReserveSizes {
+		spec.Tweaks = append(spec.Tweaks, campaign.Tweak{
+			Name: fmt.Sprintf("reserve %d", reserve), RegReservePerThread: &reserve,
+		})
+	}
 	var labels []string
-	for _, spec := range []sim.PolicySpec{sim.SpecICOUNT, sim.SpecFlushS(30)} {
-		for _, reserve := range RegReserveSizes {
-			variants = append(variants, sim.Options{
-				Policy: spec,
-				Tweak:  func(c *config.Config) { c.Core.RegReservePerThread = reserve },
-			})
-			labels = append(labels, fmt.Sprintf("%s reserve %d", spec, reserve))
+	for _, p := range spec.Policies {
+		for _, tw := range spec.Tweaks {
+			labels = append(labels, p+" "+tw.Name)
 		}
 	}
-	return ablation(cfg, named("2W3"), variants, labels)
+	return runAblation(cfg, spec, labels)
 }

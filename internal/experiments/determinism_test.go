@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// TestRunAllDeterministicAcrossGOMAXPROCS guards the per-core recycling
-// pools against cross-simulation sharing: the campaign scheduler runs
-// concurrent sim.Run calls, and figure values must not depend on how
-// many ran in parallel.
-func TestRunAllDeterministicAcrossGOMAXPROCS(t *testing.T) {
+// TestFigureSpecReplayAcrossGOMAXPROCS replays Figure 2's spec through
+// the campaign scheduler at GOMAXPROCS 1 and at every CPU. It guards the
+// per-core recycling pools against cross-simulation sharing: the
+// scheduler runs concurrent sim.Run calls, and figure values must not
+// depend on how many ran in parallel.
+func TestFigureSpecReplayAcrossGOMAXPROCS(t *testing.T) {
 	run := func() string {
 		rows, _, err := Figure2(short)
 		if err != nil {

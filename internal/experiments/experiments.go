@@ -4,14 +4,19 @@
 //
 // All experiments run the same synthetic workloads through the same
 // machine for every policy, so differences are attributable to the IFetch
-// policy alone. Every figure and ablation is a workload × variant grid
-// (grid), run in parallel on the campaign scheduler (internal/campaign),
-// the same worker pool that backs cmd/mflushsweep.
+// policy alone. Every figure and ablation declares a campaign.Spec — its
+// workloads, policies and, for the ablations, machine tweaks — runs it on
+// the campaign scheduler (internal/campaign), the executor behind
+// cmd/mflushsweep and mflushd, and folds the records into its rows. The
+// records come back in job order: workload-major, then policy, then
+// tweak.
 package experiments
 
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/campaign"
 	"repro/internal/sim"
@@ -39,47 +44,28 @@ var Default = Config{Warmup: 300000, Cycles: 200000, Seed: 1}
 // Quick is a reduced configuration (mflushbench -quick).
 var Quick = Config{Warmup: 60000, Cycles: 60000, Seed: 1}
 
-// grid runs every workload under every variant through the campaign
-// scheduler (bounded parallelism) and returns the results workload-major:
-// res[i][k] is ws[i] under variants[k]. A variant sets the policy and,
-// for ablations, a machine Tweak; grid fills in the workload and cfg's
-// scale.
-func grid(cfg Config, ws []workload.Workload, variants []sim.Options) ([][]*sim.Result, error) {
-	opts := make([]sim.Options, 0, len(ws)*len(variants))
-	for _, w := range ws {
-		for _, v := range variants {
-			v.Workload, v.Warmup, v.Cycles, v.Seed = w, cfg.Warmup, cfg.Cycles, cfg.Seed
-			opts = append(opts, v)
+// run executes spec at cfg's scale — its budget and the one seed
+// cfg.Seed — on the campaign scheduler, simulating each job through
+// runner (nil: sim.Run), and returns one record per job in job order.
+func run(cfg Config, spec campaign.Spec, runner func(sim.Options) (*sim.Result, error)) ([]campaign.Record, error) {
+	spec.Warmup, spec.Cycles, spec.Seeds = cfg.Warmup, cfg.Cycles, []uint64{cfg.Seed}
+	jobs, err := spec.Jobs()
+	if err != nil {
+		return nil, err
+	}
+	return (&campaign.Scheduler{Runner: runner}).Run(context.Background(), jobs, nil)
+}
+
+// ofSize names the Figure 1 workloads of the given thread counts, size
+// by size in table order.
+func ofSize(sizes ...int) []string {
+	var names []string
+	for _, size := range sizes {
+		for _, w := range workload.OfSize(size) {
+			names = append(names, w.Name)
 		}
 	}
-	res, err := campaign.RunAll(context.Background(), opts)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	out := make([][]*sim.Result, len(ws))
-	for i := range out {
-		out[i] = res[i*len(variants) : (i+1)*len(variants)]
-	}
-	return out, nil
-}
-
-// policies returns one grid variant per spec, on the unmodified machine.
-func policies(specs ...sim.PolicySpec) []sim.Options {
-	vs := make([]sim.Options, len(specs))
-	for k, p := range specs {
-		vs[k].Policy = p
-	}
-	return vs
-}
-
-// multicore returns the 4W, 6W and 8W workloads that Figures 8 and 11
-// evaluate.
-func multicore() []workload.Workload {
-	var ws []workload.Workload
-	for _, size := range []int{4, 6, 8} {
-		ws = append(ws, workload.OfSize(size)...)
-	}
-	return ws
+	return names
 }
 
 // Figure2Row is one bar pair of Figure 2: single-core SMT throughput under
@@ -88,7 +74,8 @@ type Figure2Row struct {
 	Workload string
 	ICOUNT   float64
 	FlushS30 float64
-	// Speedup is FLUSH-S30 over ICOUNT as a fraction.
+	// Speedup is FLUSH-S30 over ICOUNT as a fraction, NaN or infinite
+	// when ICOUNT committed nothing.
 	Speedup float64
 }
 
@@ -96,20 +83,16 @@ type Figure2Row struct {
 // SMT core, ICOUNT vs FLUSH-S30. The paper reports speedups up to 93%
 // with a 22% average.
 func Figure2(cfg Config) ([]Figure2Row, float64, error) {
-	ws := workload.OfSize(2)
-	res, err := grid(cfg, ws, policies(sim.SpecICOUNT, sim.SpecFlushS(30)))
+	recs, err := run(cfg, campaign.Spec{Workloads: ofSize(2), Policies: []string{"ICOUNT", "FL-S30"}}, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	rows := make([]Figure2Row, len(ws))
+	var rows []Figure2Row
 	var speedups []float64
-	for i, w := range ws {
-		ic, fl := res[i][0], res[i][1]
-		rows[i] = Figure2Row{
-			Workload: w.Name, ICOUNT: ic.IPC, FlushS30: fl.IPC,
-			Speedup: sim.Speedup(fl, ic),
-		}
-		speedups = append(speedups, rows[i].Speedup)
+	for pair := range slices.Chunk(recs, 2) {
+		ic, fl := pair[0].Summary.IPC, pair[1].Summary.IPC
+		rows = append(rows, Figure2Row{Workload: pair[0].Workload, ICOUNT: ic, FlushS30: fl, Speedup: fl/ic - 1})
+		speedups = append(speedups, fl/ic-1)
 	}
 	return rows, stats.Mean(speedups), nil
 }
@@ -125,21 +108,22 @@ type Figure3Row struct {
 // Figure3 reproduces Figure 3: as SMT cores are replicated, the FLUSH
 // advantage shrinks and becomes a slowdown at 4 cores.
 func Figure3(cfg Config) ([]Figure3Row, error) {
+	recs, err := run(cfg, campaign.Spec{Workloads: ofSize(workload.Sizes()...), Policies: []string{"ICOUNT", "FL-S30"}}, nil)
+	if err != nil {
+		return nil, err
+	}
 	var rows []Figure3Row
 	for _, size := range workload.Sizes() {
-		ws := workload.OfSize(size)
-		res, err := grid(cfg, ws, policies(sim.SpecICOUNT, sim.SpecFlushS(30)))
-		if err != nil {
-			return nil, err
-		}
+		n := len(workload.OfSize(size))
 		row := Figure3Row{Threads: size, Cores: (size + 1) / 2}
 		var speedups []float64
-		for _, r := range res {
-			ic, fl := r[0], r[1]
-			row.ICOUNT += ic.IPC / float64(len(ws))
-			row.FlushS30 += fl.IPC / float64(len(ws))
-			speedups = append(speedups, sim.Speedup(fl, ic))
+		for pair := range slices.Chunk(recs[:2*n], 2) {
+			ic, fl := pair[0].Summary.IPC, pair[1].Summary.IPC
+			row.ICOUNT += ic / float64(n)
+			row.FlushS30 += fl / float64(n)
+			speedups = append(speedups, fl/ic-1)
 		}
+		recs = recs[2*n:]
 		row.AvgSpeedup = stats.Mean(speedups)
 		rows = append(rows, row)
 	}
@@ -162,20 +146,31 @@ type Figure4Row struct {
 // Figure4 reproduces Figure 4: the average L2 cache hit time measured
 // from load issue, under ICOUNT (which "does not alter the L2 access
 // pattern"), for each machine size. Dispersion grows with core count.
+//
+// A record carries only a summary of its hit-latency histogram, so the
+// scheduler's runner merges each whole histogram into its machine size's
+// as the job completes. Merging is commutative, so the rows do not
+// depend on completion order.
 func Figure4(cfg Config) ([]Figure4Row, error) {
-	ws := workload.All()
-	res, err := grid(cfg, ws, policies(sim.SpecICOUNT))
-	if err != nil {
-		return nil, err
-	}
+	var mu sync.Mutex
 	bySize := map[int]*stats.Histogram{}
-	for i, w := range ws {
-		h := res[i][0].HitLatency
-		if merged := bySize[w.Threads()]; merged != nil {
-			merged.Merge(h)
-		} else {
-			bySize[w.Threads()] = h
+	merge := func(o sim.Options) (*sim.Result, error) {
+		res, err := sim.Run(o)
+		if err != nil {
+			return nil, err
 		}
+		mu.Lock()
+		defer mu.Unlock()
+		if h := bySize[o.Workload.Threads()]; h != nil {
+			h.Merge(res.HitLatency)
+		} else {
+			// A copy: the scheduler still summarises res.
+			bySize[o.Workload.Threads()] = res.HitLatency.Clone()
+		}
+		return res, nil
+	}
+	if _, err := run(cfg, campaign.Spec{Workloads: ofSize(workload.Sizes()...), Policies: []string{"ICOUNT"}}, merge); err != nil {
+		return nil, err
 	}
 	var rows []Figure4Row
 	for _, size := range workload.Sizes() {
@@ -213,25 +208,18 @@ var Figure5Triggers = []int{30, 50, 70, 90, 110, 130, 150}
 // bzip2/twolf mix: the best trigger is workload-dependent and FL-NS can
 // beat every static trigger.
 func Figure5(cfg Config) ([]Figure5Row, error) {
-	w3, _ := workload.ByName("8W3")
-	targets := []workload.Workload{w3, workload.BzipTwolf8}
-	var specs []sim.PolicySpec
-	var labels []string
+	spec := campaign.Spec{Workloads: []string{"8W3", workload.BzipTwolf8.Name}}
 	for _, trig := range Figure5Triggers {
-		specs = append(specs, sim.SpecFlushS(trig))
-		labels = append(labels, fmt.Sprintf("FL-S%d", trig))
+		spec.Policies = append(spec.Policies, fmt.Sprintf("FL-S%d", trig))
 	}
-	specs = append(specs, sim.SpecFlushNS)
-	labels = append(labels, "FL-NS")
-	res, err := grid(cfg, targets, policies(specs...))
+	spec.Policies = append(spec.Policies, "FL-NS")
+	recs, err := run(cfg, spec, nil)
 	if err != nil {
 		return nil, err
 	}
-	var rows []Figure5Row
-	for i, w := range targets {
-		for k, r := range res[i] {
-			rows = append(rows, Figure5Row{Workload: w.Name, Policy: labels[k], IPC: r.IPC})
-		}
+	rows := make([]Figure5Row, len(recs))
+	for i, r := range recs {
+		rows[i] = Figure5Row{Workload: r.Workload, Policy: spec.Policies[i%len(spec.Policies)], IPC: r.Summary.IPC}
 	}
 	return rows, nil
 }
@@ -245,28 +233,25 @@ type Figure8Row struct {
 	MFLUSH    float64
 }
 
-// Figure8Policies are the four policies Figure 8 compares.
-var Figure8Policies = []sim.PolicySpec{
-	sim.SpecICOUNT, sim.SpecFlushS(30), sim.SpecFlushS(100), sim.SpecMFLUSH,
-}
-
 // Figure8 reproduces the throughput evaluation: ICOUNT, FLUSH-S30,
 // FLUSH-S100 and MFLUSH on every multicore workload (4W/6W/8W). The
 // paper's headline: MFLUSH within ~2% of FLUSH-S100 on average, ahead on
 // some workloads, while FLUSH-S30 can lose to ICOUNT.
 func Figure8(cfg Config) ([]Figure8Row, error) {
-	ws := multicore()
-	res, err := grid(cfg, ws, policies(Figure8Policies...))
+	recs, err := run(cfg, campaign.Spec{
+		Workloads: ofSize(4, 6, 8),
+		Policies:  []string{"ICOUNT", "FL-S30", "FL-S100", "MFLUSH"},
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Figure8Row, len(ws))
-	for i, w := range ws {
-		r := res[i]
-		rows[i] = Figure8Row{
-			Workload: w.Name,
-			ICOUNT:   r[0].IPC, FlushS30: r[1].IPC, FlushS100: r[2].IPC, MFLUSH: r[3].IPC,
-		}
+	var rows []Figure8Row
+	for r := range slices.Chunk(recs, 4) {
+		rows = append(rows, Figure8Row{
+			Workload: r[0].Workload,
+			ICOUNT:   r[0].Summary.IPC, FlushS30: r[1].Summary.IPC,
+			FlushS100: r[2].Summary.IPC, MFLUSH: r[3].Summary.IPC,
+		})
 	}
 	return rows, nil
 }
@@ -292,43 +277,39 @@ type Figure11Row struct {
 	// Wasted energy in energy units (the cost of re-fetching flushed
 	// instructions) for each flushing policy.
 	FlushS30, FlushS100, MFLUSH float64
-	// Committed instructions under MFLUSH, for normalisation.
-	MFLUSHCommitted uint64
 }
 
 // Figure11 reproduces the Wasted Energy evaluation. The paper's headline:
 // MFLUSH wastes ~20% less energy than FLUSH-S100 (the best performer),
 // and FLUSH-S100 wastes ~10% more than FLUSH-S30.
 func Figure11(cfg Config) ([]Figure11Row, error) {
-	ws := multicore()
-	res, err := grid(cfg, ws, policies(sim.SpecFlushS(30), sim.SpecFlushS(100), sim.SpecMFLUSH))
+	recs, err := run(cfg, campaign.Spec{
+		Workloads: ofSize(4, 6, 8),
+		Policies:  []string{"FL-S30", "FL-S100", "MFLUSH"},
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Figure11Row, len(ws))
-	for i, w := range ws {
-		r := res[i]
-		rows[i] = Figure11Row{
-			Workload:        w.Name,
-			FlushS30:        r[0].WastedEnergy(),
-			FlushS100:       r[1].WastedEnergy(),
-			MFLUSH:          r[2].WastedEnergy(),
-			MFLUSHCommitted: r[2].Energy.Committed(),
-		}
+	var rows []Figure11Row
+	for r := range slices.Chunk(recs, 3) {
+		rows = append(rows, Figure11Row{
+			Workload:  r[0].Workload,
+			FlushS30:  r[0].Summary.WastedEnergy,
+			FlushS100: r[1].Summary.WastedEnergy,
+			MFLUSH:    r[2].Summary.WastedEnergy,
+		})
 	}
 	return rows, nil
 }
 
 // Figure11Averages returns total wasted energy per policy and the MFLUSH
-// saving versus FLUSH-S100 as a fraction.
+// saving versus FLUSH-S100 as a fraction, NaN or infinite when FLUSH-S100
+// wasted nothing.
 func Figure11Averages(rows []Figure11Row) (s30, s100, mflush, savingVsS100 float64) {
 	for _, r := range rows {
 		s30 += r.FlushS30
 		s100 += r.FlushS100
 		mflush += r.MFLUSH
 	}
-	if s100 > 0 {
-		savingVsS100 = 1 - mflush/s100
-	}
-	return
+	return s30, s100, mflush, 1 - mflush/s100
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -24,15 +23,6 @@ func testCfg() Config {
 		return short
 	}
 	return tiny
-}
-
-// The scheduler itself (ordering, parallelism, error propagation) is
-// tested in internal/campaign; grid only wraps campaign.RunAll.
-func TestRunGridPropagatesErrors(t *testing.T) {
-	bad := []workload.Workload{{Name: "bad", Letters: "!"}}
-	if _, err := grid(tiny, bad, policies(sim.SpecICOUNT)); err == nil {
-		t.Fatal("error not propagated")
-	}
 }
 
 func TestFigure2Shape(t *testing.T) {
